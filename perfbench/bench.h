@@ -5,7 +5,7 @@
 /// functions only. This header holds what the four workloads share: the
 /// clock, the seeded generator, the span tracer of the traced run, the
 /// replay pool built in set-up, the correctness ledger, and the metric
-/// sink the driver prints as JSON.
+/// sink the benchmark prints as JSON.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -1,9 +1,9 @@
-//===- driver.cpp - Command line of the checker benchmark ------------------------==//
+//===- main.cpp - Command line of the checker benchmark --------------------------==//
 ///
-/// perfbench_driver --workload <name> --seed <n> --seconds <s> --trace <0|1>
+/// perfbench_bin --workload <name> --seed <n> --seconds <s> --trace <0|1>
 ///                  [--commit <id>] [--out <dir>] [--ref <dir>]
 ///                  [--corrupt-reference]
-/// perfbench_driver --emit-reference <dir>
+/// perfbench_bin --emit-reference <dir>
 ///
 /// Runs one workload and prints `# key: value` report lines followed by
 /// one JSON line: {"correct", "attempted", "failed", "metrics"} with every
@@ -44,11 +44,11 @@ namespace {
 
 [[noreturn]] void usage(const char *Why) {
   std::fprintf(stderr,
-               "error: %s\nusage: perfbench_driver --workload "
+               "error: %s\nusage: perfbench_bin --workload "
                "<synth_x86|matrix_replay|serve_mixed|store_restart> --seed <n> "
                "--seconds <s> --trace <0|1> [--commit <id>] [--out <dir>] "
                "[--ref <dir>] [--corrupt-reference]\n"
-               "       perfbench_driver --emit-reference <dir>\n",
+               "       perfbench_bin --emit-reference <dir>\n",
                Why);
   std::exit(2);
 }
@@ -160,7 +160,7 @@ std::string jsonString(const std::string &S) {
 }
 
 /// Nanoseconds per 64x64 boolean-matrix product of a fixed kernel that
-/// belongs to the driver, not the library: the same code on every commit,
+/// belongs to the benchmark, not the library: the same code on every commit,
 /// so it tells a slow machine from a slow change.
 double hostKernelNs() {
   uint64_t A[64], B[64], Out[64];

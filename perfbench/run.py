@@ -4,16 +4,16 @@
     python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>
 
 Run from the root of a checkout. The first run configures and builds
-perfbench/CMakeLists.txt (the tmw library from src/ plus the driver) into
+perfbench/CMakeLists.txt (the tmw library from src/ plus perfbench_bin) into
 $CARGO_TARGET_DIR/perfbench, or .bench_build/perfbench when the variable is
-unset; later runs rebuild only what changed. The driver's report lines are
+unset; later runs rebuild only what changed. The binary's report lines are
 passed through and the last line printed is one JSON object:
 
     {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
 
 whose metrics are exactly BENCHMARK.json's end_to_end metrics (--trace 0)
 or per_layer metrics (--trace 1). Exits non-zero, printing no result, when
-the sources are missing, the build fails, or the driver fails.
+the sources are missing, the build fails, or the binary fails.
 """
 
 import argparse
@@ -49,19 +49,19 @@ def build():
         steps.append(["cmake", "-S", str(HERE), "-B", str(build_dir),
                       "-DCMAKE_BUILD_TYPE=Release"])
     steps.append(["cmake", "--build", str(build_dir), "--target",
-                  "perfbench_driver", "-j", jobs])
+                  "perfbench_bin", "-j", jobs])
     with open(log, "w") as out:
         for step in steps:
             if subprocess.run(step, stdout=out, stderr=subprocess.STDOUT).returncode:
                 tail = log.read_text().splitlines()[-20:]
                 print("\n".join(tail), file=sys.stderr)
                 fail(f"build failed (see {log})")
-    return build_dir / "perfbench_driver"
+    return build_dir / "perfbench_bin"
 
 
 def commit_id():
     """The git commit when the checkout is a repository, else a digest of
-    the sources the driver was built from."""
+    the sources the binary was built from."""
     try:
         out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT,
                              capture_output=True, text=True, timeout=10)
@@ -93,10 +93,10 @@ def main():
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     wanted = spec["per_layer" if args.trace else "end_to_end"]
-    driver = build()
+    binary = build()
     out_dir = ROOT / ".perfbench_run"
     out_dir.mkdir(exist_ok=True)
-    command = [str(driver), "--workload", args.workload,
+    command = [str(binary), "--workload", args.workload,
                "--seed", str(args.seed), "--seconds", str(args.seconds),
                "--trace", str(args.trace), "--commit", commit_id(),
                "--out", str(out_dir), "--ref", str(HERE / "reference")]
@@ -106,15 +106,15 @@ def main():
         run = subprocess.run(command, cwd=ROOT, stdout=subprocess.PIPE,
                              text=True, timeout=170)
     except subprocess.TimeoutExpired:
-        fail("the driver did not finish within 170 s")
+        fail("the benchmark binary did not finish within 170 s")
     lines = run.stdout.rstrip("\n").splitlines()
     if run.returncode != 0 or not lines:
         sys.stdout.write(run.stdout)
-        fail(f"the driver exited with code {run.returncode}")
+        fail(f"the benchmark binary exited with code {run.returncode}")
     try:
         result = json.loads(lines[-1])
     except json.JSONDecodeError:
-        fail("the driver's last line is not JSON")
+        fail("the benchmark binary's last line is not JSON")
     for line in lines[:-1]:
         print(line)
 

@@ -337,12 +337,12 @@ std::vector<CheckResponse> mirrorBatch(Tracer &T, const RequestSpans &Id,
       for (size_t M = 0; M < Models.size(); ++M)
         Resp.Verdicts[M].Spec = ModelRegistry::print(*Models[M]);
     }
-    ParseResult PR;
+    ParseResult Parsed;
     {
       Scope S(T, Id.Parse, I);
-      PR = parseProgram(R.Source);
+      Parsed = parseProgram(R.Source);
     }
-    const Program &P = PR.Prog;
+    const Program &P = Parsed.Prog;
     if (!Plan) {
       Scope S(T, Id.Compile, I);
       Plan = EvalPlan::compile(Raw);
