@@ -42,6 +42,50 @@ inline double secondsSince(int64_t StartNs) {
 /// Median of \p V (0 for an empty vector).
 double median(std::vector<double> V);
 
+/// The \p Q quantile of \p V (0 <= Q <= 1), interpolated between the two
+/// nearest ranks as Python's statistics.quantiles(method="inclusive")
+/// does; 0 for an empty vector.
+double quantile(std::vector<double> V, double Q);
+
+/// The quantile of unit times the end-to-end timings report. The cores
+/// the benchmark gets are shared: the same unit runs in fast and slow
+/// phases of the host (up to 2x apart, each lasting from a second to
+/// many minutes), and the share of slow phases in a run moves its median by
+/// more than any bound worth keeping. The fastest twentieth of the units
+/// measures the program on the least contended host; their time scales
+/// with the program's work. This needs units short against the fast
+/// phases (tens of milliseconds) and hundreds of them in a run.
+constexpr double kFastQuantile = 0.05;
+
+/// Nanoseconds per 64x64 boolean-matrix product of a fixed kernel that
+/// belongs to the benchmark, not the library, run for \p Seconds: the
+/// same code on every commit, so it tells a slow host from a slow change.
+double hostKernelNs(double Seconds);
+
+/// The host's speed over one run, from short slices of hostKernelNs
+/// between the run's units. Even the fast twentieth of the unit times
+/// drifts with the host's load, by up to 30% from one run to the next;
+/// the fast twentieth of the slices drifts with it. Scaled by their
+/// ratio, unit times are those of a host on which the kernel takes
+/// kReferenceKernelNs: over ten 35 s runs of matrix_replay, the spread
+/// (interquartile range over median) fell from 0.076 to 0.025.
+class HostCalibration {
+public:
+  static constexpr double kSliceSeconds = 0.01, kSliceEvery = 0.25;
+  static constexpr double kReferenceKernelNs = 2500;
+
+  /// Run a slice unless one ran less than kSliceEvery seconds ago.
+  void sample();
+  /// Multiply seconds measured in this run by this to calibrate them.
+  double scale() const;
+  /// `slices=... fast_ns=... median_ns=... scale=...` for the report.
+  std::string describe() const;
+
+private:
+  std::vector<double> SliceNs;
+  int64_t Last = 0;
+};
+
 /// The highest percentile of \p V that still has at least ten samples
 /// beyond it, with that percentile and the sample count. Pct is 0 when
 /// fewer than eleven samples exist (the value is then the maximum).
@@ -266,6 +310,20 @@ responseBytes(const std::vector<tmw::CheckResponse> &Responses);
 // One run.
 // ---------------------------------------------------------------------------
 
+/// Canonical hashes of a synthesised Forbid suite and of its Allow suite
+/// (its one-step relaxations).
+struct SuiteHashes {
+  std::vector<uint64_t> Forbid, Allow;
+};
+
+/// The event count of synth_x86's timed search. The Fig. 7 search at
+/// |E| = 5 takes 1.5-2.5 s, too long a unit to land inside the host's
+/// fast phases (see kFastQuantile): its run-to-run spread stayed at
+/// 0.15-0.19 whatever the run length. At |E| = 4 a unit takes ~50 ms;
+/// each run still ends with one |E| = 5 search checked against its
+/// reference.
+constexpr unsigned kSynthUnitEvents = 4;
+
 /// Everything one run of one workload reads and fills.
 struct Context {
   std::string Workload;
@@ -284,8 +342,9 @@ struct Context {
   Metrics M;
   /// Forbid tests the TM model is measured to allow (reference file).
   std::vector<std::string> Exceptions;
-  /// Synth reference: canonical hashes of the Forbid / Allow suites.
-  std::vector<uint64_t> ForbidHashes, AllowHashes;
+  /// Synth reference: canonical hashes of the x86 Forbid / Allow suites
+  /// at |E| = kSynthUnitEvents (the timed unit) and at |E| = 5 (Fig. 7).
+  SuiteHashes SynthUnit, SynthFig7;
   /// Digest of the generated request stream (same seed, same digest).
   uint64_t StreamDigest = 0;
   uint64_t PoolDigest = 0;

@@ -11,7 +11,8 @@
 /// narrows the metrics to those BENCHMARK.json names for the mode.
 ///
 /// --emit-reference regenerates the reference answers: the canonical
-/// hashes of the |E| = 5 x86 Forbid and Allow suites, and the Forbid
+/// hashes of the x86 Forbid and Allow suites at |E| = 5 and at
+/// |E| = kSynthUnitEvents, and the Forbid
 /// tests of the replay pool that their TM model allows.
 ///
 //===----------------------------------------------------------------------===//
@@ -73,34 +74,36 @@ bool readLines(const std::string &Path, std::vector<std::string> &Out) {
   return true;
 }
 
-/// reference/synth_x86.txt: `forbid <hex>` / `allow <hex>` lines.
-bool loadSynthReference(const std::string &Dir, Context &C) {
+/// A synth reference file: `forbid <hex>` / `allow <hex>` lines.
+bool loadSynthReference(const std::string &Path, SuiteHashes &Into) {
   std::vector<std::string> Lines;
-  if (!readLines(Dir + "/synth_x86.txt", Lines))
+  if (!readLines(Path, Lines))
     return false;
   for (const std::string &L : Lines) {
     std::istringstream S(L);
     std::string Kind, Hex;
     S >> Kind >> Hex;
     uint64_t H = std::stoull(Hex, nullptr, 16);
-    (Kind == "forbid" ? C.ForbidHashes : C.AllowHashes).push_back(H);
+    (Kind == "forbid" ? Into.Forbid : Into.Allow).push_back(H);
   }
-  return !C.ForbidHashes.empty() && !C.AllowHashes.empty();
+  return !Into.Forbid.empty() && !Into.Allow.empty();
 }
 
-int emitReference(const std::string &Dir) {
+/// Write the hashes of the x86 suites at |E| = \p NumEvents to \p Path.
+bool emitSynthReference(const std::string &Path, unsigned NumEvents) {
   std::unique_ptr<MemoryModel> Tm = ModelRegistry::parse("x86");
   std::unique_ptr<MemoryModel> Base = ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
-  ForbidSuite F = synthesizeForbid(*Tm, *Base, V, 5);
+  ForbidSuite F = synthesizeForbid(*Tm, *Base, V, NumEvents);
   std::vector<Execution> Allow = relaxationsOf(F.Tests, V);
-  std::FILE *Out = std::fopen((Dir + "/synth_x86.txt").c_str(), "w");
+  std::FILE *Out = std::fopen(Path.c_str(), "w");
   if (!Out)
-    return 1;
+    return false;
   std::fprintf(Out, "# Canonical hashes (enumerate/Relaxation canonicalHash) "
-                    "of the x86 Forbid suite at |E| = 5\n# (x86 against "
+                    "of the x86 Forbid suite at |E| = %u\n# (x86 against "
                     "x86/+baseline, forArch(X86)) and of its one-step "
-                    "relaxations (the Allow suite).\n");
+                    "relaxations (the Allow suite).\n",
+               NumEvents);
   for (const Execution &X : F.Tests)
     std::fprintf(Out, "forbid %016llx\n",
                  static_cast<unsigned long long>(canonicalHash(X)));
@@ -108,15 +111,22 @@ int emitReference(const std::string &Dir) {
     std::fprintf(Out, "allow %016llx\n",
                  static_cast<unsigned long long>(canonicalHash(X)));
   std::fclose(Out);
-  std::printf("synth_x86: %zu forbid, %zu allow\n", F.Tests.size(),
-              Allow.size());
+  std::printf("synth_x86 |E| = %u: %zu forbid, %zu allow\n", NumEvents,
+              F.Tests.size(), Allow.size());
+  return true;
+}
+
+int emitReference(const std::string &Dir) {
+  if (!emitSynthReference(Dir + "/synth_x86.txt", 5) ||
+      !emitSynthReference(Dir + "/synth_x86_unit.txt", kSynthUnitEvents))
+    return 1;
 
   Pool P = buildPool();
   std::vector<CheckRequest> Requests = poolRequests(P, kMatrixSpecs, false, false);
   std::vector<CheckResponse> Resp =
       QueryEngine({.Jobs = 1, .Strategy = EvalStrategy::Independent})
           .runAll(Requests);
-  Out = std::fopen((Dir + "/pool_exceptions.txt").c_str(), "w");
+  std::FILE *Out = std::fopen((Dir + "/pool_exceptions.txt").c_str(), "w");
   if (!Out)
     return 1;
   std::fprintf(Out, "# Replay-pool Forbid tests that their TM model allows "
@@ -157,33 +167,6 @@ std::string jsonString(const std::string &S) {
     Out += Ch;
   }
   return Out + "\"";
-}
-
-/// Nanoseconds per 64x64 boolean-matrix product of a fixed kernel that
-/// belongs to the benchmark, not the library: the same code on every commit,
-/// so it tells a slow machine from a slow change.
-double hostKernelNs() {
-  uint64_t A[64], B[64], Out[64];
-  for (unsigned I = 0; I < 64; ++I) {
-    A[I] = 0x9e3779b97f4a7c15ull * (I + 1);
-    B[I] = 0xbf58476d1ce4e5b9ull * (I + 3);
-  }
-  uint64_t Ops = 0;
-  int64_t T0 = nowNs();
-  do {
-    for (unsigned Rep = 0; Rep < 64; ++Rep, ++Ops) {
-      for (unsigned I = 0; I < 64; ++I) {
-        uint64_t Row = 0;
-        for (uint64_t M = A[I]; M; M &= M - 1)
-          Row |= B[__builtin_ctzll(M)];
-        Out[I] = Row;
-      }
-      std::memcpy(A, Out, sizeof(A));
-      A[Rep] ^= Ops;
-    }
-  } while (secondsSince(T0) < 0.1);
-  keep(A);
-  return double(nowNs() - T0) / double(Ops);
 }
 
 std::string compilerName() {
@@ -259,7 +242,8 @@ int main(int argc, char **argv) {
 
   ::mkdir(C.OutDir.c_str(), 0755);
   if (!readLines(C.RefDir + "/pool_exceptions.txt", C.Exceptions) ||
-      !loadSynthReference(C.RefDir, C)) {
+      !loadSynthReference(C.RefDir + "/synth_x86_unit.txt", C.SynthUnit) ||
+      !loadSynthReference(C.RefDir + "/synth_x86.txt", C.SynthFig7)) {
     std::fprintf(stderr, "error: cannot read the reference answers in %s\n",
                  C.RefDir.c_str());
     return 1;
@@ -268,7 +252,7 @@ int main(int argc, char **argv) {
   std::printf("# fingerprint: nproc=%u compiler=\"%s\" build_type=%s "
               "commit=%s host_kernel_ns=%.1f\n",
               std::thread::hardware_concurrency(), compilerName().c_str(),
-              PERFBENCH_BUILD_TYPE, Commit.c_str(), hostKernelNs());
+              PERFBENCH_BUILD_TYPE, Commit.c_str(), hostKernelNs(0.1));
   std::printf("# workload: %s seed=%llu seconds=%g trace=%d\n",
               C.Workload.c_str(), static_cast<unsigned long long>(C.Seed),
               C.Seconds, C.Trace ? 1 : 0);
@@ -276,7 +260,7 @@ int main(int argc, char **argv) {
 
   Run(C);
 
-  std::printf("# host_kernel_ns_after_run: %.1f\n", hostKernelNs());
+  std::printf("# host_kernel_ns_after_run: %.1f\n", hostKernelNs(0.1));
   std::printf("# pool_digest: %016llx\n",
               static_cast<unsigned long long>(C.PoolDigest));
   std::printf("# request_stream_digest: %016llx\n",

@@ -46,6 +46,62 @@ double median(std::vector<double> V) {
   return (Lo + Hi) / 2;
 }
 
+double quantile(std::vector<double> V, double Q) {
+  if (V.empty())
+    return 0;
+  std::sort(V.begin(), V.end());
+  double Rank = Q * double(V.size() - 1);
+  size_t Lo = static_cast<size_t>(Rank);
+  if (Lo + 1 >= V.size())
+    return V.back();
+  return V[Lo] + (Rank - double(Lo)) * (V[Lo + 1] - V[Lo]);
+}
+
+double hostKernelNs(double Seconds) {
+  uint64_t A[64], B[64], Out[64];
+  for (unsigned I = 0; I < 64; ++I) {
+    A[I] = 0x9e3779b97f4a7c15ull * (I + 1);
+    B[I] = 0xbf58476d1ce4e5b9ull * (I + 3);
+  }
+  uint64_t Ops = 0;
+  int64_t T0 = nowNs();
+  do {
+    for (unsigned Rep = 0; Rep < 64; ++Rep, ++Ops) {
+      for (unsigned I = 0; I < 64; ++I) {
+        uint64_t Row = 0;
+        for (uint64_t M = A[I]; M; M &= M - 1)
+          Row |= B[__builtin_ctzll(M)];
+        Out[I] = Row;
+      }
+      std::memcpy(A, Out, sizeof(A));
+      A[Rep] ^= Ops;
+    }
+  } while (secondsSince(T0) < Seconds);
+  keep(A);
+  return double(nowNs() - T0) / double(Ops);
+}
+
+void HostCalibration::sample() {
+  if (!SliceNs.empty() && secondsSince(Last) < kSliceEvery)
+    return;
+  SliceNs.push_back(hostKernelNs(kSliceSeconds));
+  Last = nowNs();
+}
+
+double HostCalibration::scale() const {
+  double Fast = quantile(SliceNs, kFastQuantile);
+  return Fast > 0 ? kReferenceKernelNs / Fast : 1.0;
+}
+
+std::string HostCalibration::describe() const {
+  char Line[160];
+  std::snprintf(Line, sizeof(Line),
+                "slices=%zu fast_ns=%.6g median_ns=%.6g scale=%.6g",
+                SliceNs.size(), quantile(SliceNs, kFastQuantile),
+                median(SliceNs), scale());
+  return Line;
+}
+
 Tail tailOf(std::vector<double> V) {
   Tail T;
   T.Samples = V.size();
