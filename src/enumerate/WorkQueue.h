@@ -16,10 +16,11 @@
 ///    the consumer (typically until `estimateCost` falls under a target),
 ///    so K adapts to the local branching structure.
 ///
-///  * `WorkQueue<size_t>` — the batch query engine (query/QueryEngine):
-///    tasks are request indices of a litmus batch; requests are monolithic
-///    (never split), so the pool degenerates to a balanced distributor
-///    with stealing.
+///  * `WorkQueue<ServerTask>` — the resident query server
+///    (server/QueryServer): a *persistent* pool whose tasks are
+///    (batch, request index) pairs of every in-flight batch; requests are
+///    monolithic (never split), so the pool degenerates to a balanced
+///    distributor with stealing.
 ///
 /// Each worker owns a deque: locally produced children are pushed and
 /// popped LIFO (depth-first locality, bounded memory), and an idle worker
@@ -45,15 +46,15 @@
 
 namespace tmw {
 
-/// Per-worker load telemetry for one pool run (one entry per worker or
-/// static shard). Consumers surface it through `ForbidSuite::Workers` and
+/// Per-worker load telemetry for one pool run (one entry per worker).
+/// Consumers surface it through `ForbidSuite::Workers` and
 /// `BatchTelemetry::Workers`.
 struct WorkerLoad {
   /// Wall-clock seconds this worker spent processing tasks.
   double BusySeconds = 0;
   /// Tasks processed / tasks split into children / tasks obtained by
-  /// stealing. Static sharding runs one task per shard and never splits
-  /// or steals; query batches never split.
+  /// stealing. Query batches never split, and one-shot engine batches
+  /// (an atomic request counter, no pool) never steal.
   uint64_t Tasks = 0, Splits = 0, Steals = 0;
   /// Work units this worker visited: base executions for the synthesis
   /// search, candidate executions for the query engine.
@@ -61,8 +62,8 @@ struct WorkerLoad {
 };
 
 /// Work-stealing pool of \p Task values. Thread-safe; one instance per
-/// parallel search or batch — or, in persistent mode, one per resident
-/// server: a persistent pool never reports exhaustion (an empty pool
+/// parallel search — or, in persistent mode, one per resident server: a
+/// persistent pool never reports exhaustion (an empty pool
 /// parks its workers until `submit` feeds it or `cancel` shuts it down),
 /// so tasks from many concurrent batches can flow through one set of
 /// long-lived workers.
@@ -166,27 +167,6 @@ public:
     assert(InFlight > 0 && "finish without a matching pop");
     if (--InFlight == 0)
       Cv.notify_all(); // possible termination: wake everyone to re-check
-  }
-
-  /// Rearm a drained (or cancelled) pool for the next batch: clears the
-  /// cancel flag and rewinds the seed cursor so `seed` deals from worker
-  /// 0 again. The resident-server path reuses one pool across batches
-  /// through this instead of constructing a queue (and its deques) per
-  /// call. Precondition: quiescent — every worker has returned from its
-  /// pop loop, so nothing is queued or in flight; call it between
-  /// batches, never concurrently with pop/push/finish.
-  void reset() {
-    std::lock_guard<std::mutex> Lock(Mu);
-    assert(InFlight == 0 && "reset while a task is still being processed");
-#ifndef NDEBUG
-    for (const std::deque<Task> &D : Deques)
-      assert((Cancelled || D.empty()) && "reset with queued tasks");
-#endif
-    for (std::deque<Task> &D : Deques)
-      D.clear(); // a cancelled pool may still hold its dropped tasks
-    Cancelled = false;
-    SeedCursor = 0;
-    SubmitCursor = 0;
   }
 
   /// Abort: wake every blocked worker and make all pops return false.

@@ -21,7 +21,7 @@
 ///  * `BatchTelemetry` — wall-clock and per-worker pool load of a batch.
 ///
 /// `query/QueryEngine.h` evaluates requests (enumerate once, check every
-/// model, batch across the work-stealing pool); `query/QueryIO.h` gives
+/// model, batch across worker threads); `query/QueryIO.h` gives
 /// both sides a stable JSON wire form.
 ///
 //===----------------------------------------------------------------------===//

@@ -15,6 +15,7 @@
 #include "store/VerdictStore.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 
 using namespace tmw;
@@ -281,20 +282,6 @@ CheckResponse evaluateRequest(const CheckRequest &R,
 } // namespace
 
 BatchRun::BatchRun(std::span<const CheckRequest> Requests,
-                   WorkQueue<size_t> &Q, SessionCache *Cache,
-                   std::function<void(const CheckResponse &)> OnResult,
-                   EvalStrategy Strategy, VerdictStore *Store,
-                   bool Specialize)
-    : BatchRun(Requests, Q.numWorkers(), Cache, std::move(OnResult),
-               Strategy, Store, Specialize) {
-  this->Q = &Q;
-  // One monolithic task per request: the pool acts as a balanced
-  // distributor with stealing.
-  for (size_t I = 0; I < Requests.size(); ++I)
-    Q.seed(I);
-}
-
-BatchRun::BatchRun(std::span<const CheckRequest> Requests,
                    unsigned NumWorkers, SessionCache *Cache,
                    std::function<void(const CheckResponse &)> OnResult,
                    EvalStrategy Strategy, VerdictStore *Store,
@@ -303,19 +290,9 @@ BatchRun::BatchRun(std::span<const CheckRequest> Requests,
       Strategy(Strategy), Store(Store), Specialize(Specialize),
       Results(Requests.size()), Done(Requests.size(), 0),
       Loads(NumWorkers), T0(std::chrono::steady_clock::now()) {
-  // Cache-less planned batches still plan each distinct spec set once.
+  // Cache-less planned batches still share one plan per distinct spec set.
   if (!Cache && Strategy == EvalStrategy::Planned)
     BatchPlans.emplace();
-}
-
-void BatchRun::work(unsigned Worker,
-                    std::optional<ExecutionAnalysis> &Arena) {
-  size_t I = 0;
-  bool Stolen = false;
-  while (Q->pop(Worker, I, Stolen)) {
-    runOne(I, Worker, Arena, Stolen);
-    Q->finish(Worker);
-  }
 }
 
 bool BatchRun::runOne(size_t I, unsigned Worker,
@@ -394,26 +371,28 @@ std::vector<CheckResponse> QueryEngine::runAllInto(
     return {};
   }
 
-  // One-shot flow: construct a queue and workers per call, then drive the
-  // same BatchRun the resident server reuses across batches. Idle workers
-  // beyond the request count would only contend, so clamp.
+  // One-shot flow: start workers per call and drive the same BatchRun the
+  // resident server drives. Requests never split, so each worker just
+  // claims the next unclaimed index. Idle workers beyond the request
+  // count would only contend, so clamp.
   unsigned Jobs = std::max(1u, Opts.Jobs);
   Jobs = static_cast<unsigned>(std::min<size_t>(Jobs, N));
-  WorkQueue<size_t> Q(Jobs);
-  BatchRun Batch(Requests, Q, Opts.Cache, OnResult, Opts.Strategy,
+  BatchRun Batch(Requests, Jobs, Opts.Cache, OnResult, Opts.Strategy,
                  Opts.Store, Opts.Specialize);
+  std::atomic<size_t> Next{0};
+  auto Work = [&](unsigned W) {
+    std::optional<ExecutionAnalysis> Arena;
+    for (size_t I = Next++; I < N; I = Next++)
+      Batch.runOne(I, W, Arena);
+  };
 
   if (Jobs == 1) {
-    std::optional<ExecutionAnalysis> Arena;
-    Batch.work(0, Arena);
+    Work(0);
   } else {
     std::vector<std::thread> Threads;
     Threads.reserve(Jobs);
     for (unsigned W = 0; W < Jobs; ++W)
-      Threads.emplace_back([&Batch, W] {
-        std::optional<ExecutionAnalysis> Arena;
-        Batch.work(W, Arena);
-      });
+      Threads.emplace_back(Work, W);
     for (std::thread &Th : Threads)
       Th.join();
   }

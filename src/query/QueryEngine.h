@@ -11,9 +11,10 @@
 /// is the enumerate-once/check-many discipline every frontend previously
 /// hand-rolled (or failed to: the old benches re-enumerated per model).
 ///
-/// Batches are scheduled on the generic work-stealing pool
-/// (`WorkQueue<size_t>`, one task per request, one analysis arena per
-/// worker) and results are **streamed in request order**: the callback
+/// Batches run on `Jobs` worker threads that claim request indices from
+/// one atomic counter (requests never split, so there is nothing to
+/// steal; one analysis arena per worker), and results are **streamed in
+/// request order**: the callback
 /// fires for response i only after responses 0..i-1, whatever order the
 /// workers finished in. Verdicts are deterministic — independent of Jobs
 /// and of scheduling — because each request is evaluated sequentially by
@@ -85,33 +86,19 @@ struct BatchOptions {
   VerdictStore *Store = nullptr;
 };
 
-/// One batch in flight over a caller-owned `WorkQueue<size_t>` — the seam
-/// between the engine's evaluation logic and whoever owns the worker
-/// threads. `QueryEngine::run` builds a queue and threads per call; the
-/// resident query server (server/QueryServer.h) keeps both alive across
-/// batches and drives the *same* code, so its responses match one-shot
-/// runs byte for byte by construction.
-///
-/// Protocol: construct over a quiescent queue (the constructor seeds one
-/// task per request), have each of the queue's workers call `work` until
-/// it returns, then collect results with `take`. Responses stream to the
-/// optional callback in request order, whatever order workers finish in.
-///
-/// The *unseeded* constructor (no queue) is the seam for schedulers that
-/// interleave tasks of many batches over one shared pool — the concurrent
-/// multi-client server: the owner dispatches `(batch, request-index)`
-/// tasks itself and drives `runOne` per task. Request evaluation is the
-/// same code either way, so verdict bytes cannot depend on which mode —
-/// or how many rival batches — scheduled them.
+/// One batch in flight — the seam between the engine's evaluation logic
+/// and whoever owns the worker threads. The owner schedules every request
+/// index exactly once through `runOne`: `QueryEngine::run` starts threads
+/// per call that claim indices from one atomic counter, while the
+/// resident query server (server/QueryServer.h) interleaves
+/// `(batch, request-index)` tasks of many batches over one persistent
+/// pool. Request evaluation is the same code either way, so verdict bytes
+/// cannot depend on which owner — or how many rival batches — scheduled
+/// them. Responses stream to the optional callback in request order,
+/// whatever order workers finish in; `take` collects them at the end.
 class BatchRun {
 public:
-  BatchRun(std::span<const CheckRequest> Requests, WorkQueue<size_t> &Q,
-           SessionCache *Cache = nullptr,
-           std::function<void(const CheckResponse &)> OnResult = nullptr,
-           EvalStrategy Strategy = EvalStrategy::Planned,
-           VerdictStore *Store = nullptr, bool Specialize = true);
-  /// Unseeded mode: evaluation state for \p NumWorkers external workers;
-  /// the caller schedules every request index exactly once via `runOne`.
+  /// Evaluation state for \p NumWorkers workers (ids 0..NumWorkers-1).
   BatchRun(std::span<const CheckRequest> Requests, unsigned NumWorkers,
            SessionCache *Cache = nullptr,
            std::function<void(const CheckResponse &)> OnResult = nullptr,
@@ -120,18 +107,16 @@ public:
   BatchRun(const BatchRun &) = delete;
   BatchRun &operator=(const BatchRun &) = delete;
 
-  /// Worker body: pop and evaluate requests until the queue drains.
-  /// \p Arena is this worker's persistent analysis arena (created on
-  /// first use, retargeted per candidate, reusable across batches).
-  void work(unsigned Worker, std::optional<ExecutionAnalysis> &Arena);
-
   /// Evaluate request \p I (exactly once per index, any thread, any
-  /// order). \p Skip marks the index done without evaluating — the
-  /// cancellation path for a disconnected client's batch: bookkeeping
-  /// still completes, the response stays empty and is discarded by the
-  /// owner. Returns true for exactly the call that completed the batch
-  /// (every response emitted in order) — after that call returns, no
-  /// other `runOne` for this batch is in flight.
+  /// order) on worker \p Worker, whose persistent analysis arena is
+  /// \p Arena (created on first use, retargeted per candidate, reusable
+  /// across batches). \p Stolen only feeds the load telemetry. \p Skip
+  /// marks the index done without evaluating — the cancellation path for
+  /// a disconnected client's batch: bookkeeping still completes, the
+  /// response stays empty and is discarded by the owner. Returns true for
+  /// exactly the call that completed the batch (every response emitted
+  /// in order) — after that call returns, no other `runOne` for this
+  /// batch is in flight.
   bool runOne(size_t I, unsigned Worker,
               std::optional<ExecutionAnalysis> &Arena, bool Stolen = false,
               bool Skip = false);
@@ -144,14 +129,13 @@ public:
 
 private:
   std::span<const CheckRequest> Requests;
-  WorkQueue<size_t> *Q = nullptr;
   SessionCache *Cache;
   std::function<void(const CheckResponse &)> OnResult;
   EvalStrategy Strategy;
   VerdictStore *Store;
   bool Specialize;
-  /// Plan cache for cache-less planned batches, so a batch still compiles
-  /// each distinct spec set once (a resident `Cache` subsumes it).
+  /// Plan cache for cache-less planned batches, so a batch shares one
+  /// resident plan per distinct spec set (a resident `Cache` subsumes it).
   std::optional<SessionCache> BatchPlans;
   std::vector<CheckResponse> Results;
   /// Responses computed but not yet emitted in order (guarded by EmitMu).

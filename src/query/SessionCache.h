@@ -26,7 +26,7 @@
 /// under the multiplexer when many rival clients share the one cache.
 /// The model cache is tiny (spec strings) and unbounded.
 ///
-/// Thread-safe: one mutex guards both maps; lookups are cheap next to
+/// Thread-safe: one mutex guards the maps; lookups are cheap next to
 /// enumeration, so the lock is uncontended in practice.
 ///
 //===----------------------------------------------------------------------===//
@@ -85,9 +85,11 @@ public:
   /// keyed by \p Key — the request's *canonical* printed specs joined by
   /// newlines, so every way of writing the same resolved spec list hits
   /// one plan. Compilation is deterministic over the resolved models, so
-  /// a cached plan is identical to a fresh one; the batch plans each
-  /// distinct spec set once and every request of the batch reuses it.
-  /// \p Hit, when set, reports whether this lookup was served resident.
+  /// a cached plan is identical to a fresh one. It runs outside the lock:
+  /// threads racing the first lookups of one key may each compile a copy
+  /// (so a spec set compiles at most once per racing thread), one copy
+  /// becomes resident, and every later lookup hits it. \p Hit, when set,
+  /// reports whether this lookup was served resident.
   std::shared_ptr<const EvalPlan>
   plan(const std::string &Key, std::span<const MemoryModel *const> Models,
        bool *Hit = nullptr);

@@ -140,10 +140,6 @@ struct ConnectionMultiplexer::Impl {
            (Opts.AcceptLimit != 0 && Accepted >= Opts.AcceptLimit);
   }
 
-  unsigned fairnessCap() const {
-    return Opts.FairnessCap != 0 ? Opts.FairnessCap : Server.jobs();
-  }
-
   // --- output ------------------------------------------------------------
 
   /// Append every in-order completed document to the wire buffer.
@@ -226,7 +222,9 @@ struct ConnectionMultiplexer::Impl {
     std::shared_ptr<Mailbox> MB = Mail;
     uint64_t ConnId = C.Id;
     // The completion runs on a pool worker: serialise there (keeps the
-    // loop thread byte-moving only) and post the document home.
+    // loop thread byte-moving only) and post the document home. At most
+    // jobs() requests of the batch sit in the pool at once, so rival
+    // connections' batches interleave with it.
     uint64_t BatchId = Server.submitBatch(
         std::move(Requests),
         [MB, ConnId, Seq, Telemetry](std::vector<CheckResponse> &&Responses,
@@ -234,7 +232,7 @@ struct ConnectionMultiplexer::Impl {
           MB->post({ConnId, Seq,
                     responsesToJson(Responses, Telemetry ? &Tele : nullptr)});
         },
-        fairnessCap());
+        Server.jobs());
     // Empty batches (id 0) completed inline — their doc is already in
     // the mailbox; nothing to cancel later either way.
     if (BatchId != 0)
@@ -262,8 +260,8 @@ struct ConnectionMultiplexer::Impl {
         Line = std::string_view(C.InBuf).substr(Pos, Nl - Pos);
         Pos = Nl + 1;
       } else if (C.ReadClosed && Pos < C.InBuf.size()) {
-        // The serial path's trailing-line rule: an unterminated final
-        // line still answers at EOF.
+        // The trailing-line rule: an unterminated final line still
+        // answers at EOF.
         Line = std::string_view(C.InBuf).substr(Pos);
         Pos = C.InBuf.size();
       } else {

@@ -14,10 +14,9 @@
 ///  * **Framing.** Every connection owns an input buffer; a batch line
 ///    may arrive in arbitrary chunks (torn anywhere, or many lines
 ///    coalesced into one read) and is only acted on once its '\n'
-///    arrives — plus the serial path's trailing-line rule: an
-///    unterminated final line still answers at EOF. Blank lines are
-///    skipped, malformed lines answer with the same error document
-///    `serveLine` produces.
+///    arrives — plus the trailing-line rule: an unterminated final line
+///    still answers at EOF. Blank lines are skipped, malformed lines
+///    answer with the same error document `serveLine` produces.
 ///
 ///  * **Concurrency without intermixing.** Each complete line becomes one
 ///    tagged batch on the shared pool; requests of rival connections
@@ -25,11 +24,11 @@
 ///    per batch and serialised into one verdicts document, and documents
 ///    are appended to a connection's output strictly in that connection's
 ///    batch arrival order (out-of-order completions wait their turn). So
-///    every connection's byte stream is exactly what the serial transport
-///    — and one-shot `litmus_tool --json` — would produce, regardless of
-///    how many rivals are connected. Per-batch fairness caps
-///    (`MuxOptions::FairnessCap`) keep one client's corpus-sized batch
-///    from monopolising the pool.
+///    every connection's byte stream is exactly what one-shot
+///    `litmus_tool --json` would produce, regardless of how many rivals
+///    are connected. Each batch keeps at most `jobs()` of its requests in
+///    the pool at once, so one client's corpus-sized batch cannot
+///    monopolise it.
 ///
 ///  * **Backpressure.** Output is buffered per connection and written as
 ///    the socket drains. A slow reader whose pending output exceeds
@@ -48,7 +47,9 @@
 ///
 /// The loop itself never evaluates a request — evaluation lives on the
 /// pool workers; the loop thread only moves bytes, so a long batch never
-/// blocks accepts, reads, or writes.
+/// blocks accepts, reads, or writes. Every poll/accept/read/write call
+/// restarts on EINTR, so a signal delivered to the loop thread never
+/// drops a connection (pinned by tests/transport_test.cpp).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -79,9 +80,6 @@ struct MuxOptions {
   /// Backpressure high-water mark: a connection whose pending output
   /// exceeds this stops being read until it drains below half of it.
   size_t OutputHighWater = 4u << 20;
-  /// Max concurrent pool tasks per batch (0 = the server's jobs()):
-  /// bounds how much of the pool one connection's batch can occupy.
-  unsigned FairnessCap = 0;
   /// Max batches of one connection in flight on the pool at once;
   /// further complete lines wait in the input buffer.
   unsigned MaxBatchesInFlight = 4;

@@ -21,15 +21,14 @@ public:
   ServerBatch(uint64_t Id, std::vector<CheckRequest> Owned,
               std::span<const CheckRequest> Requests, unsigned NumWorkers,
               SessionCache *Cache, VerdictStore *Store,
-              QueryServer::BatchDone OnDone, unsigned FairnessCap)
+              QueryServer::BatchDone OnDone, unsigned Window)
       : Id(Id), Owned(std::move(Owned)), Requests(Requests),
         Run(Requests, NumWorkers, Cache, nullptr, EvalStrategy::Planned,
             Store),
         OnDone(std::move(OnDone)),
         Outstanding(Requests.size()),
-        NextToSeed(FairnessCap == 0 ? Requests.size()
-                                    : std::min<size_t>(FairnessCap,
-                                                       Requests.size())) {}
+        NextToSeed(Window == 0 ? Requests.size()
+                               : std::min<size_t>(Window, Requests.size())) {}
 
   const uint64_t Id;
   std::vector<CheckRequest> Owned; ///< storage when the batch owns its requests
@@ -42,9 +41,9 @@ public:
   /// Tasks not yet fully retired; the worker that drops it to zero owns
   /// completion (and may delete the batch).
   std::atomic<size_t> Outstanding;
-  /// Next request index to feed the pool (fairness-cap incremental
-  /// seeding: at most the initial window is in the pool at once, each
-  /// retiring task feeds one more).
+  /// Next request index to feed the pool (windowed incremental seeding:
+  /// at most the initial window is in the pool at once, each retiring
+  /// task feeds one more).
   std::atomic<size_t> NextToSeed;
 
   /// How many tasks the submitter seeds up front.
@@ -80,7 +79,7 @@ void QueryServer::workerMain(unsigned Worker) {
     ServerBatch *B = T.Batch;
     B->Run.runOne(T.Index, Worker, Arenas[Worker], Stolen,
                   B->Cancelled.load(std::memory_order_relaxed));
-    // Feed the next request of this batch under its fairness window.
+    // Feed the next request of this batch under its window.
     size_t Next = B->NextToSeed.fetch_add(1, std::memory_order_relaxed);
     if (Next < B->Requests.size())
       Pool.submit({B, Next});
@@ -107,7 +106,7 @@ void QueryServer::workerMain(unsigned Worker) {
 
 uint64_t QueryServer::submitSpan(std::span<const CheckRequest> Requests,
                                  std::vector<CheckRequest> Owned,
-                                 BatchDone OnDone, unsigned FairnessCap) {
+                                 BatchDone OnDone, unsigned Window) {
   size_t N = Requests.size();
   if (N == 0) {
     // Nothing to schedule: complete inline on the submitting thread.
@@ -126,26 +125,26 @@ uint64_t QueryServer::submitSpan(std::span<const CheckRequest> Requests,
     Id = ++NextBatchId;
     auto Batch = std::make_unique<ServerBatch>(
         Id, std::move(Owned), Requests, Opts.Jobs, &Cache, Opts.Store,
-        std::move(OnDone), FairnessCap);
+        std::move(OnDone), Window);
     B = Batch.get();
     Active.emplace(Id, std::move(Batch));
     ++S.Batches;
     S.Requests += N;
   }
-  // Seed the initial fairness window; each retiring task feeds one more.
+  // Seed the initial window; each retiring task feeds one more.
   // After the last submit below the batch may complete (and be deleted)
   // at any moment, so B is not touched past this loop.
-  size_t Window = B->initialWindow();
-  for (size_t I = 0; I < Window; ++I)
+  size_t Initial = B->initialWindow();
+  for (size_t I = 0; I < Initial; ++I)
     Pool.submit({B, I});
   return Id;
 }
 
 uint64_t QueryServer::submitBatch(std::vector<CheckRequest> Requests,
-                                  BatchDone OnDone, unsigned FairnessCap) {
+                                  BatchDone OnDone, unsigned Window) {
   std::vector<CheckRequest> Owned = std::move(Requests);
   std::span<const CheckRequest> Span(Owned);
-  return submitSpan(Span, std::move(Owned), std::move(OnDone), FairnessCap);
+  return submitSpan(Span, std::move(Owned), std::move(OnDone), Window);
 }
 
 void QueryServer::cancelBatch(uint64_t BatchId) {
@@ -165,7 +164,7 @@ void QueryServer::recordBadBatch() {
 std::vector<CheckResponse>
 QueryServer::runBatch(std::span<const CheckRequest> Requests,
                       BatchTelemetry *Telemetry) {
-  // The serial entry: submit (borrowing the caller's requests — we block
+  // The blocking entry: submit (borrowing the caller's requests — we block
   // until completion, so the span stays alive) and wait. Verdicts are
   // identical to a one-shot engine run: same BatchRun request evaluation,
   // caches and scheduling verdict-neutral.
@@ -187,7 +186,7 @@ QueryServer::runBatch(std::span<const CheckRequest> Requests,
         // notify has fully finished touching the cv.
         DoneCv.notify_one();
       },
-      /*FairnessCap=*/0);
+      /*Window=*/0);
   {
     std::unique_lock<std::mutex> Lock(DoneMu);
     DoneCv.wait(Lock, [&] { return Done; });

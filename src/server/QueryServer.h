@@ -19,8 +19,8 @@
 ///    `ExecutionAnalysis` arena per worker.
 ///
 /// Two entry layers share that pool:
-///  * the *serial* API (`runBatch`/`serveLine`/`serveStream`) — one batch
-///    submitted and awaited per call, the stdio transport's shape;
+///  * the *blocking* API (`runBatch`/`serveLine`/`serveStream`) — one
+///    batch submitted and awaited per call, the stdio transport's shape;
 ///  * the *concurrent* API (`submitBatch`/`cancelBatch`) — many batches
 ///    in flight at once, each tagged with an owner-chosen id; tasks of
 ///    rival batches interleave freely on the pool, but every response
@@ -34,14 +34,15 @@
 /// one `tmw-query-verdicts-v1` document — **byte-for-byte identical** to
 /// what a one-shot `litmus_tool --json` run prints for the same requests
 /// and jobs count, because both paths drive the same `BatchRun` request
-/// evaluation and neither the caches nor the scheduling (serial or
+/// evaluation and neither the caches nor the scheduling (blocking or
 /// concurrent, however many rival batches) can change a verdict. A
 /// malformed batch line yields an error document (`batchErrorToJson`),
 /// never process death.
 ///
-/// Transports (stdin/stdout loop, serial Unix-domain socket, the poll
-/// multiplexer) live in server/Transport.h and server/Multiplexer.h; this
-/// class is transport-free and driven in-process by the tests.
+/// Transports (the stdin/stdout loop, the poll multiplexer over a
+/// Unix-domain socket) live in server/Transport.h and
+/// server/Multiplexer.h; this class is transport-free and driven
+/// in-process by the tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -143,12 +144,13 @@ public:
 
   /// Submit \p Requests for concurrent evaluation and return immediately
   /// with a nonzero batch id (0 for an empty batch, completed inline).
-  /// \p FairnessCap bounds how many of this batch's requests may occupy
-  /// pool workers at once (0 = no cap): with N clients each capped at
-  /// jobs/N-ish, one client's corpus-sized batch cannot starve the rest.
-  /// The requests are copied; for large resident callers prefer moving.
+  /// \p Window bounds how many of this batch's requests sit in the pool
+  /// at once (0 = all of them); each retiring request feeds the next, so
+  /// rival batches' requests interleave instead of queueing behind one
+  /// corpus-sized batch. The requests are copied; for large resident
+  /// callers prefer moving.
   uint64_t submitBatch(std::vector<CheckRequest> Requests, BatchDone OnDone,
-                       unsigned FairnessCap = 0);
+                       unsigned Window = 0);
 
   /// Best-effort cancel of an in-flight batch (client gone): requests
   /// not yet started are skipped, in-progress ones finish. The batch
@@ -171,7 +173,7 @@ private:
   void workerMain(unsigned Worker);
   uint64_t submitSpan(std::span<const CheckRequest> Requests,
                       std::vector<CheckRequest> Owned, BatchDone OnDone,
-                      unsigned FairnessCap);
+                      unsigned Window);
 
   ServerOptions Opts;
   SessionCache Cache;

@@ -1,4 +1,4 @@
-//===- Transport.cpp - Server transports (stdio, Unix socket) ------------------==//
+//===- Transport.cpp - Server transports (stdio, socket client) ----------------==//
 
 #include "server/Transport.h"
 
@@ -44,106 +44,7 @@ bool setNonBlocking(int Fd) {
   return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
 }
 
-/// Write all of \p Data to \p Fd (EINTR-safe, SIGPIPE-free). False when
-/// the peer is gone.
-bool writeAll(int Fd, const std::string &Data) {
-  size_t Off = 0;
-  while (Off < Data.size()) {
-    ssize_t N = ::send(Fd, Data.data() + Off, Data.size() - Off,
-                       MSG_NOSIGNAL);
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      return false;
-    }
-    Off += static_cast<size_t>(N);
-  }
-  return true;
-}
-
-/// One connection: buffer reads, peel off complete lines, answer each
-/// with a verdicts document. A trailing unterminated line at EOF is
-/// served too (a lone batch sent without a final newline still answers).
-void serveConnection(QueryServer &S, int Fd) {
-  std::string Buf;
-  char Chunk[65536];
-  auto ServeLine = [&](std::string_view Line) {
-    if (Line.find_first_not_of(" \t\r") == std::string_view::npos)
-      return true;
-    return writeAll(Fd, S.serveLine(Line));
-  };
-  for (;;) {
-    ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-    if (N < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (N == 0) {
-      if (!Buf.empty())
-        ServeLine(Buf);
-      break;
-    }
-    Buf.append(Chunk, static_cast<size_t>(N));
-    size_t Start = 0;
-    for (size_t Nl; (Nl = Buf.find('\n', Start)) != std::string::npos;
-         Start = Nl + 1)
-      if (!ServeLine(std::string_view(Buf).substr(Start, Nl - Start))) {
-        ::close(Fd);
-        return;
-      }
-    Buf.erase(0, Start);
-  }
-  ::close(Fd);
-}
-
 } // namespace
-
-int server::serveUnixSocket(QueryServer &S, const std::string &Path,
-                            unsigned AcceptLimit) {
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  if (Path.size() >= sizeof(Addr.sun_path)) {
-    std::fprintf(stderr, "error: socket path too long (max %zu): %s\n",
-                 sizeof(Addr.sun_path) - 1, Path.c_str());
-    return 1;
-  }
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-
-  int Listen = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (Listen < 0)
-    return failSys("socket", Path);
-  ::unlink(Path.c_str()); // replace a stale socket file
-  if (::bind(Listen, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) <
-      0) {
-    ::close(Listen);
-    return failSys("bind", Path);
-  }
-  if (::listen(Listen, /*backlog=*/8) < 0) {
-    ::close(Listen);
-    return failSys("listen", Path);
-  }
-
-  unsigned Served = 0;
-  while (AcceptLimit == 0 || Served < AcceptLimit) {
-    int Fd = ::accept(Listen, nullptr, nullptr);
-    if (Fd < 0) {
-      // Uniformly EINTR-safe: a signal delivered to the listening
-      // thread — before or after the first served connection — restarts
-      // the accept instead of tearing the listener down (pinned by
-      // tests/transport_test.cpp).
-      if (errno == EINTR)
-        continue; // a signal is not a served connection
-      ::close(Listen);
-      return failSys("accept", Path);
-    }
-    serveConnection(S, Fd);
-    ++Served;
-  }
-  ::close(Listen);
-  ::unlink(Path.c_str());
-  return 0;
-}
 
 int server::runClient(const std::string &Path, std::istream &In,
                       std::ostream &Out) {
@@ -184,11 +85,10 @@ int server::runClient(const std::string &Path, std::istream &In,
   // Send every input line as one batch and stream the verdict documents
   // back until the server is done with us — *interleaved*, never
   // write-everything-then-read. The server bounds a connection's pending
-  // output (the multiplexer's OutputHighWater; the serial transport's
-  // synchronous per-document write) and stops reading until the client
-  // drains, so a client that sits on its responses while it still has
-  // input to push deadlocks both sides once the kernel socket buffers
-  // fill: the classic pipe deadlock. Polling both directions and
+  // output (the multiplexer's OutputHighWater) and stops reading until
+  // the client drains, so a client that sits on its responses while it
+  // still has input to push deadlocks both sides once the kernel socket
+  // buffers fill: the classic pipe deadlock. Polling both directions and
   // draining responses while sending makes progress at any input size.
   if (!setNonBlocking(Fd)) {
     ::close(Fd);

@@ -1,25 +1,17 @@
-//===- Transport.h - Server transports (stdio, Unix socket) -----*- C++ -*-==//
+//===- Transport.h - Server transports (stdio, socket client) ---*- C++ -*-==//
 ///
 /// \file
-/// The byte-moving side of the query server: the NDJSON stdin/stdout loop
-/// (the default, pipeline-friendly: `printf '%s\n' <batch> | tmw_serve`)
-/// and a Unix-domain stream socket for callers that keep a connection
-/// open across many batches. Both speak the same frame: one
-/// `tmw-query-batch-v1` document per line in, one
+/// The byte-moving side of the query server outside the multiplexer: the
+/// NDJSON stdin/stdout loop (the default, pipeline-friendly:
+/// `printf '%s\n' <batch> | tmw_serve`) and the client for the Unix-domain
+/// socket that the poll multiplexer (server/Multiplexer.h) serves for
+/// callers that keep a connection open across many batches. Both speak
+/// the same frame: one `tmw-query-batch-v1` document per line in, one
 /// `tmw-query-verdicts-v1` document out per batch.
 ///
-/// Two socket servers exist: the **serial** loop here (one connection at
-/// a time — the single-client reference path the protocol tests diff
-/// against) and the **concurrent poll multiplexer**
-/// (server/Multiplexer.h, the default for `--listen`), which serves N
-/// clients at once over the shared pool with a per-connection
-/// byte-identity guarantee against this serial path.
-///
-/// Every accept/read/write loop in this file is uniformly EINTR-safe: a
-/// signal delivered to the serving thread (SIGCHLD from a CI harness,
-/// SIGUSR1 profiling pokes) restarts the call instead of dropping the
-/// connection or killing the listener — pinned by
-/// tests/transport_test.cpp's signal-delivery tests.
+/// The client's connect/read/write/poll calls are EINTR-safe: a signal
+/// delivered to its thread restarts the call instead of dropping the
+/// connection.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -38,20 +30,6 @@ namespace server {
 /// Serve newline-delimited batches from stdin to stdout until EOF.
 /// Returns 0.
 int serveStdio(QueryServer &S);
-
-/// Bind a Unix-domain stream socket at \p Path (an existing socket file
-/// is replaced) and serve connections one at a time: each connection
-/// streams batch lines and receives one verdicts document per batch,
-/// until the peer shuts down its write side. \p AcceptLimit bounds the
-/// number of connections served (0 = loop until the process dies — the
-/// daemon mode). Returns 0 on a clean finish, 1 on socket errors (one
-/// diagnostic line on stderr).
-///
-/// This is the serial single-client reference; the concurrent
-/// multiplexer (server/Multiplexer.h) must match it byte-for-byte per
-/// connection.
-int serveUnixSocket(QueryServer &S, const std::string &Path,
-                    unsigned AcceptLimit = 0);
 
 /// The client side (`tmw_serve --connect`): connect to the Unix socket
 /// at \p Path, send every line of \p In as a batch — interleaved with

@@ -32,7 +32,7 @@ struct FoundTest {
   std::vector<uint8_t> Key;
 };
 
-/// Result buffer of one worker (or one static shard). Dedup keeps the
+/// Result buffer of one worker. Dedup keeps the
 /// least-keyed representative and the earliest discovery time per
 /// canonical hash, so the merged output cannot depend on the order in
 /// which workers happened to visit the space.
@@ -61,14 +61,14 @@ struct SearchBuffer {
 };
 
 /// Shared read-only context of one Forbid search plus the per-base check
-/// pipeline, common to both shard strategies.
+/// pipeline every worker runs.
 struct ForbidSearch {
   const MemoryModel &Tm;
   const MemoryModel &Baseline;
   ExecutionEnumerator Enum;
   double BudgetSeconds;
   TimePoint Start;
-  /// Extra abort signal polled with the budget (work-stealing cancel).
+  /// Extra abort signal polled with the budget (pool cancel).
   const WorkQueue<BasePrefix> *Pool = nullptr;
 
   ForbidSearch(const MemoryModel &Tm, const MemoryModel &Baseline,
@@ -110,19 +110,6 @@ struct ForbidSearch {
     });
   }
 };
-
-/// Run one static round-robin shard of the Forbid search.
-void runStaticShard(const ForbidSearch &Search, unsigned Shard,
-                    unsigned NumShards, SearchBuffer &Buf) {
-  TimePoint T0 = std::chrono::steady_clock::now();
-  std::optional<ExecutionAnalysis> Arena;
-  Buf.Finished = Search.Enum.forEachBaseSharded(
-      Shard, NumShards,
-      [&](Execution &Base) { return Search.processBase(Base, Arena, Buf); });
-  Buf.Load.Tasks = 1;
-  Buf.Load.BusySeconds = secondsSince(T0);
-  Buf.Load.BasesVisited = Buf.BasesVisited;
-}
 
 /// One work-stealing worker: pop prefix tasks; split big ones back into
 /// the pool, run small ones to completion.
@@ -195,57 +182,36 @@ void mergeBuffers(ForbidSuite &Suite, std::vector<SearchBuffer> &Bufs) {
 ForbidSuite tmw::synthesizeForbid(const MemoryModel &TmModel,
                                   const MemoryModel &Baseline,
                                   const Vocabulary &V, unsigned NumEvents,
-                                  double BudgetSeconds, unsigned Jobs,
-                                  ShardStrategy Strategy) {
+                                  double BudgetSeconds, unsigned Jobs) {
   ForbidSuite Suite;
   Suite.NumEvents = NumEvents;
   auto Start = std::chrono::steady_clock::now();
   ForbidSearch Search(TmModel, Baseline, V, NumEvents, BudgetSeconds, Start);
 
-  std::vector<SearchBuffer> Bufs;
-  if (Strategy == ShardStrategy::StaticRoundRobin) {
-    // There are only NumEvents distinct first skeleton decisions; extra
-    // shards would be empty.
-    unsigned NumShards = std::max(1u, std::min(Jobs, NumEvents));
-    Bufs.resize(NumShards);
-    if (NumShards == 1) {
-      runStaticShard(Search, 0, 1, Bufs[0]);
-    } else {
-      std::vector<std::thread> Threads;
-      Threads.reserve(NumShards);
-      for (unsigned S = 0; S < NumShards; ++S)
-        Threads.emplace_back([&, S] {
-          runStaticShard(Search, S, NumShards, Bufs[S]);
-        });
-      for (std::thread &T : Threads)
-        T.join();
-    }
+  unsigned NumWorkers = std::max(1u, Jobs);
+  WorkQueue<BasePrefix> Q(NumWorkers);
+  double RootCost = 0;
+  Search.Enum.forEachSkeleton([&](const std::vector<unsigned> &Sizes) {
+    BasePrefix Root{Sizes, {}};
+    RootCost += Search.Enum.estimateCost(Root);
+    Q.seed(std::move(Root));
+  });
+  // Split until tasks are ~1/16th of a fair worker share: plenty of
+  // stealable slack without drowning the pool in tiny tasks.
+  double SplitTarget = std::max(64.0, RootCost / (16.0 * NumWorkers));
+  Search.Pool = &Q;
+  std::vector<SearchBuffer> Bufs(NumWorkers);
+  if (NumWorkers == 1) {
+    runPoolWorker(Search, Q, 0, SplitTarget, Bufs[0]);
   } else {
-    unsigned NumWorkers = std::max(1u, Jobs);
-    WorkQueue<BasePrefix> Q(NumWorkers);
-    double RootCost = 0;
-    Search.Enum.forEachSkeleton([&](const std::vector<unsigned> &Sizes) {
-      BasePrefix Root{Sizes, {}};
-      RootCost += Search.Enum.estimateCost(Root);
-      Q.seed(std::move(Root));
-    });
-    // Split until tasks are ~1/16th of a fair worker share: plenty of
-    // stealable slack without drowning the pool in tiny tasks.
-    double SplitTarget = std::max(64.0, RootCost / (16.0 * NumWorkers));
-    Search.Pool = &Q;
-    Bufs.resize(NumWorkers);
-    if (NumWorkers == 1) {
-      runPoolWorker(Search, Q, 0, SplitTarget, Bufs[0]);
-    } else {
-      std::vector<std::thread> Threads;
-      Threads.reserve(NumWorkers);
-      for (unsigned W = 0; W < NumWorkers; ++W)
-        Threads.emplace_back([&, W] {
-          runPoolWorker(Search, Q, W, SplitTarget, Bufs[W]);
-        });
-      for (std::thread &T : Threads)
-        T.join();
-    }
+    std::vector<std::thread> Threads;
+    Threads.reserve(NumWorkers);
+    for (unsigned W = 0; W < NumWorkers; ++W)
+      Threads.emplace_back([&, W] {
+        runPoolWorker(Search, Q, W, SplitTarget, Bufs[W]);
+      });
+    for (std::thread &T : Threads)
+      T.join();
   }
 
   mergeBuffers(Suite, Bufs);

@@ -15,27 +15,24 @@
 /// the timeout column of the paper's Table 1. Discovery timestamps are
 /// recorded to reproduce the Fig. 7 distribution.
 ///
-/// The search is parallel (`Jobs > 1`) and, by default, *work-stealing*:
-/// the canonical-DFS space is decomposed into (skeleton, event-labelling)
+/// The search is parallel (`Jobs > 1`) and *work-stealing*: the
+/// canonical-DFS space is decomposed into (skeleton, event-labelling)
 /// prefix tasks (`enumerate/WorkQueue.h`) that workers split adaptively
 /// until they fall under a target cost and steal from each other when
 /// idle, so load balances even though subtree sizes are wildly unequal.
 /// Each worker runs with a private `ExecutionAnalysis` arena (reset per
 /// base, transaction-state-invalidated per placement) and a private result
-/// buffer; models are stateless and shared by const reference. The
-/// previous static round-robin sharding over the first skeleton decision
-/// is kept as `ShardStrategy::StaticRoundRobin`, the load-balance baseline
-/// of `bench/shard_balance`.
+/// buffer; models are stateless and shared by const reference.
 ///
 /// The merged output is *deterministic*: the prefix tasks partition the
 /// base space exactly, duplicates are collapsed by canonical hash keeping
 /// the representative with the least `concreteEncoding` (and the earliest
 /// discovery time), and `Tests` is sorted by canonical hash — so whenever
 /// the search runs to completion (`Complete == true`), the suite is
-/// byte-for-byte identical for every `Jobs` value and both strategies. A
-/// budget-truncated run visits a scheduling-dependent subset and forfeits
-/// the guarantee. `tests/sharding_differential_test.cpp` pins both the
-/// partition and the determinism.
+/// byte-for-byte identical for every `Jobs` value. A budget-truncated run
+/// visits a scheduling-dependent subset and forfeits the guarantee.
+/// `tests/sharding_differential_test.cpp` pins both the partition and the
+/// determinism against a sequential `forEachBase` reference.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,15 +46,6 @@
 
 namespace tmw {
 
-/// How the search space is dealt to parallel workers.
-enum class ShardStrategy {
-  /// Prefix tasks split adaptively and stolen by idle workers (default).
-  WorkStealing,
-  /// The first skeleton decision dealt round-robin to fixed shards — the
-  /// historical scheme, kept as the load-balance baseline.
-  StaticRoundRobin,
-};
-
 /// The Forbid suite for one event count.
 struct ForbidSuite {
   unsigned NumEvents = 0;
@@ -67,7 +55,7 @@ struct ForbidSuite {
   /// Canonical representatives of the minimally-forbidden executions,
   /// sorted by canonical hash; each class is represented by its least
   /// `concreteEncoding` member, so the vector is byte-for-byte identical
-  /// for every `Jobs` value and strategy (given a sufficient budget).
+  /// for every `Jobs` value (given a sufficient budget).
   std::vector<Execution> Tests;
   /// Earliest wall-clock second (from search start) each test was found,
   /// aligned with `Tests` (timing data: not deterministic).
@@ -80,17 +68,15 @@ struct ForbidSuite {
 
 /// Synthesise the Forbid suite: executions with \p NumEvents events that
 /// are minimally inconsistent under \p TmModel and consistent under
-/// \p Baseline. \p Jobs > 1 runs that many worker threads over the
-/// strategy's decomposition of the skeleton space; when the search
-/// completes within the budget, the deduplicated, hash-sorted result is
-/// identical — including representatives and order — for every Jobs value
-/// and strategy.
+/// \p Baseline. \p Jobs > 1 runs that many work-stealing worker threads
+/// over the prefix-task decomposition of the skeleton space; when the
+/// search completes within the budget, the deduplicated, hash-sorted
+/// result is identical — including representatives and order — for every
+/// Jobs value.
 ForbidSuite synthesizeForbid(const MemoryModel &TmModel,
                              const MemoryModel &Baseline,
                              const Vocabulary &V, unsigned NumEvents,
-                             double BudgetSeconds = 1e18, unsigned Jobs = 1,
-                             ShardStrategy Strategy =
-                                 ShardStrategy::WorkStealing);
+                             double BudgetSeconds = 1e18, unsigned Jobs = 1);
 
 /// The Allow suite: deduplicated one-step relaxations of \p Forbid
 /// (all consistent under the TM model by minimality).

@@ -6,7 +6,8 @@
 /// every model's verdict through a shared memoized analysis equals the
 /// verdict through per-check and recompute-mode analyses. Also covers the
 /// memoization/invalidation contract (weakLift/strongLift caching, cache
-/// drop on copy and on reset) and the sharded enumeration partition.
+/// drop on copy and on reset) and parallel synthesis agreeing with the
+/// sequential search.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -209,28 +210,6 @@ TEST(AnalysisMemoization, ResetRetargets) {
   EXPECT_EQ(&A.execution(), &Y);
   EXPECT_EQ(A.com(), Y.com());
   EXPECT_EQ(A.rfe(), Y.rfe());
-}
-
-TEST(ShardedEnumeration, ShardsPartitionTheBaseSpace) {
-  Vocabulary V = Vocabulary::forArch(Arch::X86);
-  ExecutionEnumerator Enum(V, 4);
-
-  std::multiset<uint64_t> All;
-  Enum.forEachBase([&](Execution &X) {
-    All.insert(X.hash());
-    return true;
-  });
-  ASSERT_FALSE(All.empty());
-
-  for (unsigned NumShards : {2u, 3u, 7u}) {
-    std::multiset<uint64_t> Sharded;
-    for (unsigned S = 0; S < NumShards; ++S)
-      Enum.forEachBaseSharded(S, NumShards, [&](Execution &X) {
-        Sharded.insert(X.hash());
-        return true;
-      });
-    EXPECT_EQ(Sharded, All) << NumShards << " shards";
-  }
 }
 
 TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {

@@ -5,7 +5,8 @@
 /// re-resolutions, malformed batches answered without process death,
 /// byte-determinism of served documents against one-shot engine runs
 /// (across jobs counts and across batches on one session), pool reuse
-/// over many batches, and the Unix-socket transport.
+/// over many batches, and sessions over a one-connection multiplexer
+/// socket.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -13,8 +14,8 @@
 #include "query/QueryEngine.h"
 #include "query/QueryIO.h"
 #include "query/SessionCache.h"
+#include "server/Multiplexer.h"
 #include "server/QueryServer.h"
-#include "server/Transport.h"
 
 #include <gtest/gtest.h>
 
@@ -168,8 +169,8 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
 }
 
 TEST(QueryServer, PoolSurvivesManyBatches) {
-  // The resident pool (threads + reused WorkQueue + arenas) must quiesce
-  // and re-arm cleanly batch after batch, including empty and
+  // The resident pool (persistent threads + WorkQueue + arenas) must
+  // park and wake cleanly batch after batch, including empty and
   // bigger-than-pool batches.
   QueryServer S({3});
   std::string Reference = oneShot(sampleBatch());
@@ -182,7 +183,7 @@ TEST(QueryServer, PoolSurvivesManyBatches) {
   std::string EmptyDoc = S.serveLine(requestsToJsonLine(Empty));
   EXPECT_EQ(EmptyDoc, responsesToJson(std::vector<CheckResponse>{}));
 
-  // A batch wider than the pool exercises stealing across resets.
+  // A batch wider than the pool exercises stealing on the resident pool.
   std::vector<CheckRequest> Wide;
   for (const CorpusEntry &E : sharedCorpus()) {
     CheckRequest R;
@@ -218,61 +219,16 @@ TEST(QueryServer, EvictionKeepsServing) {
   EXPECT_GT(S.stats().Cache.ProgramEvictions, 0u);
 }
 
-TEST(QueryServer, UnixSocketRoundTrip) {
-  std::string Path = testing::TempDir() + "tmw_server_test.sock";
-  QueryServer S({2});
-  std::thread Listener([&] {
-    server::serveUnixSocket(S, Path, /*AcceptLimit=*/1);
-  });
-
-  // Connect (retrying while the listener binds), send two batches, half-
-  // close, read the concatenated documents back to EOF.
-  int Fd = -1;
-  sockaddr_un Addr{};
-  Addr.sun_family = AF_UNIX;
-  ASSERT_LT(Path.size(), sizeof(Addr.sun_path));
-  std::memcpy(Addr.sun_path, Path.c_str(), Path.size() + 1);
-  for (int Try = 0; Try < 200; ++Try) {
-    Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    ASSERT_GE(Fd, 0);
-    if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) ==
-        0)
-      break;
-    ::close(Fd);
-    Fd = -1;
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  }
-  ASSERT_GE(Fd, 0) << "could not connect to " << Path;
-
-  std::string Line = requestsToJsonLine(sampleBatch());
-  std::string Payload = Line + "\n" + Line + "\n";
-  ASSERT_EQ(::send(Fd, Payload.data(), Payload.size(), 0),
-            static_cast<ssize_t>(Payload.size()));
-  ASSERT_EQ(::shutdown(Fd, SHUT_WR), 0);
-
-  std::string Got;
-  char Buf[65536];
-  for (;;) {
-    ssize_t N = ::read(Fd, Buf, sizeof(Buf));
-    if (N <= 0)
-      break;
-    Got.append(Buf, static_cast<size_t>(N));
-  }
-  ::close(Fd);
-  Listener.join();
-
-  std::string Reference = oneShot(sampleBatch());
-  EXPECT_EQ(Got, Reference + Reference);
-}
-
-/// One serial-socket session: serve \p Payload on a fresh listener and
-/// return every byte the server answered.
+/// One socket session over a one-connection multiplexer: connect
+/// (retrying while the loop binds), send \p Payload, half-close, and
+/// return every byte the server answered up to EOF.
 std::string socketRoundTrip(QueryServer &S, const std::string &Payload,
                             const char *Name) {
   std::string Path = testing::TempDir() + Name;
-  std::thread Listener([&] {
-    server::serveUnixSocket(S, Path, /*AcceptLimit=*/1);
-  });
+  server::MuxOptions Opts;
+  Opts.AcceptLimit = 1;
+  server::ConnectionMultiplexer Mux(S, Opts);
+  std::thread Loop([&] { Mux.serve(Path); });
   int Fd = -1;
   sockaddr_un Addr{};
   Addr.sun_family = AF_UNIX;
@@ -302,9 +258,23 @@ std::string socketRoundTrip(QueryServer &S, const std::string &Payload,
       Got.append(Buf, static_cast<size_t>(N));
     }
     ::close(Fd);
+  } else {
+    Mux.requestStop(); // nobody will connect: don't wait for one
   }
-  Listener.join();
+  Loop.join();
   return Got;
+}
+
+TEST(QueryServer, UnixSocketRoundTrip) {
+  // Two batches on one connection, read back to EOF as the concatenated
+  // one-shot documents.
+  QueryServer S({2});
+  std::string Line = requestsToJsonLine(sampleBatch());
+  std::string Reference = oneShot(sampleBatch());
+  EXPECT_EQ(socketRoundTrip(S, Line + "\n" + Line + "\n",
+                            "tmw_server_test.sock"),
+            Reference + Reference);
+  EXPECT_EQ(S.stats().Batches, 2u);
 }
 
 TEST(QueryServer, BlankLinesOnSocketAreSkipped) {

@@ -6,8 +6,8 @@
 ///  * prefix tasks partition the base space *exactly* — no base visited
 ///    twice, none missed — at any split depth;
 ///  * `synthesizeForbid` produces the identical canonical test set for
-///    every `Jobs` value and both shard strategies (canonical-hash
-///    multiset equality, not just counts);
+///    every `Jobs` value (canonical-hash multiset equality, not just
+///    counts);
 ///  * the merged suite is byte-for-byte deterministic: hash-sorted order
 ///    and least-concrete-key representatives, so even the `Execution`
 ///    dumps agree across worker counts.
@@ -58,15 +58,15 @@ protected:
     return ModelRegistry::parse(std::string(workload().Spec) + "/+baseline");
   }
 
-  ForbidSuite synth(unsigned Jobs, ShardStrategy S) const {
+  ForbidSuite synth(unsigned Jobs) const {
     return synthesizeForbid(*tm(), *baseline(), vocab(),
                             workload().NumEvents, /*BudgetSeconds=*/1e18,
-                            Jobs, S);
+                            Jobs);
   }
 
   /// The reference: a hand-rolled sequential `forEachBase` search with no
-  /// sharding, no pool, no dedup — the ground truth the parallel paths
-  /// must reproduce.
+  /// prefix tasks, no pool, no dedup — the ground truth the parallel
+  /// search must reproduce.
   struct Reference {
     uint64_t Bases = 0;
     /// Sorted multiset of canonical hashes of all minimal Forbid
@@ -111,7 +111,7 @@ TEST_P(ShardingDifferentialTest, IdenticalTestSetForEveryJobsValue) {
   Reference Ref = sequentialReference();
   ASSERT_FALSE(Ref.TestSet.empty());
   for (unsigned Jobs : kJobsValues) {
-    ForbidSuite S = synth(Jobs, ShardStrategy::WorkStealing);
+    ForbidSuite S = synth(Jobs);
     EXPECT_TRUE(S.Complete);
     // Canonical-hash multiset equality against the sequential search: the
     // suite is deduplicated, so its hash multiset must equal the
@@ -122,36 +122,23 @@ TEST_P(ShardingDifferentialTest, IdenticalTestSetForEveryJobsValue) {
   }
 }
 
-TEST_P(ShardingDifferentialTest, StaticStrategyAgrees) {
-  ForbidSuite Ws = synth(7, ShardStrategy::WorkStealing);
-  ForbidSuite St = synth(7, ShardStrategy::StaticRoundRobin);
-  EXPECT_EQ(suiteHashes(Ws), suiteHashes(St));
-  EXPECT_EQ(Ws.BasesVisited, St.BasesVisited);
-}
-
 TEST_P(ShardingDifferentialTest, ByteForByteDeterministicAcrossJobs) {
   // Regression for the determinism guarantee: representatives and order —
-  // not just the canonical set — are identical for every Jobs value and
-  // both strategies. Compare full dumps.
+  // not just the canonical set — are identical for every Jobs value.
+  // Compare full dumps.
   std::vector<std::string> RefDumps;
-  for (const Execution &X : synth(1, ShardStrategy::WorkStealing).Tests)
+  for (const Execution &X : synth(1).Tests)
     RefDumps.push_back(X.dump());
   for (unsigned Jobs : kJobsValues) {
-    for (ShardStrategy Strat :
-         {ShardStrategy::WorkStealing, ShardStrategy::StaticRoundRobin}) {
-      ForbidSuite S = synth(Jobs, Strat);
-      std::vector<std::string> Dumps;
-      for (const Execution &X : S.Tests)
-        Dumps.push_back(X.dump());
-      EXPECT_EQ(Dumps, RefDumps)
-          << "Jobs=" << Jobs << " strategy="
-          << (Strat == ShardStrategy::WorkStealing ? "ws" : "static");
-    }
+    std::vector<std::string> Dumps;
+    for (const Execution &X : synth(Jobs).Tests)
+      Dumps.push_back(X.dump());
+    EXPECT_EQ(Dumps, RefDumps) << "Jobs=" << Jobs;
   }
 }
 
 TEST_P(ShardingDifferentialTest, TestsAreSortedByCanonicalHash) {
-  ForbidSuite S = synth(3, ShardStrategy::WorkStealing);
+  ForbidSuite S = synth(3);
   std::vector<uint64_t> H = suiteHashes(S);
   EXPECT_TRUE(std::is_sorted(H.begin(), H.end()));
   EXPECT_EQ(std::adjacent_find(H.begin(), H.end()), H.end())
@@ -201,7 +188,7 @@ TEST_P(ShardingDifferentialTest, PrefixTasksPartitionTheBaseSpace) {
 }
 
 TEST_P(ShardingDifferentialTest, WorkerTelemetryIsConsistent) {
-  ForbidSuite S = synth(7, ShardStrategy::WorkStealing);
+  ForbidSuite S = synth(7);
   ASSERT_EQ(S.Workers.size(), 7u);
   uint64_t Bases = 0, Tasks = 0;
   for (const WorkerLoad &L : S.Workers) {
