@@ -41,6 +41,11 @@ struct Candidate {
 /// checks one program against many models should enumerate once through
 /// here and fan each candidate out to all models (see query/QueryEngine),
 /// instead of re-enumerating per model.
+///
+/// \p P must fit the enumeration caps (`capFindings` in lint/Lint.h is
+/// empty): a shape past `kMaxEvents` events is skipped, and the success
+/// masks number 2^transactions. The query engine refuses programs that
+/// do not fit rather than answer from a partial candidate set.
 bool forEachCandidate(const Program &P,
                       const std::function<bool(const Candidate &)> &Sink);
 

@@ -71,96 +71,101 @@ Execution tmw::removeEvent(const Execution &X, EventId E) {
 
 namespace {
 
-/// Downgrade alternatives for one event under the given architecture.
-void appendDowngrades(const Execution &X, EventId E, Arch A,
-                      std::vector<Execution> &Out) {
+/// Offer the downgrade alternatives of event \p E under architecture
+/// \p A, in a fixed order. False as soon as \p Offer returns false.
+template <typename OfferFn>
+bool offerDowngrades(const Execution &X, EventId E, Arch A,
+                     OfferFn &Offer) {
   const Event &Ev = X.event(E);
   auto WithOrder = [&](MemOrder MO) {
     Execution Y = X;
     Y.event(E).Order = MO;
-    Out.push_back(Y);
+    return Offer(Y);
   };
   auto WithFence = [&](FenceKind FK) {
     Execution Y = X;
     Y.event(E).Fence = FK;
-    Out.push_back(Y);
+    return Offer(Y);
   };
 
+  // Event kinds are exclusive, so each event matches at most one arm.
   switch (A) {
   case Arch::SC:
   case Arch::TSC:
   case Arch::X86:
-    break;
+    return true;
   case Arch::Power:
     if (Ev.isFence() && Ev.Fence == FenceKind::Sync)
-      WithFence(FenceKind::LwSync);
-    break;
+      return WithFence(FenceKind::LwSync);
+    return true;
   case Arch::Armv8:
     if (Ev.isRead() && Ev.Order == MemOrder::Acquire)
-      WithOrder(MemOrder::NonAtomic);
+      return WithOrder(MemOrder::NonAtomic);
     if (Ev.isWrite() && Ev.Order == MemOrder::Release)
-      WithOrder(MemOrder::NonAtomic);
-    if (Ev.isFence() && Ev.Fence == FenceKind::Dmb) {
-      WithFence(FenceKind::DmbLd);
-      WithFence(FenceKind::DmbSt);
-    }
-    break;
-  case Arch::Cpp: {
+      return WithOrder(MemOrder::NonAtomic);
+    if (Ev.isFence() && Ev.Fence == FenceKind::Dmb)
+      return WithFence(FenceKind::DmbLd) && WithFence(FenceKind::DmbSt);
+    return true;
+  case Arch::Cpp:
     // One step down the C++ consistency-mode lattice.
-    bool IsRmwHalf =
-        X.Rmw.domain().contains(E) || X.Rmw.range().contains(E);
     switch (Ev.Order) {
     case MemOrder::SeqCst:
       if (Ev.isRead())
-        WithOrder(MemOrder::Acquire);
-      else if (Ev.isWrite())
-        WithOrder(MemOrder::Release);
-      else
-        WithOrder(MemOrder::AcqRel);
-      break;
+        return WithOrder(MemOrder::Acquire);
+      if (Ev.isWrite())
+        return WithOrder(MemOrder::Release);
+      return WithOrder(MemOrder::AcqRel);
     case MemOrder::AcqRel:
-      WithOrder(MemOrder::Acquire);
-      WithOrder(MemOrder::Release);
-      break;
+      return WithOrder(MemOrder::Acquire) && WithOrder(MemOrder::Release);
     case MemOrder::Acquire:
     case MemOrder::Release:
-      WithOrder(MemOrder::Relaxed);
-      break;
-    case MemOrder::Relaxed:
+      return WithOrder(MemOrder::Relaxed);
+    case MemOrder::Relaxed: {
       // RMW halves must stay atomic.
+      bool IsRmwHalf =
+          X.Rmw.domain().contains(E) || X.Rmw.range().contains(E);
       if (!IsRmwHalf && Ev.isMemoryAccess())
-        WithOrder(MemOrder::NonAtomic);
-      break;
-    case MemOrder::NonAtomic:
-      break;
+        return WithOrder(MemOrder::NonAtomic);
+      return true;
     }
-    break;
+    case MemOrder::NonAtomic:
+      return true;
+    }
+    return true;
   }
-  }
+  return true;
 }
 
-} // namespace
-
-std::vector<Execution> tmw::relaxOneStep(const Execution &X,
-                                         const Vocabulary &V) {
-  std::vector<Execution> Out;
+/// The one-step relaxation generator: hands every well-formed execution
+/// one ⊏-step below \p X to \p Visit, in a fixed order, and stops as soon
+/// as \p Visit returns false (the function then returns false too). A
+/// child is built only when the visit reaches it.
+template <typename VisitFn>
+bool forEachRelaxation(const Execution &X, const Vocabulary &V,
+                       VisitFn &&Visit) {
+  auto Offer = [&Visit](const Execution &Y) {
+    return Y.checkWellFormed() != nullptr || Visit(Y);
+  };
 
   // (i) Remove an event.
   for (unsigned E = 0; E < X.size(); ++E)
-    Out.push_back(removeEvent(X, E));
+    if (!Offer(removeEvent(X, E)))
+      return false;
 
   // (ii) Remove a dependency edge. For ctrl (forward-closed), removing the
   // earliest edge of a read keeps the remaining targets a po-suffix.
-  X.Addr.forEachPair([&](EventId A, EventId B) {
-    Execution Y = X;
-    Y.Addr.erase(A, B);
-    Out.push_back(Y);
-  });
-  X.Data.forEachPair([&](EventId A, EventId B) {
-    Execution Y = X;
-    Y.Data.erase(A, B);
-    Out.push_back(Y);
-  });
+  auto DropEachEdge = [&](Relation Execution::*Rel) {
+    for (EventId A = 0; A < X.size(); ++A)
+      for (EventId B : (X.*Rel).successors(A)) {
+        Execution Y = X;
+        (Y.*Rel).erase(A, B);
+        if (!Offer(Y))
+          return false;
+      }
+    return true;
+  };
+  if (!DropEachEdge(&Execution::Addr) || !DropEachEdge(&Execution::Data))
+    return false;
   for (EventId R : X.Ctrl.domain()) {
     EventSet Targets = X.Ctrl.successors(R);
     // Earliest target: the one with no ctrl-target po-before it.
@@ -173,18 +178,17 @@ std::vector<Execution> tmw::relaxOneStep(const Execution &X,
         continue;
       Execution Y = X;
       Y.Ctrl.erase(R, T);
-      Out.push_back(Y);
+      if (!Offer(Y))
+        return false;
     }
   }
-  X.Rmw.forEachPair([&](EventId A, EventId B) {
-    Execution Y = X;
-    Y.Rmw.erase(A, B);
-    Out.push_back(Y);
-  });
+  if (!DropEachEdge(&Execution::Rmw))
+    return false;
 
   // (iii) Downgrade an event.
   for (unsigned E = 0; E < X.size(); ++E)
-    appendDowngrades(X, E, V.A, Out);
+    if (!offerDowngrades(X, E, V.A, Offer))
+      return false;
 
   // (v) Shrink a transaction at either end.
   for (unsigned C = 0; C < X.numTxns(); ++C) {
@@ -201,7 +205,8 @@ std::vector<Execution> tmw::relaxOneStep(const Execution &X,
       Execution Y = X;
       Y.Txn[Boundary] = kNoClass;
       compactTxnClasses(Y);
-      Out.push_back(Y);
+      if (!Offer(Y))
+        return false;
       if (Members.size() == 1)
         break; // front == back: one child only
     }
@@ -213,14 +218,21 @@ std::vector<Execution> tmw::relaxOneStep(const Execution &X,
       if ((X.AtomicTxns >> C) & 1) {
         Execution Y = X;
         Y.AtomicTxns &= ~(uint32_t(1) << C);
-        Out.push_back(Y);
+        if (!Offer(Y))
+          return false;
       }
+  return true;
+}
 
-  // Keep only well-formed children.
-  Out.erase(std::remove_if(
-                Out.begin(), Out.end(),
-                [](const Execution &Y) { return Y.checkWellFormed(); }),
-            Out.end());
+} // namespace
+
+std::vector<Execution> tmw::relaxOneStep(const Execution &X,
+                                         const Vocabulary &V) {
+  std::vector<Execution> Out;
+  forEachRelaxation(X, V, [&Out](const Execution &Y) {
+    Out.push_back(Y);
+    return true;
+  });
   return Out;
 }
 
@@ -230,20 +242,19 @@ bool tmw::isMinimallyInconsistent(const ExecutionAnalysis &A,
     return false;
   // Each relaxation child is checked through a per-thread analysis arena:
   // retargeting via reset() is a generation bump, where the implicit
-  // `Execution -> ExecutionAnalysis` conversion would construct (and
-  // zero) a fresh ~25 KB cache block per child. The arena's target
+  // `Execution -> ExecutionAnalysis` conversion would construct a fresh
+  // ~25 KB cache block (and its term table) per child. The arena's target
   // dangles between calls (the children are locals); it is never read
-  // before the next reset().
+  // before the next reset(). The first inconsistent child ends the
+  // search before any later child is built.
   static thread_local std::optional<ExecutionAnalysis> Arena;
-  for (const Execution &Y : relaxOneStep(A.execution(), V)) {
+  return forEachRelaxation(A.execution(), V, [&M](const Execution &Y) {
     if (!Arena)
       Arena.emplace(Y);
     else
       Arena->reset(Y);
-    if (!M.consistent(*Arena))
-      return false;
-  }
-  return true;
+    return M.consistent(*Arena);
+  });
 }
 
 namespace {

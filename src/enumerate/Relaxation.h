@@ -31,7 +31,9 @@ namespace tmw {
 /// Remove event \p E from \p X, remapping ids and dropping incident edges.
 Execution removeEvent(const Execution &X, EventId E);
 
-/// All well-formed executions one ⊏-step below \p X under vocabulary \p V.
+/// All well-formed executions one ⊏-step below \p X under vocabulary \p V,
+/// in a fixed order: event removals, dependency-edge removals (addr, data,
+/// ctrl, rmw), downgrades, transaction shrinks, atomic{} downgrades.
 std::vector<Execution> relaxOneStep(const Execution &X, const Vocabulary &V);
 
 /// True when the analysed execution is inconsistent under \p M and every
@@ -40,6 +42,12 @@ std::vector<Execution> relaxOneStep(const Execution &X, const Vocabulary &V);
 /// the same derived relations; an `Execution` converts implicitly. The
 /// relaxation children are checked through a reusable per-thread analysis
 /// arena (safe: models are stateless and shards never share a thread).
+///
+/// Early exit: the children are generated one at a time, in
+/// `relaxOneStep`'s order, and the first inconsistent one ends the search;
+/// later children are never built or checked. The verdict, and the
+/// sequence of model checks up to it, equal checking `relaxOneStep`'s
+/// vector in order.
 bool isMinimallyInconsistent(const ExecutionAnalysis &A, const MemoryModel &M,
                              const Vocabulary &V);
 

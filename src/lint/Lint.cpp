@@ -59,29 +59,10 @@ private:
     R.Findings.push_back({Sev, Code, std::move(Msg), T, I, lineOf(T, I)});
   }
 
-  /// Hard enumerator caps: a program past `kMaxEvents` silently yields
-  /// zero candidates (Candidates.cpp rejects the shape), and transaction
-  /// classes past `kMaxTxns` cannot be represented in the atomicity mask.
+  /// Hard enumerator caps, counted once by `computeFacts`.
   void lintCaps() {
-    unsigned Events = 0, Txns = 0;
-    for (const auto &Th : P.Threads)
-      for (const Instruction &I : Th) {
-        if (producesEvent(I.K))
-          ++Events;
-        if (I.K == IKind::TxBegin)
-          ++Txns;
-      }
-    if (Events > kMaxEvents)
-      add(LintSeverity::Error, "too-many-events",
-          "program produces " + std::to_string(Events) +
-              " events; executions are capped at " +
-              std::to_string(kMaxEvents) +
-              " (kMaxEvents), so enumeration yields no candidates");
-    if (Txns > kMaxTxns)
-      add(LintSeverity::Error, "too-many-txns",
-          "program opens " + std::to_string(Txns) +
-              " transactions; executions are capped at " +
-              std::to_string(kMaxTxns) + " transaction classes (kMaxTxns)");
+    for (LintFinding &F : capFindings(computeFacts(P)))
+      R.Findings.push_back(std::move(F));
   }
 
   void lintLocations() {
@@ -276,10 +257,13 @@ ProgramFacts tmw::computeFacts(const Program &P) {
   LocId FirstLoc = -1;
   for (const auto &Th : P.Threads)
     for (const Instruction &I : Th) {
+      if (producesEvent(I.K))
+        ++F.Events;
       switch (I.K) {
       case IKind::TxBegin:
         F.TxnFree = false;
         AnyAtomic |= I.TxnAtomic;
+        ++F.Txns;
         break;
       case IKind::Lock:
       case IKind::Unlock:
@@ -324,6 +308,24 @@ ProgramFacts tmw::computeFacts(const Program &P) {
       V |= vocab::fence(static_cast<FenceKind>(K));
   F.Vocabulary = V;
   return F;
+}
+
+std::vector<LintFinding> tmw::capFindings(const ProgramFacts &F) {
+  std::vector<LintFinding> Out;
+  if (F.Events > kMaxEvents)
+    Out.push_back({LintSeverity::Error, "too-many-events",
+                   "program produces " + std::to_string(F.Events) +
+                       " events; executions are capped at " +
+                       std::to_string(kMaxEvents) +
+                       " (kMaxEvents), so it cannot be checked"});
+  if (F.Txns > kMaxTxns)
+    Out.push_back({LintSeverity::Error, "too-many-txns",
+                   "program opens " + std::to_string(F.Txns) +
+                       " transactions; executions are capped at " +
+                       std::to_string(kMaxTxns) +
+                       " transaction classes (kMaxTxns), so it cannot be "
+                       "checked"});
+  return Out;
 }
 
 uint32_t tmw::executionVocabulary(const Execution &X) {

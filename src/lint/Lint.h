@@ -95,10 +95,23 @@ struct ProgramFacts {
   /// The program's vocabulary: `vocab::Base` plus one bit per class the
   /// program speaks. Superset of `executionVocabulary` of every candidate.
   uint32_t Vocabulary = 0;
+  /// Events of the candidate in which every transaction succeeds — the
+  /// largest candidate the enumerator builds. Checked against `kMaxEvents`.
+  unsigned Events = 0;
+  /// Transactions (`txbegin` instructions); the enumerator tries every
+  /// success mask over them. Checked against `kMaxTxns`.
+  unsigned Txns = 0;
 };
 
 /// Compute the facts for \p P. O(instructions).
 ProgramFacts computeFacts(const Program &P);
+
+/// The enumerator-cap findings for a program with facts \p F:
+/// `too-many-events` (past `kMaxEvents`), then `too-many-txns` (past
+/// `kMaxTxns`); empty when the program fits both caps. `lintProgram`
+/// reports them, and the query engine refuses a program that has any
+/// instead of answering from a partial candidate set.
+std::vector<LintFinding> capFindings(const ProgramFacts &F);
 
 /// The vocabulary classes one concrete execution speaks — the
 /// execution-level analogue of `ProgramFacts::Vocabulary`, used by the

@@ -84,10 +84,10 @@ CheckResponse evaluateRequest(const CheckRequest &R,
     Resp.Error = "request sets both 'source' and 'corpus'";
     return Finish();
   }
-  // Static program facts for plan specialization: served from the
-  // session cache beside a cached parse (computed once at parse time),
-  // computed inline otherwise (one O(instructions) scan — trivia next to
-  // enumeration).
+  // Static program facts (enumeration caps, plan specialization): served
+  // from the session cache beside a cached parse (computed once at parse
+  // time), computed inline otherwise (one O(instructions) scan — trivia
+  // next to enumeration).
   ProgramFacts Facts;
   bool HaveFacts = false;
   if (!R.Source.empty()) {
@@ -119,6 +119,19 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   }
   if (Resp.Name.empty())
     Resp.Name = P->Name;
+
+  // A program past an enumeration cap is refused, never answered from a
+  // partial candidate set. The check precedes the store lookup, so an
+  // answer stored before the refusal existed is never served either.
+  if (!HaveFacts)
+    Facts = computeFacts(*P);
+  for (const LintFinding &F : capFindings(Facts)) {
+    if (!Resp.Error.empty())
+      Resp.Error += "; ";
+    Resp.Error += F.Message;
+  }
+  if (!Resp.Error.empty())
+    return Finish();
 
   Resp.Verdicts.resize(Models.size());
   for (size_t M = 0; M < Models.size(); ++M)
@@ -188,11 +201,8 @@ CheckResponse evaluateRequest(const CheckRequest &R,
       Resp.Plan.Compiles = 1;
     }
     Scratch = Plan->makeScratch();
-    if (Specialize) {
-      if (!HaveFacts)
-        Facts = computeFacts(*P);
+    if (Specialize)
       Spec = Plan->specialize(Facts);
-    }
   }
 
   // Enumerate the candidates ONCE; fan each one out to every model over

@@ -13,6 +13,12 @@
 /// which keeps the exhaustive enumerator (millions of consistency checks)
 /// fast.
 ///
+/// Storage contract: every relation owns `kMaxEvents` rows, but only the
+/// live rows `[0, size())` are ever written or read. Construction, copies
+/// and every operation touch those rows alone, so the work scales with the
+/// events an execution really has (a handful in the synthesis search),
+/// not with the cap.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TMW_RELATION_RELATION_H
@@ -20,19 +26,35 @@
 
 #include "relation/EventSet.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
+#include <cstring>
 #include <utility>
 
 namespace tmw {
 
 /// A binary relation over events {0, ..., Size-1}.
+///
+/// Rows at or above `size()` are indeterminate and never read: the sized
+/// constructor zeroes only the live rows, `Relation()` (size 0) touches
+/// none, and a copy carries only the source's live rows. Every column bit
+/// of a live row is below `size()`.
 class Relation {
 public:
-  Relation() : Size(0) { Rows.fill(0); }
+  Relation() : Size(0) {}
   explicit Relation(unsigned Size) : Size(Size) {
     assert(Size <= kMaxEvents && "execution too large");
-    Rows.fill(0);
+    std::fill_n(Rows.begin(), Size, 0);
+  }
+  Relation(const Relation &O) : Size(O.Size) {
+    std::copy_n(O.Rows.begin(), Size, Rows.begin());
+  }
+  /// memmove tolerates `&O == this`, so self-assignment needs no branch.
+  Relation &operator=(const Relation &O) {
+    Size = O.Size;
+    std::memmove(Rows.data(), O.Rows.data(), Size * sizeof(uint64_t));
+    return *this;
   }
 
   unsigned size() const { return Size; }

@@ -48,48 +48,66 @@ std::vector<Execution> corpus(const Vocabulary &V, unsigned NumEvents,
   return Out;
 }
 
+/// Every memoized accessor of \p An equals the matching uncached
+/// `Execution` method on \p X.
+void expectMatchesExecution(const ExecutionAnalysis &An, const Execution &X) {
+  // Query some terms twice so both the compute and the memoized path
+  // are compared.
+  for (int Round = 0; Round < 2; ++Round) {
+    EXPECT_EQ(An.sloc(), X.sloc());
+    EXPECT_EQ(An.sameThread(), X.sameThread());
+    EXPECT_EQ(An.poLoc(), X.poLoc());
+    EXPECT_EQ(An.poImm(), X.poImm());
+    EXPECT_EQ(An.fr(), X.fr());
+    EXPECT_EQ(An.com(), X.com());
+    EXPECT_EQ(An.ecom(), X.ecom());
+    EXPECT_EQ(An.rfe(), X.rfe());
+    EXPECT_EQ(An.rfi(), X.rfi());
+    EXPECT_EQ(An.coe(), X.coe());
+    EXPECT_EQ(An.coi(), X.coi());
+    EXPECT_EQ(An.fre(), X.fre());
+    EXPECT_EQ(An.fri(), X.fri());
+    EXPECT_EQ(An.stxn(), X.stxn());
+    EXPECT_EQ(An.stxnAtomic(), X.stxnAtomic());
+    EXPECT_EQ(An.tfence(), X.tfence());
+    EXPECT_EQ(An.scr(), X.scr());
+    EXPECT_EQ(An.scrt(), X.scrt());
+    EXPECT_EQ(An.reads(), X.reads());
+    EXPECT_EQ(An.writes(), X.writes());
+    EXPECT_EQ(An.accesses(), X.accesses());
+    EXPECT_EQ(An.atomics(), X.atomics());
+    EXPECT_EQ(An.transactional(), X.transactional());
+    EXPECT_EQ(An.atomicTransactional(), X.atomicTransactional());
+    for (FenceKind K : {FenceKind::MFence, FenceKind::Sync,
+                        FenceKind::CppFence}) {
+      EXPECT_EQ(An.fences(K), X.fences(K));
+      EXPECT_EQ(An.fenceRel(K), X.fenceRel(K));
+    }
+    EXPECT_EQ(An.weakLiftComStxn(), weakLift(X.com(), X.stxn()));
+    EXPECT_EQ(An.strongLiftComStxn(), strongLift(X.com(), X.stxn()));
+    EXPECT_EQ(An.strongLiftComStxnAtomic(),
+              strongLift(X.com(), X.stxnAtomic()));
+  }
+}
+
+/// Exactly kMaxEvents events: four threads, each reading one location
+/// from its initial value before writing it (fr agrees with po).
+Execution sixtyFourEvents() {
+  ExecutionBuilder B;
+  for (unsigned T = 0; T < 4; ++T) {
+    for (unsigned I = 1; I < kMaxEvents / 4; ++I)
+      B.read(T, static_cast<LocId>(T));
+    B.write(T, static_cast<LocId>(T), MemOrder::NonAtomic, 1);
+  }
+  return B.build();
+}
+
 TEST(AnalysisCrossCheck, DerivedRelationsMatchUncachedExecutionMethods) {
   for (Arch A : {Arch::X86, Arch::Cpp}) {
     for (const Execution &X :
          corpus(Vocabulary::forArch(A), 3, /*Cap=*/400)) {
       ExecutionAnalysis An(X);
-      // Query some terms twice so both the compute and the memoized path
-      // are compared.
-      for (int Round = 0; Round < 2; ++Round) {
-        EXPECT_EQ(An.sloc(), X.sloc());
-        EXPECT_EQ(An.sameThread(), X.sameThread());
-        EXPECT_EQ(An.poLoc(), X.poLoc());
-        EXPECT_EQ(An.poImm(), X.poImm());
-        EXPECT_EQ(An.fr(), X.fr());
-        EXPECT_EQ(An.com(), X.com());
-        EXPECT_EQ(An.ecom(), X.ecom());
-        EXPECT_EQ(An.rfe(), X.rfe());
-        EXPECT_EQ(An.rfi(), X.rfi());
-        EXPECT_EQ(An.coe(), X.coe());
-        EXPECT_EQ(An.coi(), X.coi());
-        EXPECT_EQ(An.fre(), X.fre());
-        EXPECT_EQ(An.fri(), X.fri());
-        EXPECT_EQ(An.stxn(), X.stxn());
-        EXPECT_EQ(An.stxnAtomic(), X.stxnAtomic());
-        EXPECT_EQ(An.tfence(), X.tfence());
-        EXPECT_EQ(An.scr(), X.scr());
-        EXPECT_EQ(An.scrt(), X.scrt());
-        EXPECT_EQ(An.reads(), X.reads());
-        EXPECT_EQ(An.writes(), X.writes());
-        EXPECT_EQ(An.accesses(), X.accesses());
-        EXPECT_EQ(An.atomics(), X.atomics());
-        EXPECT_EQ(An.transactional(), X.transactional());
-        EXPECT_EQ(An.atomicTransactional(), X.atomicTransactional());
-        for (FenceKind K : {FenceKind::MFence, FenceKind::Sync,
-                            FenceKind::CppFence}) {
-          EXPECT_EQ(An.fences(K), X.fences(K));
-          EXPECT_EQ(An.fenceRel(K), X.fenceRel(K));
-        }
-        EXPECT_EQ(An.weakLiftComStxn(), weakLift(X.com(), X.stxn()));
-        EXPECT_EQ(An.strongLiftComStxn(), strongLift(X.com(), X.stxn()));
-        EXPECT_EQ(An.strongLiftComStxnAtomic(),
-                  strongLift(X.com(), X.stxnAtomic()));
-      }
+      expectMatchesExecution(An, X);
     }
   }
 }
@@ -210,6 +228,24 @@ TEST(AnalysisMemoization, ResetRetargets) {
   EXPECT_EQ(&A.execution(), &Y);
   EXPECT_EQ(A.com(), Y.com());
   EXPECT_EQ(A.rfe(), Y.rfe());
+
+  // Across sizes: slots filled over 64 events are recomputed over 2 (rows
+  // 2-63 keep stale bits that must never be read), then over 64 again.
+  Execution Big = sixtyFourEvents();
+  ExecutionBuilder SmallB;
+  EventId W = SmallB.write(0, 0, MemOrder::NonAtomic, 1);
+  SmallB.txn({W});
+  SmallB.rf(W, SmallB.read(1, 0));
+  Execution Small = SmallB.build();
+  ASSERT_EQ(Small.size(), 2u);
+  X86Model X86;
+  ExecutionAnalysis Arena(Big);
+  for (const Execution *Z : {&Big, &Small, &Big}) {
+    Arena.reset(*Z);
+    expectMatchesExecution(Arena, *Z);
+    ExecutionAnalysis Fresh(*Z, AnalysisCaching::Recompute);
+    EXPECT_EQ(X86.consistent(Arena), X86.consistent(Fresh));
+  }
 }
 
 TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {
@@ -552,14 +588,7 @@ TEST(AxiomEngineCrossCheck, MatchesLegacyCheckersOnAllConfigs) {
 TEST(BuilderCapacity, SixtyFourEventExecutionIsLegal) {
   // Exactly kMaxEvents events must be accepted end-to-end — pins the
   // builder's capacity bound against off-by-one regressions.
-  ExecutionBuilder B;
-  for (unsigned T = 0; T < 4; ++T) {
-    // Initial-value reads first, then the write: fr agrees with po.
-    for (unsigned I = 1; I < kMaxEvents / 4; ++I)
-      B.read(T, static_cast<LocId>(T));
-    B.write(T, static_cast<LocId>(T), MemOrder::NonAtomic, 1);
-  }
-  Execution X = B.build();
+  Execution X = sixtyFourEvents();
   ASSERT_EQ(X.size(), kMaxEvents);
   EXPECT_EQ(X.checkWellFormed(), nullptr);
   ExecutionAnalysis A(X);

@@ -48,6 +48,25 @@ TEST(ForbidTest, X86ThreeEventsNonEmpty) {
   }
 }
 
+TEST(ForbidTest, X86SuiteSizesPinned) {
+  // Forbid and Allow suite sizes of the x86 search at |E| = 2, 3 and 4
+  // (the |E| = 4 pair is also perfbench's synth_x86 reference). A
+  // refactor of the search, the relaxation order or the relation layer
+  // that drops or adds a test fails here.
+  Vocabulary V = Vocabulary::forArch(Arch::X86);
+  struct Sizes {
+    unsigned Events;
+    size_t Forbid, Allow;
+  };
+  for (Sizes Want : {Sizes{2, 0, 0}, Sizes{3, 4, 17}, Sizes{4, 39, 184}}) {
+    ForbidSuite S = x86Suite(Want.Events);
+    ASSERT_TRUE(S.Complete);
+    EXPECT_EQ(S.Tests.size(), Want.Forbid) << "|E| = " << Want.Events;
+    EXPECT_EQ(relaxationsOf(S.Tests, V).size(), Want.Allow)
+        << "|E| = " << Want.Events;
+  }
+}
+
 TEST(ForbidTest, FoundTimesMonotoneAndBounded) {
   ForbidSuite S = x86Suite(3);
   ASSERT_EQ(S.FoundAtSeconds.size(), S.Tests.size());

@@ -111,7 +111,7 @@ TEST(Lint_, UninitializedLoadOnlyLocationWarns) {
 }
 
 TEST(Lint_, EventAndTxnCapsAreErrors) {
-  // kMaxEvents + 1 loads: enumeration would silently yield nothing.
+  // kMaxEvents + 1 loads: the query engine refuses the program.
   Program P;
   P.LocNames = {"x"};
   P.Threads.emplace_back();
@@ -126,6 +126,11 @@ TEST(Lint_, EventAndTxnCapsAreErrors) {
   ASSERT_TRUE(F.has_value());
   EXPECT_EQ(F->Severity, LintSeverity::Error);
   EXPECT_EQ(F->Line, 0u); // programmatic build: no source lines
+  EXPECT_EQ(F->Message, "program produces 65 events; executions are capped "
+                        "at 64 (kMaxEvents), so it cannot be checked");
+  ProgramFacts PF = computeFacts(P);
+  EXPECT_EQ(PF.Events, kMaxEvents + 1);
+  EXPECT_EQ(PF.Txns, 0u);
 
   // kMaxTxns + 1 balanced transactions (delimiters produce no events, so
   // only the txn cap trips).
@@ -139,8 +144,16 @@ TEST(Lint_, EventAndTxnCapsAreErrors) {
     Q.Threads[0].push_back(B);
     Q.Threads[0].push_back(E);
   }
-  EXPECT_TRUE(findingWithCode(lintProgram(Q), "too-many-txns").has_value());
+  std::optional<LintFinding> G =
+      findingWithCode(lintProgram(Q), "too-many-txns");
+  ASSERT_TRUE(G.has_value());
+  EXPECT_EQ(G->Message,
+            "program opens 33 transactions; executions are capped at 32 "
+            "transaction classes (kMaxTxns), so it cannot be checked");
   EXPECT_FALSE(findingWithCode(lintProgram(Q), "too-many-events").has_value());
+  ProgramFacts QF = computeFacts(Q);
+  EXPECT_EQ(QF.Events, 0u);
+  EXPECT_EQ(QF.Txns, kMaxTxns + 1);
 }
 
 TEST(Lint_, UnbalancedTxnVariantsPinLines) {

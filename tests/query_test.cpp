@@ -7,7 +7,8 @@
 /// consistent counts, first-forbidden index, failed-axiom names, allowed
 /// outcome sets — must equal a fresh enumeration per model with throwaway
 /// analyses. Plus: batch output byte-identical for Jobs in {1, 4, 16},
-/// in-order streaming, candidate caps, and request-level error reporting.
+/// in-order streaming, candidate caps, request-level error reporting,
+/// and the refusal of programs past the enumeration caps.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -16,11 +17,15 @@
 #include "models/ModelRegistry.h"
 #include "query/QueryEngine.h"
 #include "query/QueryIO.h"
+#include "query/SessionCache.h"
+#include "store/VerdictStore.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <memory>
+
+#include <unistd.h>
 
 using namespace tmw;
 
@@ -246,6 +251,79 @@ TEST(QueryEngine_, RequestErrors) {
   ASSERT_EQ(Rs.size(), 2u);
   EXPECT_FALSE(static_cast<bool>(Rs[0]));
   EXPECT_TRUE(static_cast<bool>(Rs[1])) << Rs[1].Error;
+}
+
+/// `Loads` loads of x on one thread, the last `TxnLoads` of them inside
+/// one transaction.
+std::string loadsProgram(const std::string &Name, unsigned Loads,
+                         unsigned TxnLoads) {
+  std::string Src = "name " + Name + "\nthread 0\n";
+  for (unsigned I = 0; I < Loads; ++I) {
+    if (I == Loads - TxnLoads)
+      Src += "  txbegin\n";
+    Src += "  load x\n";
+  }
+  if (TxnLoads)
+    Src += "  txend\n";
+  return Src;
+}
+
+TEST(QueryEngine_, OverCapProgramsAreRefused) {
+  // Past kMaxEvents the enumerator skips every shape that does not fit:
+  // 71 loads used to answer from no candidates at all, and 60 loads plus
+  // a 10-load transaction from its failed-transaction shape alone, both
+  // without an error. Past kMaxTxns it would try 2^33 success masks.
+  struct Case {
+    std::string Source, Cap;
+  };
+  std::vector<Case> Cases = {
+      {loadsProgram("loads71", 71, 0), "(kMaxEvents)"},
+      {loadsProgram("loads60+txn10", 70, 10), "(kMaxEvents)"}};
+  std::string Txns33 = "name txns33\nthread 0\n";
+  for (unsigned I = 0; I <= kMaxTxns; ++I)
+    Txns33 += "  txbegin\n  load x\n  txend\n";
+  Cases.push_back({Txns33, "(kMaxTxns)"});
+
+  std::string Path = testing::TempDir() + "query_test_over_cap.log";
+  ::unlink(Path.c_str());
+  std::string Error;
+  std::unique_ptr<VerdictStore> Store = VerdictStore::open(Path, &Error);
+  ASSERT_TRUE(Store) << Error;
+  // An answer stored for the first program before refusals existed: the
+  // refusal precedes the store lookup, so it is never served.
+  CheckRequest SbReq;
+  SbReq.Corpus = "SB";
+  SbReq.ModelSpecs = {"x86"};
+  CheckResponse Stale = QueryEngine().evaluate(SbReq);
+  ASSERT_TRUE(static_cast<bool>(Stale)) << Stale.Error;
+  Stale.Name = "loads71";
+  const std::vector<std::string> Specs = {"x86"};
+  ASSERT_TRUE(Store->append(
+      VerdictStore::makeKey("loads71", Cases[0].Source, Specs,
+                            /*Explain=*/false, /*WantOutcomes=*/false,
+                            /*CandidateCap=*/0),
+      toJson(Stale)));
+
+  SessionCache Cache;
+  for (SessionCache *C : {static_cast<SessionCache *>(nullptr), &Cache}) {
+    QueryEngine Engine({.Cache = C, .Store = Store.get()});
+    for (const Case &K : Cases) {
+      CheckRequest R;
+      R.Source = K.Source;
+      R.ModelSpecs = Specs;
+      CheckResponse Resp = Engine.evaluate(R);
+      EXPECT_FALSE(static_cast<bool>(Resp));
+      EXPECT_NE(Resp.Error.find(K.Cap), std::string::npos) << Resp.Error;
+      EXPECT_TRUE(Resp.Verdicts.empty());
+      EXPECT_EQ(Resp.Candidates, 0u);
+      EXPECT_EQ(Resp.Store.Lookups, 0u);
+      EXPECT_EQ(Resp.Store.Appends, 0u);
+    }
+  }
+  StoreCounters SC = Store->counters();
+  EXPECT_EQ(SC.Hits + SC.Misses, 0u);
+  EXPECT_EQ(SC.Appends, 1u); // the seeded answer only
+  ::unlink(Path.c_str());
 }
 
 TEST(ModelRegistry_, WrapperSpecsResolveAndRoundTrip) {

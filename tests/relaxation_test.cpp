@@ -3,6 +3,8 @@
 #include "TestGraphs.h"
 #include "enumerate/Relaxation.h"
 #include "models/Armv8Model.h"
+#include "models/CppModel.h"
+#include "models/PowerModel.h"
 #include "models/ScModel.h"
 #include "models/X86Model.h"
 
@@ -177,6 +179,49 @@ TEST(MinimalityTest, ConsistentExecutionIsNotMinimal) {
   B.rf(W, R);
   Vocabulary V = Vocabulary::forArch(Arch::SC);
   EXPECT_FALSE(isMinimallyInconsistent(B.build(), ScModel(), V));
+}
+
+TEST(MinimalityTest, StreamingCheckMatchesDefinition) {
+  // isMinimallyInconsistent stops at the first inconsistent child. Its
+  // verdict must equal the definition over the materialised children —
+  // inconsistent, and every relaxOneStep child consistent — on every base
+  // and placement, up to the sizes at which each search stays quick.
+  X86Model X86;
+  PowerModel Power;
+  Armv8Model Armv8;
+  CppModel Cpp;
+  struct Case {
+    Arch A;
+    const MemoryModel *M;
+    unsigned MaxEvents;
+  };
+  for (const Case &C : {Case{Arch::X86, &X86, 4}, Case{Arch::Power, &Power, 3},
+                        Case{Arch::Armv8, &Armv8, 2}, Case{Arch::Cpp, &Cpp, 2}}) {
+    Vocabulary V = Vocabulary::forArch(C.A);
+    unsigned Checked = 0, Minimal = 0;
+    auto Check = [&](Execution &X) {
+      bool Definition = !C.M->consistent(X);
+      for (const Execution &K : relaxOneStep(X, V))
+        Definition = Definition && C.M->consistent(K);
+      EXPECT_EQ(isMinimallyInconsistent(X, *C.M, V), Definition)
+          << C.M->name() << "\n"
+          << X.dump();
+      ++Checked;
+      Minimal += Definition;
+      return true;
+    };
+    for (unsigned N = 2; N <= C.MaxEvents; ++N) {
+      ExecutionEnumerator Enum(V, N);
+      Enum.forEachBase([&](Execution &Base) {
+        Check(Base);
+        return Enum.forEachTxnPlacement(Base, Check);
+      });
+    }
+    EXPECT_GT(Checked, 0u) << C.M->name();
+    if (C.A == Arch::X86) {
+      EXPECT_GT(Minimal, 0u);
+    }
+  }
 }
 
 TEST(CanonicalTest, ThreadRenamingInvariance) {
