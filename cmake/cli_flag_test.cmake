@@ -40,6 +40,7 @@ expect_exit(2 tmw_serve --accept-limit bogus)
 expect_exit(2 tmw_serve --jobs bogus)
 expect_exit(2 tmw_serve --jobs)
 expect_exit(2 tmw_serve --serial)  # removed flag: an unknown-flag usage error
+expect_exit(2 litmus_tool --lint)  # removed flag: tmw_lint is the lint frontend
 expect_exit(2 tmw_audit --bases bogus)
 expect_exit(2 tmw_audit --events bogus)
 expect_exit(2 tmw_audit --placements bogus)

@@ -48,13 +48,6 @@
 ///                    obligations once per program. Verdict-neutral like
 ///                    --eval — byte-identical canonical JSON either way,
 ///                    and CI proves it with cmp.
-///   --lint           statically lint the batch's programs (lint/Lint.h)
-///                    instead of evaluating them: structured findings
-///                    (unused locations, unbalanced txn/lock regions, bad
-///                    RMW pairs, impossible postconditions, ...) print as
-///                    file:line diagnostics. Exit 1 when anything was
-///                    found, 0 when the batch lints clean. (tmw_lint is
-///                    the full-featured frontend with --json.)
 ///   --store <path>   persistent verdict store (store/VerdictStore.h):
 ///                    answers whose exact content key (program source,
 ///                    canonical specs, options, engine version) is on
@@ -71,10 +64,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "lint/Lint.h"
-#include "lint/LintIO.h"
 #include "litmus/Library.h"
-#include "litmus/Parser.h"
 #include "models/ModelRegistry.h"
 #include "query/QueryEngine.h"
 #include "query/QueryIO.h"
@@ -180,7 +170,7 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> ModelSpecs;
   std::vector<const char *> Files;
   bool Corpus = false, Json = false, Explain = false, Outcomes = false;
-  bool Telemetry = false, Lint = false, Specialize = true;
+  bool Telemetry = false, Specialize = true;
   unsigned Jobs = 1;
   uint64_t Cap = 0;
   std::string StorePath;
@@ -233,8 +223,6 @@ int main(int Argc, char **Argv) {
     } else if (std::strncmp(A, "--specialize=", 13) == 0) {
       if (!ParseSpecialize(A + 13))
         return 2;
-    } else if (std::strcmp(A, "--lint") == 0) {
-      Lint = true;
     } else if (std::strcmp(A, "--corpus") == 0) {
       Corpus = true;
     } else if (std::strcmp(A, "--json") == 0) {
@@ -323,45 +311,6 @@ int main(int Argc, char **Argv) {
     CheckRequest R;
     R.Source = DemoTest;
     Add(std::move(R), "");
-  }
-
-  // --lint: static analysis instead of evaluation. Parse failures count
-  // as findings (a program that does not parse certainly does not lint
-  // clean) and print as the usual file:line diagnostics.
-  if (Lint) {
-    int Findings = 0;
-    for (size_t I = 0; I < Requests.size(); ++I) {
-      const CheckRequest &R = Requests[I];
-      ParseResult Parsed;
-      const Program *P = nullptr;
-      std::string Name;
-      if (!R.Source.empty()) {
-        Parsed = parseProgram(R.Source);
-        if (!Parsed) {
-          std::fprintf(stderr, "%s:%u: error: %s\n",
-                       FileOf[I].empty() ? "<input>" : FileOf[I].c_str(),
-                       Parsed.ErrorLine, Parsed.Error.c_str());
-          ++Findings;
-          continue;
-        }
-        P = &Parsed.Prog;
-      } else {
-        const CorpusEntry *E = findCorpusEntry(R.Corpus);
-        if (!E)
-          continue; // Corpus names come from the corpus walk itself.
-        P = &E->Prog;
-      }
-      LintedProgram L;
-      L.Name = FileOf[I].empty() ? P->Name : FileOf[I];
-      L.Report = lintProgram(*P);
-      L.Facts = computeFacts(*P);
-      Findings += static_cast<int>(L.Report.Findings.size());
-      std::fputs(lintFindingsToText(L).c_str(), stdout);
-    }
-    if (Findings == 0)
-      std::printf("%zu program%s lint clean\n", Requests.size(),
-                  Requests.size() == 1 ? "" : "s");
-    return Findings ? 1 : 0;
   }
 
   // Strict --store diagnostics: a store that cannot be opened (unwritable

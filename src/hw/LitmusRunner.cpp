@@ -5,7 +5,6 @@
 #include "enumerate/Candidates.h"
 #include "hw/TsoMachine.h"
 
-#include <algorithm>
 #include <random>
 
 using namespace tmw;
@@ -79,12 +78,5 @@ std::vector<Outcome> tmw::outcomesOf(const RunReport &R) {
 
 RunReport tmw::runOnImpl(const Program &P, const MemoryModel &Impl,
                          uint64_t Runs, uint64_t Seed) {
-  std::vector<Outcome> Reachable;
-  for (const Candidate &C : enumerateCandidates(P))
-    if (Impl.consistent(C.X))
-      Reachable.push_back(C.O);
-  std::sort(Reachable.begin(), Reachable.end());
-  Reachable.erase(std::unique(Reachable.begin(), Reachable.end()),
-                  Reachable.end());
-  return sampleHistogram(P, Reachable, Runs, Seed);
+  return sampleHistogram(P, allowedOutcomes(P, Impl), Runs, Seed);
 }

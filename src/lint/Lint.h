@@ -10,8 +10,9 @@
 ///    `kMaxTxns`), unbalanced or ill-nested transaction and lock regions,
 ///    RMW partner indices that do not pair up, postcondition assertions
 ///    naming nonexistent loads or locations, and dependency references
-///    pointing at non-loads. Surfaced by the `tmw_lint` CLI, by
-///    `litmus_tool --lint`, and as a CI gate over the corpus.
+///    pointing at non-loads. Surfaced by the `tmw_lint` CLI, as a CI gate
+///    over the corpus, and in the query engine's error response for a
+///    program with no well-formed candidate execution.
 ///
 ///  * **Sound program facts** (`computeFacts`): which vocabulary classes
 ///    (models/Axiom.h `namespace vocab`) the program can possibly speak.

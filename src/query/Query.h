@@ -142,9 +142,11 @@ struct CheckResponse {
   /// empty).
   std::string Name;
   /// Non-empty when the request failed (DSL parse error, unknown corpus
-  /// entry, unknown model spec); the verdicts are then absent.
+  /// entry, unknown model spec, a program over an enumeration cap or with
+  /// no well-formed candidate execution); the verdicts are then absent.
   std::string Error;
-  /// For DSL parse errors: the 1-based source line (0 otherwise).
+  /// The 1-based source line of a DSL parse error, or of the first lint
+  /// error of a program with no well-formed candidate (0 otherwise).
   unsigned ErrorLine = 0;
   /// Candidates enumerated (shared by every model of the request).
   uint64_t Candidates = 0;

@@ -32,18 +32,15 @@ double secondsSince(TimePoint Start) {
 
 /// Evaluate one request using \p Arena as the per-worker analysis arena
 /// (created on first use, retargeted per candidate — the same arena
-/// discipline as the synthesis workers). \p Cache, when set, supplies
-/// interned models and cached parses; it never changes the response.
-/// \p PlanCache is the cache consulted for compiled evaluation plans —
-/// the session cache when one is attached, else a batch-local one (or
-/// nullptr: compile per request). \p Specialize, under the Planned
-/// strategy, pre-discharges footprint-disjoint obligations from the
-/// program's static vocabulary (verdict-neutral; see BatchOptions).
+/// discipline as the synthesis workers). \p Cache supplies the request's
+/// models, parse and plan; it never changes the response. \p Specialize,
+/// under the Planned strategy, pre-discharges footprint-disjoint
+/// obligations from the program's static vocabulary (verdict-neutral; see
+/// BatchOptions).
 CheckResponse evaluateRequest(const CheckRequest &R,
                               std::optional<ExecutionAnalysis> &Arena,
-                              SessionCache *Cache, EvalStrategy Strategy,
-                              SessionCache *PlanCache, VerdictStore *Store,
-                              bool Specialize) {
+                              SessionCache &Cache, EvalStrategy Strategy,
+                              VerdictStore *Store, bool Specialize) {
   TimePoint T0 = std::chrono::steady_clock::now();
   CheckResponse Resp;
   Resp.Name = R.Name;
@@ -54,58 +51,45 @@ CheckResponse evaluateRequest(const CheckRequest &R,
 
   // Resolve every model spec up front: a bad spec fails the request
   // before any enumeration work. Const models are shared freely across
-  // threads, so cached resolutions are handed out as-is.
+  // threads, so cached resolutions are handed out as-is, each with its
+  // canonical spelling.
   std::vector<std::string> Specs = R.ModelSpecs;
   if (Specs.empty())
     for (Arch A : ModelRegistry::allArchs())
       Specs.push_back(ModelRegistry::archSpecName(A));
   std::vector<std::shared_ptr<const MemoryModel>> Models;
+  std::vector<std::string> Canonical(Specs.size());
   Models.reserve(Specs.size());
-  for (const std::string &Spec : Specs) {
+  for (size_t M = 0; M < Specs.size(); ++M) {
     std::string Error;
-    std::shared_ptr<const MemoryModel> M =
-        Cache ? Cache->model(Spec, &Error)
-              : std::shared_ptr<const MemoryModel>(
-                    ModelRegistry::parse(Spec, &Error));
-    if (!M) {
-      Resp.Error = "model spec '" + Spec + "': " + Error;
+    std::shared_ptr<const MemoryModel> Model =
+        Cache.model(Specs[M], &Error, &Canonical[M]);
+    if (!Model) {
+      Resp.Error = "model spec '" + Specs[M] + "': " + Error;
       return Finish();
     }
-    Models.push_back(std::move(M));
+    Models.push_back(std::move(Model));
   }
 
-  // Resolve the program: inline DSL source or a corpus entry. The cached
-  // parse (and the shared corpus entry) outlive this evaluation — the
-  // shared_ptr keeps an evicted entry alive while we hold it.
-  ParseResult LocalParse;
-  std::shared_ptr<const ParseResult> CachedParse;
+  // Resolve the program: inline DSL source or a corpus entry, with its
+  // static facts (enumeration caps, plan specialization). The parse (and
+  // the shared corpus entry) outlive this evaluation — the shared_ptr
+  // keeps an evicted entry alive while we hold it.
+  std::shared_ptr<const ParseResult> Parse;
   const Program *P = nullptr;
+  ProgramFacts Facts;
   if (!R.Source.empty() && !R.Corpus.empty()) {
     Resp.Error = "request sets both 'source' and 'corpus'";
     return Finish();
   }
-  // Static program facts (enumeration caps, plan specialization): served
-  // from the session cache beside a cached parse (computed once at parse
-  // time), computed inline otherwise (one O(instructions) scan — trivia
-  // next to enumeration).
-  ProgramFacts Facts;
-  bool HaveFacts = false;
   if (!R.Source.empty()) {
-    const ParseResult *PR;
-    if (Cache) {
-      CachedParse = Cache->program(R.Source, &Facts);
-      PR = CachedParse.get();
-      HaveFacts = true;
-    } else {
-      LocalParse = parseProgram(R.Source);
-      PR = &LocalParse;
-    }
-    if (!*PR) {
-      Resp.Error = "parse error: " + PR->Error;
-      Resp.ErrorLine = PR->ErrorLine;
+    Parse = Cache.program(R.Source, &Facts);
+    if (!*Parse) {
+      Resp.Error = "parse error: " + Parse->Error;
+      Resp.ErrorLine = Parse->ErrorLine;
       return Finish();
     }
-    P = &PR->Prog;
+    P = &Parse->Prog;
   } else if (!R.Corpus.empty()) {
     const CorpusEntry *E = findCorpusEntry(R.Corpus);
     if (!E) {
@@ -113,6 +97,7 @@ CheckResponse evaluateRequest(const CheckRequest &R,
       return Finish();
     }
     P = &E->Prog;
+    Facts = computeFacts(*P);
   } else {
     Resp.Error = "empty request: set 'source' or 'corpus'";
     return Finish();
@@ -123,8 +108,6 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   // A program past an enumeration cap is refused, never answered from a
   // partial candidate set. The check precedes the store lookup, so an
   // answer stored before the refusal existed is never served either.
-  if (!HaveFacts)
-    Facts = computeFacts(*P);
   for (const LintFinding &F : capFindings(Facts)) {
     if (!Resp.Error.empty())
       Resp.Error += "; ";
@@ -135,7 +118,7 @@ CheckResponse evaluateRequest(const CheckRequest &R,
 
   Resp.Verdicts.resize(Models.size());
   for (size_t M = 0; M < Models.size(); ++M)
-    Resp.Verdicts[M].Spec = ModelRegistry::print(*Models[M]);
+    Resp.Verdicts[M].Spec = Canonical[M];
 
   // Persistent tier: with a verdict store attached, an exact content
   // match (engine version, options, name, canonical specs, full program
@@ -145,9 +128,6 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   // stored hit is byte-identical to a cold evaluation.
   std::string StoreKey;
   if (Store) {
-    std::vector<std::string> Canonical(Resp.Verdicts.size());
-    for (size_t M = 0; M < Resp.Verdicts.size(); ++M)
-      Canonical[M] = Resp.Verdicts[M].Spec;
     // Corpus entries are keyed by their printed DSL — the same content
     // address an inline submission of the identical program would get.
     std::string CorpusSource;
@@ -176,30 +156,21 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   // Planned strategy: compile (or fetch) the spec set's cross-spec
   // evaluation plan. Keyed by the canonical printed specs, so any
   // spelling of the same resolved set shares one plan.
-  std::shared_ptr<const EvalPlan> CachedPlan;
-  EvalPlan LocalPlan;
-  const EvalPlan *Plan = nullptr;
+  std::shared_ptr<const EvalPlan> Plan;
   EvalPlan::Scratch Scratch;
   std::optional<EvalPlan::Specialization> Spec;
   if (Strategy == EvalStrategy::Planned) {
     std::vector<const MemoryModel *> Raw(Models.size());
     for (size_t M = 0; M < Models.size(); ++M)
       Raw[M] = Models[M].get();
-    if (PlanCache) {
-      std::string Key;
-      for (const ModelVerdict &V : Resp.Verdicts) {
-        Key += V.Spec;
-        Key += '\n';
-      }
-      bool Hit = false;
-      CachedPlan = PlanCache->plan(Key, Raw, &Hit);
-      Plan = CachedPlan.get();
-      (Hit ? Resp.Plan.CacheHits : Resp.Plan.Compiles) = 1;
-    } else {
-      LocalPlan = EvalPlan::compile(Raw);
-      Plan = &LocalPlan;
-      Resp.Plan.Compiles = 1;
+    std::string Key;
+    for (const std::string &C : Canonical) {
+      Key += C;
+      Key += '\n';
     }
+    bool Hit = false;
+    Plan = Cache.plan(Key, Raw, &Hit);
+    (Hit ? Resp.Plan.CacheHits : Resp.Plan.Compiles) = 1;
     Scratch = Plan->makeScratch();
     if (Specialize)
       Spec = Plan->specialize(Facts);
@@ -249,6 +220,26 @@ CheckResponse evaluateRequest(const CheckRequest &R,
     Resp.Plan.Discharged = PC.Discharged;
   }
 
+  // An in-cap program yields no candidate only when every shape failed
+  // the well-formedness check (a cap never stops before the first one).
+  // Answer with the lint errors that say why, never with verdicts over an
+  // empty candidate set.
+  if (Resp.Candidates == 0) {
+    Resp.Verdicts.clear();
+    Resp.Error = "no well-formed candidate execution";
+    bool First = true;
+    for (const LintFinding &F : lintProgram(*P).Findings) {
+      if (F.Severity != LintSeverity::Error)
+        continue;
+      if (First)
+        Resp.ErrorLine = F.Line;
+      Resp.Error += First ? ": " : "; ";
+      Resp.Error += F.Message + " [" + std::string(F.Code) + "]";
+      First = false;
+    }
+    return Finish();
+  }
+
   if (R.Explain)
     for (size_t M = 0; M < Models.size(); ++M) {
       ModelVerdict &V = Resp.Verdicts[M];
@@ -292,17 +283,15 @@ CheckResponse evaluateRequest(const CheckRequest &R,
 } // namespace
 
 BatchRun::BatchRun(std::span<const CheckRequest> Requests,
-                   unsigned NumWorkers, SessionCache *Cache,
-                   std::function<void(const CheckResponse &)> OnResult,
-                   EvalStrategy Strategy, VerdictStore *Store,
-                   bool Specialize)
-    : Requests(Requests), Cache(Cache), OnResult(std::move(OnResult)),
-      Strategy(Strategy), Store(Store), Specialize(Specialize),
+                   unsigned NumWorkers, const BatchOptions &Opts,
+                   std::function<void(const CheckResponse &)> OnResult)
+    : Requests(Requests), Opts(Opts), OnResult(std::move(OnResult)),
       Results(Requests.size()), Done(Requests.size(), 0),
       Loads(NumWorkers), T0(std::chrono::steady_clock::now()) {
-  // Cache-less planned batches still share one plan per distinct spec set.
-  if (!Cache && Strategy == EvalStrategy::Planned)
-    BatchPlans.emplace();
+  // Without a resident cache the batch owns one that keeps models and
+  // plans but no parses: a batch names each source once.
+  if (!this->Opts.Cache)
+    this->Opts.Cache = &OwnCache.emplace(0);
 }
 
 bool BatchRun::runOne(size_t I, unsigned Worker,
@@ -312,10 +301,8 @@ bool BatchRun::runOne(size_t I, unsigned Worker,
   ++Loads[Worker].Tasks;
   Loads[Worker].Steals += Stolen;
   if (!Skip) {
-    Results[I] = evaluateRequest(Requests[I], Arena, Cache, Strategy,
-                                 Cache ? Cache : (BatchPlans ? &*BatchPlans
-                                                             : nullptr),
-                                 Store, Specialize);
+    Results[I] = evaluateRequest(Requests[I], Arena, *Opts.Cache,
+                                 Opts.Strategy, Opts.Store, Opts.Specialize);
     Loads[Worker].BasesVisited += Results[I].Candidates;
   }
   Loads[Worker].BusySeconds += secondsSince(S0);
@@ -348,9 +335,7 @@ std::vector<CheckResponse> BatchRun::take(BatchTelemetry &T) {
 }
 
 CheckResponse QueryEngine::evaluate(const CheckRequest &R) const {
-  std::optional<ExecutionAnalysis> Arena;
-  return evaluateRequest(R, Arena, Opts.Cache, Opts.Strategy, Opts.Cache,
-                         Opts.Store, Opts.Specialize);
+  return std::move(runAll(std::span(&R, 1)).front());
 }
 
 BatchTelemetry QueryEngine::run(
@@ -387,8 +372,7 @@ std::vector<CheckResponse> QueryEngine::runAllInto(
   // count would only contend, so clamp.
   unsigned Jobs = std::max(1u, Opts.Jobs);
   Jobs = static_cast<unsigned>(std::min<size_t>(Jobs, N));
-  BatchRun Batch(Requests, Jobs, Opts.Cache, OnResult, Opts.Strategy,
-                 Opts.Store, Opts.Specialize);
+  BatchRun Batch(Requests, Jobs, Opts, OnResult);
   std::atomic<size_t> Next{0};
   auto Work = [&](unsigned W) {
     std::optional<ExecutionAnalysis> Arena;

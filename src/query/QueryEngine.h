@@ -58,12 +58,14 @@ enum class EvalStrategy : uint8_t {
 struct BatchOptions {
   /// Worker threads for `run`/`runAll` (1 = evaluate inline, no threads).
   unsigned Jobs = 1;
-  /// Optional resident caches (parsed programs, interned model specs,
-  /// compiled evaluation plans) consulted by every evaluation. nullptr =
-  /// parse and resolve per request, as a one-shot run does. Caching never
-  /// changes a verdict — a cached program/model/plan is identical to a
-  /// recomputed one — so cached and uncached runs produce byte-identical
-  /// response JSON.
+  /// The resident caches (parsed programs, interned model specs,
+  /// compiled evaluation plans) every evaluation resolves through.
+  /// nullptr = a cache for this batch alone (`SessionCache(0)`) that keeps
+  /// models and plans, not parses: each distinct spec is resolved and
+  /// printed once per batch, each distinct spec set compiled once, and
+  /// every source parsed afresh. Caching never changes a verdict — a
+  /// cached program/model/plan is identical to a recomputed one — so
+  /// resident and per-batch caches produce byte-identical response JSON.
   SessionCache *Cache = nullptr;
   /// Candidate evaluation strategy (Planned and Independent produce
   /// byte-identical canonical JSON; only the telemetry differs).
@@ -92,18 +94,19 @@ struct BatchOptions {
 /// per call that claim indices from one atomic counter, while the
 /// resident query server (server/QueryServer.h) interleaves
 /// `(batch, request-index)` tasks of many batches over one persistent
-/// pool. Request evaluation is the same code either way, so verdict bytes
-/// cannot depend on which owner — or how many rival batches — scheduled
-/// them. Responses stream to the optional callback in request order,
-/// whatever order workers finish in; `take` collects them at the end.
+/// pool. Request evaluation is the same code either way, and every request
+/// resolves its models, program and plan through one `SessionCache` (the
+/// resident `Opts.Cache` or the batch's own), so verdict bytes cannot
+/// depend on which owner — or how many rival batches — scheduled them.
+/// Responses stream to the optional callback in request order, whatever
+/// order workers finish in; `take` collects them at the end.
 class BatchRun {
 public:
-  /// Evaluation state for \p NumWorkers workers (ids 0..NumWorkers-1).
+  /// Evaluation state for \p NumWorkers workers (ids 0..NumWorkers-1);
+  /// `Opts.Jobs` is the owner's business and ignored here.
   BatchRun(std::span<const CheckRequest> Requests, unsigned NumWorkers,
-           SessionCache *Cache = nullptr,
-           std::function<void(const CheckResponse &)> OnResult = nullptr,
-           EvalStrategy Strategy = EvalStrategy::Planned,
-           VerdictStore *Store = nullptr, bool Specialize = true);
+           const BatchOptions &Opts,
+           std::function<void(const CheckResponse &)> OnResult = nullptr);
   BatchRun(const BatchRun &) = delete;
   BatchRun &operator=(const BatchRun &) = delete;
 
@@ -129,14 +132,11 @@ public:
 
 private:
   std::span<const CheckRequest> Requests;
-  SessionCache *Cache;
+  /// The batch's own cache, when the caller attached none.
+  std::optional<SessionCache> OwnCache;
+  /// The caller's options, with `Cache` pointing at `OwnCache` if unset.
+  BatchOptions Opts;
   std::function<void(const CheckResponse &)> OnResult;
-  EvalStrategy Strategy;
-  VerdictStore *Store;
-  bool Specialize;
-  /// Plan cache for cache-less planned batches, so a batch shares one
-  /// resident plan per distinct spec set (a resident `Cache` subsumes it).
-  std::optional<SessionCache> BatchPlans;
   std::vector<CheckResponse> Results;
   /// Responses computed but not yet emitted in order (guarded by EmitMu).
   std::vector<char> Done;
@@ -153,7 +153,7 @@ class QueryEngine {
 public:
   explicit QueryEngine(BatchOptions Opts = {}) : Opts(Opts) {}
 
-  /// Evaluate one request in the calling thread.
+  /// Evaluate one request in the calling thread: a one-request `runAll`.
   CheckResponse evaluate(const CheckRequest &R) const;
 
   /// Evaluate \p Requests on `Opts.Jobs` pool workers, streaming each

@@ -11,6 +11,17 @@ using namespace tmw;
 
 std::shared_ptr<const ParseResult> SessionCache::program(
     std::string_view Source, ProgramFacts *Facts) {
+  // Bound 0 keeps nothing: parse and scan afresh, without a key copy.
+  if (MaxPrograms == 0) {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      ++S.ProgramMisses;
+    }
+    auto Parsed = std::make_shared<const ParseResult>(parseProgram(Source));
+    if (Facts)
+      *Facts = *Parsed ? computeFacts(Parsed->Prog) : ProgramFacts();
+    return Parsed;
+  }
   std::string Key(Source);
   {
     std::lock_guard<std::mutex> Lock(Mu);
@@ -68,23 +79,29 @@ std::shared_ptr<const ParseResult> SessionCache::program(
 }
 
 std::shared_ptr<const MemoryModel> SessionCache::model(
-    const std::string &Spec, std::string *Error) {
+    const std::string &Spec, std::string *Error, std::string *Canonical) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
     auto It = Models.find(Spec);
     if (It != Models.end()) {
       ++S.ModelHits;
-      return It->second;
+      if (Canonical)
+        *Canonical = It->second.Canonical;
+      return It->second.Model;
     }
     ++S.ModelMisses;
   }
-  std::shared_ptr<const MemoryModel> M = ModelRegistry::parse(Spec, Error);
-  if (!M)
+  // Resolve and print outside the lock, once per distinct spec string.
+  ModelEntry E{ModelRegistry::parse(Spec, Error), {}};
+  if (!E.Model)
     return nullptr;
+  E.Canonical = ModelRegistry::print(*E.Model);
   std::lock_guard<std::mutex> Lock(Mu);
-  auto [It, Inserted] = Models.emplace(Spec, M);
+  auto It = Models.emplace(Spec, std::move(E)).first;
   S.ModelsCached = Models.size();
-  return Inserted ? M : It->second;
+  if (Canonical)
+    *Canonical = It->second.Canonical;
+  return It->second.Model;
 }
 
 std::shared_ptr<const EvalPlan>

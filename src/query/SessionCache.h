@@ -5,9 +5,10 @@
 /// repeated queries stop paying per-batch setup: parsed `Program`s keyed
 /// by their full DSL source (content-addressed through the map's string
 /// hash — identical source always hits, and an entry can never go stale),
-/// and resolved model-registry specs interned by spec string (models are
-/// immutable after configuration, so one instance is shared freely across
-/// worker threads and batches).
+/// and resolved model-registry specs interned by spec string, each with
+/// its canonical printed spelling (models are immutable after
+/// configuration, so one instance is shared freely across worker threads
+/// and batches).
 ///
 /// Ownership contract: lookups hand out `shared_ptr`s, so an entry stays
 /// alive for as long as any in-flight request references it — eviction
@@ -24,7 +25,11 @@
 /// replaces the original wholesale drop, which re-parsed the *entire*
 /// resident working set on the next batch — a thundering re-parse spike
 /// under the multiplexer when many rival clients share the one cache.
-/// The model cache is tiny (spec strings) and unbounded.
+/// A bound of 0 keeps no parses at all: `program` parses and scans every
+/// source afresh and never evicts. That is the cache a one-shot batch
+/// owns (query/QueryEngine.h): its sources arrive once each, so a kept
+/// parse would never be hit. The model and plan caches are tiny (spec
+/// strings, spec sets) and unbounded.
 ///
 /// Thread-safe: one mutex guards the maps; lookups are cheap next to
 /// enumeration, so the lock is uncontended in practice.
@@ -78,8 +83,12 @@ public:
 
   /// Resolve-or-fetch the registry spec \p Spec. Returns nullptr (and
   /// sets \p Error) for an unresolvable spec; failures are not cached.
+  /// \p Canonical, when non-null, receives the model's canonical spelling
+  /// (`ModelRegistry::print`), printed once when the spec is first
+  /// resolved and served with every hit.
   std::shared_ptr<const MemoryModel> model(const std::string &Spec,
-                                           std::string *Error = nullptr);
+                                           std::string *Error = nullptr,
+                                           std::string *Canonical = nullptr);
 
   /// Compile-or-fetch the cross-spec evaluation plan for \p Models,
   /// keyed by \p Key — the request's *canonical* printed specs joined by
@@ -115,8 +124,12 @@ private:
   mutable std::mutex Mu;
   std::unordered_map<std::string, ProgramEntry> Programs;
   uint64_t NextGen = 0;
-  std::unordered_map<std::string, std::shared_ptr<const MemoryModel>>
-      Models;
+  /// One interned resolution: the model and its canonical spelling.
+  struct ModelEntry {
+    std::shared_ptr<const MemoryModel> Model;
+    std::string Canonical;
+  };
+  std::unordered_map<std::string, ModelEntry> Models;
   /// Compiled evaluation plans keyed by canonical spec-set (tiny, like
   /// the model cache: sessions check a handful of spec sets).
   std::unordered_map<std::string, std::shared_ptr<const EvalPlan>> Plans;

@@ -8,7 +8,8 @@
 /// outcome sets — must equal a fresh enumeration per model with throwaway
 /// analyses. Plus: batch output byte-identical for Jobs in {1, 4, 16},
 /// in-order streaming, candidate caps, request-level error reporting,
-/// and the refusal of programs past the enumeration caps.
+/// and the refusal of programs past the enumeration caps or with no
+/// well-formed candidate.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -240,6 +241,23 @@ TEST(QueryEngine_, RequestErrors) {
   Both.Corpus = "SB";
   CheckResponse R5 = Engine.evaluate(Both);
   EXPECT_FALSE(static_cast<bool>(R5));
+
+  // Every shape of this program fails well-formedness (a lock region
+  // closed by txunlock), so it has no candidate to answer from: an error
+  // carrying the lint finding and its line, not "allowed: false".
+  CheckRequest Unbalanced;
+  Unbalanced.Source = "name lockprobe\nthread 0\n  lock\n  store x 1\n"
+                      "  txunlock\n";
+  Unbalanced.ModelSpecs = {"x86"};
+  CheckResponse R6 = Engine.evaluate(Unbalanced);
+  EXPECT_FALSE(static_cast<bool>(R6));
+  EXPECT_EQ(R6.Error.rfind("no well-formed candidate execution: ", 0), 0u)
+      << R6.Error;
+  EXPECT_NE(R6.Error.find("[unbalanced-lock]"), std::string::npos)
+      << R6.Error;
+  EXPECT_EQ(R6.ErrorLine, 5u);
+  EXPECT_EQ(R6.Candidates, 0u);
+  EXPECT_TRUE(R6.Verdicts.empty());
 
   // A failing request inside a batch fails only itself.
   std::vector<CheckRequest> Mixed;

@@ -10,7 +10,10 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "lint/Lint.h"
 #include "litmus/Library.h"
+#include "litmus/Parser.h"
+#include "models/ModelRegistry.h"
 #include "query/QueryEngine.h"
 #include "query/QueryIO.h"
 #include "query/SessionCache.h"
@@ -153,6 +156,20 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
   CheckRequest Fine;
   Fine.Corpus = "SB";
   Requests.push_back(Fine);
+  // Past kMaxEvents: refused, never answered from a partial candidate set.
+  CheckRequest OverCap;
+  OverCap.Name = "loads71";
+  OverCap.Source = "name loads71\nthread 0\n";
+  for (int I = 0; I < 71; ++I)
+    OverCap.Source += "  load x\n";
+  Requests.push_back(OverCap);
+  // No well-formed candidate (a lock region closed by txunlock).
+  CheckRequest Unbalanced;
+  Unbalanced.Name = "lockprobe";
+  Unbalanced.Source = "name lockprobe\nthread 0\n  lock\n  store x 1\n"
+                      "  txunlock\n";
+  Requests.push_back(Unbalanced);
+  Requests.push_back(Fine);
 
   QueryServer S({2});
   std::string Served = S.serveLine(requestsToJsonLine(Requests));
@@ -161,11 +178,27 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
   std::vector<CheckResponse> Back;
   std::string Error;
   ASSERT_TRUE(responsesFromJson(Served, Back, &Error)) << Error;
-  ASSERT_EQ(Back.size(), 3u);
+  ASSERT_EQ(Back.size(), 6u);
   EXPECT_FALSE(Back[0].Error.empty());
   EXPECT_FALSE(Back[1].Error.empty());
   EXPECT_GT(Back[1].ErrorLine, 0u); // DSL parse errors carry the line
   EXPECT_TRUE(Back[2].Error.empty());
+
+  ParseResult Parsed = parseProgram(OverCap.Source);
+  ASSERT_TRUE(static_cast<bool>(Parsed)) << Parsed.Error;
+  std::vector<LintFinding> Caps = capFindings(computeFacts(Parsed.Prog));
+  ASSERT_EQ(Caps.size(), 1u);
+  EXPECT_EQ(Caps[0].Code, "too-many-events");
+  EXPECT_EQ(Back[3].Error, Caps[0].Message);
+  EXPECT_TRUE(Back[3].Verdicts.empty());
+
+  EXPECT_NE(Back[4].Error.find("no well-formed candidate execution"),
+            std::string::npos)
+      << Back[4].Error;
+  EXPECT_EQ(Back[4].ErrorLine, 5u);
+  EXPECT_TRUE(Back[4].Verdicts.empty());
+  EXPECT_TRUE(Back[5].Error.empty()) << Back[5].Error;
+  EXPECT_FALSE(Back[5].Verdicts.empty());
 }
 
 TEST(QueryServer, PoolSurvivesManyBatches) {
@@ -194,12 +227,9 @@ TEST(QueryServer, PoolSurvivesManyBatches) {
 }
 
 TEST(QueryServer, EvictionKeepsServing) {
-  // A tiny program cache bound forces wholesale eviction; verdicts and
-  // bytes are unaffected (content-addressed entries just re-parse).
-  ServerOptions Opts;
-  Opts.Jobs = 1;
-  Opts.MaxCachedPrograms = 2;
-  QueryServer S(Opts);
+  // A tiny program cache bound forces eviction, and a bound of 0 keeps no
+  // parses at all; verdicts and bytes are unaffected either way
+  // (content-addressed entries just re-parse).
   std::vector<std::string> Lines;
   for (int V = 0; V < 4; ++V) {
     CheckRequest R;
@@ -210,13 +240,26 @@ TEST(QueryServer, EvictionKeepsServing) {
     R.ModelSpecs = {"x86"};
     Lines.push_back(requestsToJsonLine(std::vector<CheckRequest>{R}));
   }
-  std::vector<std::string> Golden;
-  for (const std::string &L : Lines)
-    Golden.push_back(S.serveLine(L));
-  for (int Round = 0; Round < 3; ++Round)
-    for (size_t I = 0; I < Lines.size(); ++I)
-      ASSERT_EQ(S.serveLine(Lines[I]), Golden[I]);
-  EXPECT_GT(S.stats().Cache.ProgramEvictions, 0u);
+  for (size_t Bound : {0u, 2u}) {
+    ServerOptions Opts;
+    Opts.Jobs = 1;
+    Opts.MaxCachedPrograms = Bound;
+    QueryServer S(Opts);
+    std::vector<std::string> Golden;
+    for (const std::string &L : Lines)
+      Golden.push_back(S.serveLine(L));
+    for (int Round = 0; Round < 3; ++Round)
+      for (size_t I = 0; I < Lines.size(); ++I)
+        ASSERT_EQ(S.serveLine(Lines[I]), Golden[I]) << "bound " << Bound;
+    SessionCache::Stats St = S.stats().Cache;
+    if (Bound == 0) {
+      EXPECT_EQ(St.ProgramsCached, 0u);
+      EXPECT_EQ(St.ProgramEvictions, 0u);
+      EXPECT_EQ(St.ProgramHits, 0u);
+    } else {
+      EXPECT_GT(St.ProgramEvictions, 0u);
+    }
+  }
 }
 
 /// One socket session over a one-connection multiplexer: connect
@@ -359,6 +402,14 @@ TEST(SessionCache, ContentAddressedAndFailureCaching) {
   auto M2 = C.model("power/-TxnOrder");
   ASSERT_TRUE(M1);
   EXPECT_EQ(M1.get(), M2.get());
+  // Any spelling reports the canonical one, on a miss and on a hit.
+  for (int Lookup = 0; Lookup < 2; ++Lookup) {
+    std::string Canonical;
+    auto M3 = C.model("POWER/-txnorder", nullptr, &Canonical);
+    ASSERT_TRUE(M3);
+    EXPECT_EQ(Canonical, "power/-TxnOrder");
+    EXPECT_EQ(Canonical, ModelRegistry::print(*M3));
+  }
   std::string Error;
   EXPECT_EQ(C.model("warp9", &Error), nullptr);
   EXPECT_FALSE(Error.empty());

@@ -129,7 +129,8 @@ TEST(VerdictStore, RoundTripReopenAndCounters) {
   // Distinct names / sources / options never share a key.
   EXPECT_NE(key("A", "prog-a"), key("A", "prog-b"));
   EXPECT_NE(key("A", "prog-a"), key("B", "prog-a"));
-  EXPECT_NE(key("A", "prog-a"), key("A", "prog-a", /*Version=*/2));
+  EXPECT_NE(key("A", "prog-a"),
+            key("A", "prog-a", VerdictStore::kEngineVersion + 1));
   std::vector<std::string> Specs = {"x86"};
   EXPECT_NE(
       VerdictStore::makeKey("A", "s", Specs, false, true, 0),
