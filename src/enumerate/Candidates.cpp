@@ -2,6 +2,8 @@
 
 #include "enumerate/Candidates.h"
 
+#include "enumerate/Enumerator.h"
+
 #include <algorithm>
 #include <functional>
 
@@ -12,12 +14,12 @@ namespace {
 /// Instruction-to-event mapping state while assembling one transaction
 /// success/failure choice.
 struct Shape {
-  Execution X;
+  /// The candidate handed to the sink: this shape's events, completed by
+  /// each rf/co choice in place, with its outcome refilled per choice.
+  Candidate C;
   /// Event id per (thread, instruction index), -1 when it vanished or is a
   /// transaction delimiter.
   std::vector<std::vector<int>> EventOf;
-  /// Value written by each write event (from the program).
-  std::vector<int> WriteValue;
   /// True when every transaction of the program succeeded.
   bool AllTxnsSucceeded = true;
 };
@@ -28,8 +30,9 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
                 Shape &S) {
   unsigned NumTx = 0;
   std::vector<Event> Events;
-  std::vector<int> Txns, Crs, Values;
+  std::vector<int> Txns, Crs;
   S.EventOf.assign(P.Threads.size(), {});
+  S.AllTxnsSucceeded = true;
 
   int NextTxnClass = 0, NextCrClass = 0;
   uint32_t AtomicMask = 0;
@@ -71,7 +74,6 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
         Events.push_back(Ev);
         Txns.push_back(CurTxn);
         Crs.push_back(CurCr);
-        Values.push_back(0);
         break;
       }
       case Instruction::Kind::Unlock:
@@ -86,7 +88,6 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
         Events.push_back(Ev);
         Txns.push_back(CurTxn);
         Crs.push_back(CurCr);
-        Values.push_back(0);
         CurCr = kNoClass;
         break;
       }
@@ -113,7 +114,6 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
         Events.push_back(Ev);
         Txns.push_back(CurTxn);
         Crs.push_back(CurCr);
-        Values.push_back(I.Value);
         break;
       }
       }
@@ -124,7 +124,7 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
   if (Events.size() > kMaxEvents)
     return false;
 
-  Execution &X = S.X;
+  Execution &X = S.C.X;
   X.clear(static_cast<unsigned>(Events.size()));
   for (unsigned E = 0; E < Events.size(); ++E) {
     X.event(E) = Events[E];
@@ -132,7 +132,6 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
     X.Cr[E] = Crs[E];
   }
   X.AtomicTxns = AtomicMask;
-  S.WriteValue = Values;
 
   // po: id order within each thread (events were appended in order).
   for (unsigned A = 0; A < Events.size(); ++A)
@@ -172,11 +171,12 @@ bool buildShape(const Program &P, const std::vector<bool> &Succeed,
   return true;
 }
 
-/// Compute the outcome of a fully assembled candidate.
-Outcome outcomeOf(const Program &P, const Shape &S) {
-  const Execution &X = S.X;
-  Outcome O;
+/// Refill the outcome of the candidate in \p S from its current rf/co.
+void fillOutcome(const Program &P, Shape &S) {
+  const Execution &X = S.C.X;
+  Outcome &O = S.C.O;
 
+  O.RegValues.clear();
   for (unsigned T = 0; T < P.Threads.size(); ++T)
     for (unsigned Idx = 0; Idx < P.Threads[T].size(); ++Idx) {
       if (P.Threads[T][Idx].K != Instruction::Kind::Load)
@@ -189,7 +189,7 @@ Outcome outcomeOf(const Program &P, const Shape &S) {
           X.Rf.restrictRange(EventSet::singleton(static_cast<EventId>(E)))
               .domain();
       for (EventId W : Srcs)
-        V = S.WriteValue[W];
+        V = X.event(W).WrittenValue;
       O.RegValues.push_back({T, Idx, V});
     }
   std::sort(O.RegValues.begin(), O.RegValues.end());
@@ -201,7 +201,7 @@ Outcome outcomeOf(const Program &P, const Shape &S) {
     EventSet Ws = X.writes() & X.atLocation(static_cast<LocId>(L));
     for (EventId W : Ws)
       if ((X.Co.successors(W) & Ws).empty())
-        O.MemValues[L] = S.WriteValue[W];
+        O.MemValues[L] = X.event(W).WrittenValue;
   }
   // A failed transaction's abort handler zeroes `ok` (Fig. 2).
   if (!S.AllTxnsSucceeded) {
@@ -209,100 +209,43 @@ Outcome outcomeOf(const Program &P, const Shape &S) {
     if (Ok >= 0)
       O.MemValues[Ok] = 0;
   }
-  return O;
-}
-
-/// Enumerate rf choices (per read: a same-location write or the initial
-/// value), then co orders, invoking \p Sink on every complete candidate.
-/// Stops — and returns false — as soon as \p Sink returns false.
-bool enumerateRfCo(const Program &P, Shape &S,
-                   const std::function<bool(const Candidate &)> &Sink) {
-  Execution &X = S.X;
-  std::vector<EventId> Reads;
-  for (EventId R : X.reads())
-    Reads.push_back(R);
-
-  // Writers per location.
-  unsigned NumLocs = X.numLocations();
-  std::vector<std::vector<EventId>> WritersOf(NumLocs);
-  for (EventId W : X.writes())
-    WritersOf[X.event(W).Loc].push_back(W);
-
-  std::function<bool(unsigned)> ChooseCo = [&](unsigned L) {
-    if (L == NumLocs) {
-      Candidate C{X, outcomeOf(P, S)};
-      return Sink(C);
-    }
-    std::vector<EventId> &Ws = WritersOf[L];
-    if (Ws.size() <= 1)
-      return ChooseCo(L + 1);
-    std::vector<EventId> Perm = Ws;
-    std::sort(Perm.begin(), Perm.end());
-    bool Go = true;
-    do {
-      for (unsigned I = 0; I < Perm.size(); ++I)
-        for (unsigned J = 0; J < Perm.size(); ++J)
-          if (I < J)
-            X.Co.insert(Perm[I], Perm[J]);
-          else if (I != J)
-            X.Co.erase(Perm[I], Perm[J]);
-      Go = ChooseCo(L + 1);
-    } while (Go && std::next_permutation(Perm.begin(), Perm.end()));
-    // Restore a clean slate for this location.
-    for (EventId A : Ws)
-      for (EventId B : Ws)
-        if (A != B)
-          X.Co.erase(A, B);
-    return Go;
-  };
-
-  std::function<bool(unsigned)> ChooseRf = [&](unsigned RI) {
-    if (RI == Reads.size())
-      return ChooseCo(0);
-    EventId R = Reads[RI];
-    LocId L = X.event(R).Loc;
-    // Initial value: no incoming rf.
-    if (!ChooseRf(RI + 1))
-      return false;
-    for (EventId W : WritersOf[L]) {
-      X.Rf.insert(W, R);
-      bool Go = ChooseRf(RI + 1);
-      X.Rf.erase(W, R);
-      if (!Go)
-        return false;
-    }
-    return true;
-  };
-
-  return ChooseRf(0);
 }
 
 } // namespace
 
-bool tmw::forEachCandidate(
-    const Program &P, const std::function<bool(const Candidate &)> &Sink) {
+const char *
+tmw::forEachCandidate(const Program &P,
+                      const std::function<bool(const Candidate &)> &Sink) {
   unsigned NumTx = 0;
   for (const auto &T : P.Threads)
     for (const Instruction &I : T)
       if (I.K == Instruction::Kind::TxBegin)
         ++NumTx;
 
+  Shape S;
+  std::vector<bool> Succeed(NumTx);
+  const char *Err = nullptr;
+  bool Go = true;
   for (uint64_t Mask = 0; Mask < (uint64_t(1) << NumTx); ++Mask) {
-    std::vector<bool> Succeed(NumTx);
     for (unsigned I = 0; I < NumTx; ++I)
       Succeed[I] = (Mask >> I) & 1;
-    Shape S;
     if (!buildShape(P, Succeed, S))
       continue;
-    bool Go = enumerateRfCo(P, S, [&Sink](const Candidate &C) {
-      if (C.X.checkWellFormed() != nullptr)
-        return true; // malformed: skip, keep enumerating
-      return Sink(C);
-    });
-    if (!Go)
-      return false;
+    // The rf/co choices are well-formed by construction: one check per
+    // shape, made even after the sink stopped, so the answer does not
+    // depend on where it stopped.
+    if (const char *Why = S.C.X.checkShape()) {
+      if (!Err)
+        Err = Why;
+      continue;
+    }
+    if (Go)
+      Go = forEachRfCo(S.C.X, [&] {
+        fillOutcome(P, S);
+        return Sink(S.C);
+      });
   }
-  return true;
+  return Err;
 }
 
 std::vector<Candidate> tmw::enumerateCandidates(const Program &P) {

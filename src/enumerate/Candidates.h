@@ -34,20 +34,32 @@ struct Candidate {
 
 /// Stream every well-formed candidate execution of \p P into \p Sink, in
 /// a deterministic order (transaction success masks, then rf choices,
-/// then co permutations). The candidate is only valid for the duration of
-/// the call; copy it to keep it. \p Sink returns false to stop the
-/// enumeration early (e.g. a candidate cap); the function then returns
-/// false too. This is the single enumeration primitive: a consumer that
-/// checks one program against many models should enumerate once through
-/// here and fan each candidate out to all models (see query/QueryEngine),
-/// instead of re-enumerating per model.
+/// then co permutations; see `forEachRfCo` in enumerate/Enumerator.h). The
+/// candidate is one buffer completed in place and only valid for the
+/// duration of the call; copy it to keep it. \p Sink returns false to
+/// stop the enumeration early (e.g. a candidate cap). This is the single
+/// enumeration primitive: a consumer that checks one program against many
+/// models should enumerate once through here and fan each candidate out
+/// to all models (see query/QueryEngine), instead of re-enumerating per
+/// model.
+///
+/// Each success mask yields one shape (the events and their po,
+/// dependencies, rmw, transactions and critical regions), checked once
+/// with `Execution::checkShape()`; the rf/co choices over a well-formed
+/// shape are well-formed by construction. An ill-formed shape — e.g. an
+/// aborted transaction dropping the `unlock` of a region opened before
+/// it — yields no candidate. Returns the first ill-formed shape's reason,
+/// or nullptr when every shape is well-formed. Every shape is checked,
+/// also after \p Sink stopped, so the answer does not depend on where
+/// it stopped.
 ///
 /// \p P must fit the enumeration caps (`capFindings` in lint/Lint.h is
 /// empty): a shape past `kMaxEvents` events is skipped, and the success
 /// masks number 2^transactions. The query engine refuses programs that
 /// do not fit rather than answer from a partial candidate set.
-bool forEachCandidate(const Program &P,
-                      const std::function<bool(const Candidate &)> &Sink);
+const char *
+forEachCandidate(const Program &P,
+                 const std::function<bool(const Candidate &)> &Sink);
 
 /// All well-formed candidate executions of \p P, materialised.
 std::vector<Candidate> enumerateCandidates(const Program &P);

@@ -3,6 +3,7 @@
 #include "enumerate/Enumerator.h"
 
 #include <algorithm>
+#include <array>
 
 using namespace tmw;
 
@@ -72,6 +73,79 @@ bool forEachSkeletonImpl(unsigned Num, unsigned MaxThreads, F &&Sink) {
   return Rec(Num, Num);
 }
 
+/// One `forEachRfCo` walk: the reads in id order, the writes grouped by
+/// location (id order within a location).
+struct RfCoSearch {
+  Execution &X;
+  const std::function<bool()> &Leaf;
+  std::array<EventId, kMaxEvents> Reads, Writes;
+  unsigned NumReads = 0, NumWrites = 0;
+
+  RfCoSearch(Execution &X, const std::function<bool()> &Leaf)
+      : X(X), Leaf(Leaf) {
+    assert(X.Rf.isEmpty() && X.Co.isEmpty() && "rf/co already chosen");
+    for (unsigned E = 0; E < X.size(); ++E)
+      if (X.event(E).isRead())
+        Reads[NumReads++] = E;
+      else if (X.event(E).isWrite())
+        Writes[NumWrites++] = E;
+    std::sort(Writes.begin(), Writes.begin() + NumWrites,
+              [this](EventId A, EventId B) {
+                return std::pair(loc(A), A) < std::pair(loc(B), B);
+              });
+  }
+
+  LocId loc(EventId E) const { return X.event(E).Loc; }
+
+  /// Choose the sources of reads I.. (the initial value first), then co.
+  bool rf(unsigned I) {
+    if (I == NumReads)
+      return co(0);
+    EventId R = Reads[I];
+    if (!rf(I + 1))
+      return false;
+    for (unsigned W = 0; W < NumWrites; ++W) {
+      if (loc(Writes[W]) != loc(R))
+        continue;
+      X.Rf.insert(Writes[W], R);
+      bool Go = rf(I + 1);
+      X.Rf.erase(Writes[W], R);
+      if (!Go)
+        return false;
+    }
+    return true;
+  }
+
+  /// Order the writes from Writes[From] on, one location at a time, each
+  /// in every permutation.
+  bool co(unsigned From) {
+    if (From == NumWrites)
+      return Leaf();
+    unsigned To = From + 1;
+    while (To < NumWrites && loc(Writes[To]) == loc(Writes[From]))
+      ++To;
+    unsigned N = To - From;
+    if (N == 1)
+      return co(To);
+    std::array<EventId, kMaxEvents> Perm;
+    std::copy_n(Writes.begin() + From, N, Perm.begin());
+    bool Go = true;
+    do {
+      for (unsigned I = 0; I < N; ++I)
+        for (unsigned J = 0; J < N; ++J)
+          if (I < J)
+            X.Co.insert(Perm[I], Perm[J]);
+          else if (I != J)
+            X.Co.erase(Perm[I], Perm[J]);
+      Go = co(To);
+    } while (Go && std::next_permutation(Perm.begin(), Perm.begin() + N));
+    for (unsigned I = 0; I < N; ++I)
+      for (unsigned J = 0; J < N; ++J)
+        X.Co.erase(Perm[I], Perm[J]);
+    return Go;
+  }
+};
+
 /// Mutable state threaded through the base-enumeration DFS.
 struct BaseSearch {
   const Vocabulary &V;
@@ -108,9 +182,8 @@ struct BaseSearch {
   void chooseDepPair(const std::vector<std::pair<EventId, EventId>> &Pairs,
                      unsigned Idx, const std::vector<EventId> &Reads);
   void chooseCtrl(const std::vector<EventId> &Reads, unsigned Idx);
-  void chooseRf(const std::vector<EventId> &Reads, unsigned Idx);
-  void chooseCo(unsigned Loc);
-  void emit();
+  /// Complete the shape with every rf/co choice and emit each base.
+  void chooseRfCo();
 };
 
 void BaseSearch::run() {
@@ -303,7 +376,7 @@ void BaseSearch::chooseDeps() {
       Reads.push_back(E);
 
   if (!V.Deps) {
-    chooseRf(Reads, 0);
+    chooseRfCo();
     return;
   }
   // addr/data choices per (read, po-later event) pair. A minimal test never
@@ -349,7 +422,7 @@ void BaseSearch::chooseCtrl(const std::vector<EventId> &Reads, unsigned Idx) {
   if (Aborted)
     return;
   if (Idx == Reads.size()) {
-    chooseRf(Reads, 0);
+    chooseRfCo();
     return;
   }
   EventId R = Reads[Idx];
@@ -372,67 +445,11 @@ void BaseSearch::chooseCtrl(const std::vector<EventId> &Reads, unsigned Idx) {
   }
 }
 
-void BaseSearch::chooseRf(const std::vector<EventId> &Reads, unsigned Idx) {
-  if (Aborted)
-    return;
-  if (Idx == Reads.size()) {
-    chooseCo(0);
-    return;
-  }
-  EventId R = Reads[Idx];
-  // Initial value: no incoming rf.
-  chooseRf(Reads, Idx + 1);
-  if (Aborted)
-    return;
-  for (unsigned W = 0; W < Num; ++W) {
-    if (!X.event(W).isWrite() || X.event(W).Loc != X.event(R).Loc)
-      continue;
-    X.Rf.insert(W, R);
-    chooseRf(Reads, Idx + 1);
-    X.Rf.erase(W, R);
-    if (Aborted)
-      return;
-  }
-}
-
-void BaseSearch::chooseCo(unsigned Loc) {
-  if (Aborted)
-    return;
-  unsigned NumLocs = X.numLocations();
-  if (Loc == NumLocs) {
-    emit();
-    return;
-  }
-  std::vector<EventId> Ws;
-  for (unsigned E = 0; E < Num; ++E)
-    if (X.event(E).isWrite() && X.event(E).Loc == static_cast<LocId>(Loc))
-      Ws.push_back(E);
-  if (Ws.size() <= 1) {
-    chooseCo(Loc + 1);
-    return;
-  }
-  std::vector<EventId> Perm = Ws;
-  do {
-    for (unsigned I = 0; I < Perm.size(); ++I)
-      for (unsigned J = 0; J < Perm.size(); ++J)
-        if (I < J)
-          X.Co.insert(Perm[I], Perm[J]);
-        else if (I != J)
-          X.Co.erase(Perm[I], Perm[J]);
-    chooseCo(Loc + 1);
-    if (Aborted)
-      break;
-  } while (std::next_permutation(Perm.begin(), Perm.end()));
-  for (EventId A : Ws)
-    for (EventId B : Ws)
-      if (A != B)
-        X.Co.erase(A, B);
-}
-
-void BaseSearch::emit() {
-  assert(X.checkWellFormed() == nullptr && "enumerated ill-formed base");
-  if (!Sink(X))
-    Aborted = true;
+void BaseSearch::chooseRfCo() {
+  Aborted = !forEachRfCo(X, [this] {
+    assert(X.checkWellFormed() == nullptr && "enumerated ill-formed base");
+    return Sink(X);
+  });
 }
 
 /// DFS over transaction placements: disjoint contiguous intervals per
@@ -506,6 +523,10 @@ struct TxnSearch {
 };
 
 } // namespace
+
+bool tmw::forEachRfCo(Execution &X, const std::function<bool()> &Leaf) {
+  return RfCoSearch(X, Leaf).rf(0);
+}
 
 bool ExecutionEnumerator::forEachBase(
     const std::function<bool(Execution &)> &F) const {

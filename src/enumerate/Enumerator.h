@@ -66,6 +66,19 @@ struct Vocabulary {
   static Vocabulary forArch(Arch A);
 };
 
+/// The rf/co generator behind every enumerator: litmus candidates
+/// (`forEachCandidate`), the bases below, and the lock-elision
+/// abstractions. Extends \p X, whose Rf and Co are empty, with each choice
+/// in turn and calls \p Leaf on every complete one. Reads go in id order,
+/// each taking the initial value first and then every same-location write
+/// in id order; then each location, in id order, takes every coherence
+/// order of its writes, lexicographically. Each choice is well-formed by
+/// construction (one source per read, a permutation per location), so a
+/// caller checks `X.checkShape()` once, before the search. \p Leaf returns
+/// false to stop; the result is then false. Rf and Co are empty again on
+/// return.
+bool forEachRfCo(Execution &X, const std::function<bool()> &Leaf);
+
 /// Exhaustive generator of base (transaction-free) executions and of
 /// transaction placements over a base.
 class ExecutionEnumerator {
@@ -74,9 +87,10 @@ public:
       : Vocab(V), Num(NumEvents) {}
 
   /// Invoke \p F on every well-formed base execution (the execution is
-  /// reused between calls; copy it to keep it). \p F returns false to abort
-  /// the enumeration (e.g. on a time budget); the result is false when
-  /// aborted.
+  /// reused between calls; copy it to keep it). Events, rmw pairs and
+  /// dependencies are chosen first; `forEachRfCo` then completes each
+  /// such shape. \p F returns false to abort the enumeration (e.g. on a
+  /// time budget); the result is false when aborted.
   bool forEachBase(const std::function<bool(Execution &)> &F) const;
 
   /// Invoke \p F on every canonical skeleton (non-increasing thread-size

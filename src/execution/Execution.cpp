@@ -250,9 +250,13 @@ Relation Execution::scrt() const {
   return R;
 }
 
-const char *Execution::checkWellFormed() const {
-  EventSet R = reads(), W = writes(), Acc = accesses();
-  Relation Sloc = sloc();
+const char *Execution::checkShape() const {
+  return checkShape(reads(), writes(), sloc());
+}
+
+const char *Execution::checkShape(EventSet R, EventSet W,
+                                  const Relation &Sloc) const {
+  EventSet Acc = R | W;
 
   // Location discipline: accesses name a location, other events do not.
   for (unsigned E = 0; E < Num; ++E) {
@@ -278,26 +282,6 @@ const char *Execution::checkWellFormed() const {
       if (A != B && SameThread && !Po.contains(A, B) && !Po.contains(B, A))
         return "po is not total within a thread";
     }
-
-  // rf: writes to reads of the same location, at most one source per read.
-  if (!Rf.subsetOf(Relation::cross(W, R, Num) & Sloc))
-    return "rf is not W->R on a shared location";
-  for (EventId B : R)
-    if (Rf.restrictRange(EventSet::singleton(B)).numPairs() > 1)
-      return "read with two rf sources";
-
-  // co: strict total order over the writes of each location.
-  if (!Co.subsetOf(Relation::cross(W, W, Num) & Sloc))
-    return "co is not W->W on a shared location";
-  if (!Co.isIrreflexive())
-    return "co is not irreflexive";
-  if (!Co.compose(Co).subsetOf(Co))
-    return "co is not transitive";
-  for (EventId A : W)
-    for (EventId B : W)
-      if (A != B && Events[A].Loc == Events[B].Loc && !Co.contains(A, B) &&
-          !Co.contains(B, A))
-        return "co is not total over a location";
 
   // Dependencies: within po, originating at reads.
   Relation FromReads = Relation::cross(R, universe(), Num);
@@ -400,6 +384,34 @@ const char *Execution::checkWellFormed() const {
         return "nested lock call inside a critical region";
   }
 
+  return nullptr;
+}
+
+const char *Execution::checkWellFormed() const {
+  EventSet R = reads(), W = writes();
+  Relation Sloc = sloc();
+  if (const char *Err = checkShape(R, W, Sloc))
+    return Err;
+
+  // rf: writes to reads of the same location, at most one source per read.
+  if (!Rf.subsetOf(Relation::cross(W, R, Num) & Sloc))
+    return "rf is not W->R on a shared location";
+  for (EventId B : R)
+    if (Rf.restrictRange(EventSet::singleton(B)).numPairs() > 1)
+      return "read with two rf sources";
+
+  // co: strict total order over the writes of each location.
+  if (!Co.subsetOf(Relation::cross(W, W, Num) & Sloc))
+    return "co is not W->W on a shared location";
+  if (!Co.isIrreflexive())
+    return "co is not irreflexive";
+  if (!Co.compose(Co).subsetOf(Co))
+    return "co is not transitive";
+  for (EventId A : W)
+    for (EventId B : W)
+      if (A != B && Events[A].Loc == Events[B].Loc && !Co.contains(A, B) &&
+          !Co.contains(B, A))
+        return "co is not total over a location";
   return nullptr;
 }
 

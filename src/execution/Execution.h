@@ -36,8 +36,9 @@ inline constexpr unsigned kMaxTxns = 32;
 /// A candidate execution graph.
 ///
 /// Fields are public so that builders and the exhaustive enumerator can fill
-/// them directly; call `checkWellFormed()` to validate the result against
-/// the well-formedness conditions of §2.1/§3.1.
+/// them directly; call `checkWellFormed()` (or `checkShape()`, which skips
+/// rf and co) to validate the result against the well-formedness
+/// conditions of §2.1/§3.1.
 class Execution {
 public:
   Execution() { clear(0); }
@@ -176,8 +177,16 @@ public:
   // Well-formedness and utilities.
   //===--------------------------------------------------------------------===
 
+  /// Every well-formedness clause except rf's and co's: locations, po,
+  /// dependencies, rmw, transactions and critical regions, in that order.
+  /// Returns nullptr when they hold, otherwise a static description of the
+  /// first violated one. An rf/co choice cannot change the answer, so an
+  /// enumerator whose rf/co choices are well-formed by construction
+  /// (`forEachRfCo`) checks its shape once, before the search.
+  const char *checkShape() const;
+
   /// Returns nullptr when well-formed, otherwise a static description of the
-  /// first violated condition.
+  /// first violated condition: `checkShape()`, then the rf and co clauses.
   const char *checkWellFormed() const;
 
   /// Multi-line dump ("a: W x (T0) [txn 0]" plus relation edge lists).
@@ -189,6 +198,10 @@ public:
   bool operator==(const Execution &O) const;
 
 private:
+  /// `checkShape()` over precomputed `reads()`, `writes()` and `sloc()`,
+  /// which `checkWellFormed()` shares with its rf and co clauses.
+  const char *checkShape(EventSet R, EventSet W, const Relation &Sloc) const;
+
   unsigned Num = 0;
   std::array<Event, kMaxEvents> Events;
 };

@@ -102,6 +102,8 @@ private:
   void lintThread(unsigned T) {
     const std::vector<Instruction> &Th = P.Threads[T];
     int OpenTxn = -1, OpenLock = -1;
+    // The transaction open when the open lock region began (-1: none).
+    int LockTxn = -1;
     bool OpenLockElided = false;
     for (unsigned I = 0; I < Th.size(); ++I) {
       const Instruction &Ins = Th[I];
@@ -119,7 +121,16 @@ private:
           add(LintSeverity::Error, "unbalanced-txn",
               "txend without a matching txbegin", static_cast<int>(T),
               static_cast<int>(I));
+        // A region opened inside the transaction loses its lock call
+        // when the transaction aborts (§3.1) but keeps its unlock.
+        if (OpenLock >= 0 && OpenTxn >= 0 && LockTxn == OpenTxn)
+          add(LintSeverity::Error, "unbalanced-lock",
+              "txend cuts the lock region opened at instruction " +
+                  std::to_string(OpenLock) +
+                  ", so an abort drops its lock call but keeps its unlock",
+              static_cast<int>(T), static_cast<int>(I));
         OpenTxn = -1;
+        LockTxn = -1; // a cut region is reported once, here
         break;
       case IKind::Lock:
       case IKind::TxLock:
@@ -129,6 +140,7 @@ private:
                   std::to_string(OpenLock) + " is still open",
               static_cast<int>(T), static_cast<int>(I));
         OpenLock = static_cast<int>(I);
+        LockTxn = OpenTxn;
         OpenLockElided = Ins.K == IKind::TxLock;
         break;
       case IKind::Unlock:
@@ -144,6 +156,16 @@ private:
               std::string("region opened by ") +
                   (OpenLockElided ? "txlock" : "lock") + " is closed by " +
                   (Elided ? "txunlock" : "unlock"),
+              static_cast<int>(T), static_cast<int>(I));
+        else if (OpenTxn != LockTxn)
+          // The unlock sits in a transaction the lock call is outside
+          // of: an abort drops the unlock and leaves the region open.
+          add(LintSeverity::Error, "unbalanced-lock",
+              std::string(Elided ? "txunlock" : "unlock") +
+                  " inside a transaction closes the lock region opened "
+                  "at instruction " +
+                  std::to_string(OpenLock) +
+                  " outside it, so an abort leaves the region open",
               static_cast<int>(T), static_cast<int>(I));
         OpenLock = -1;
         break;

@@ -7,12 +7,13 @@
 ///    mistakes that today surface only as silently-empty candidate sets or
 ///    vacuous postconditions — unused/uninitialized locations, event or
 ///    transaction counts exceeding the enumerator's caps (`kMaxEvents`,
-///    `kMaxTxns`), unbalanced or ill-nested transaction and lock regions,
-///    RMW partner indices that do not pair up, postcondition assertions
+///    `kMaxTxns`), unbalanced or ill-nested transaction and lock regions
+///    (a lock region cut by a transaction boundary included: the abort
+///    path drops one of its lock calls), RMW partner indices that do not pair up, postcondition assertions
 ///    naming nonexistent loads or locations, and dependency references
 ///    pointing at non-loads. Surfaced by the `tmw_lint` CLI, as a CI gate
 ///    over the corpus, and in the query engine's error response for a
-///    program with no well-formed candidate execution.
+///    program with an ill-formed candidate shape.
 ///
 ///  * **Sound program facts** (`computeFacts`): which vocabulary classes
 ///    (models/Axiom.h `namespace vocab`) the program can possibly speak.

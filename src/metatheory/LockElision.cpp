@@ -2,6 +2,8 @@
 
 #include "metatheory/LockElision.h"
 
+#include "enumerate/Enumerator.h"
+
 #include <algorithm>
 #include <chrono>
 #include <functional>
@@ -323,12 +325,15 @@ struct AbstractSearch {
     chooseKinds(X, Body, 0);
   }
 
+  /// Choose each body event's kind; check each assignment's shape once,
+  /// then emit it under every rf/co choice.
   void chooseKinds(Execution &X, const std::vector<EventId> &Body,
                    unsigned Idx) {
     if (Aborted)
       return;
     if (Idx == Body.size()) {
-      chooseRf(X, Body, 0);
+      if (X.checkShape() == nullptr)
+        Aborted = !forEachRfCo(X, [&] { return Sink(X); });
       return;
     }
     for (EventKind K : {EventKind::Read, EventKind::Write}) {
@@ -338,77 +343,6 @@ struct AbstractSearch {
       if (Aborted)
         return;
     }
-  }
-
-  void chooseRf(Execution &X, const std::vector<EventId> &Body,
-                unsigned Idx) {
-    if (Aborted)
-      return;
-    std::vector<EventId> Reads, Writes;
-    for (EventId E : Body) {
-      if (X.event(E).isRead())
-        Reads.push_back(E);
-      if (X.event(E).isWrite())
-        Writes.push_back(E);
-    }
-    if (Idx == Reads.size()) {
-      chooseCo(X, Writes);
-      return;
-    }
-    EventId R = Reads[Idx];
-    ChooseSource(X, Body, Idx, R, Writes);
-  }
-
-  void ChooseSource(Execution &X, const std::vector<EventId> &Body,
-                    unsigned Idx, EventId R,
-                    const std::vector<EventId> &Writes) {
-    chooseRfNext(X, Body, Idx); // read the initial value
-    if (Aborted)
-      return;
-    for (EventId W : Writes) {
-      X.Rf.insert(W, R);
-      chooseRfNext(X, Body, Idx);
-      X.Rf.erase(W, R);
-      if (Aborted)
-        return;
-    }
-  }
-
-  void chooseRfNext(Execution &X, const std::vector<EventId> &Body,
-                    unsigned Idx) {
-    chooseRf(X, Body, Idx + 1);
-  }
-
-  void chooseCo(Execution &X, const std::vector<EventId> &Writes) {
-    if (Aborted)
-      return;
-    if (Writes.size() <= 1) {
-      emit(X);
-      return;
-    }
-    std::vector<EventId> Perm = Writes;
-    do {
-      for (unsigned I = 0; I < Perm.size(); ++I)
-        for (unsigned J = 0; J < Perm.size(); ++J)
-          if (I < J)
-            X.Co.insert(Perm[I], Perm[J]);
-          else if (I != J)
-            X.Co.erase(Perm[I], Perm[J]);
-      emit(X);
-      if (Aborted)
-        break;
-    } while (std::next_permutation(Perm.begin(), Perm.end()));
-    for (EventId P : Writes)
-      for (EventId Q : Writes)
-        if (P != Q)
-          X.Co.erase(P, Q);
-  }
-
-  void emit(Execution &X) {
-    if (X.checkWellFormed() != nullptr)
-      return;
-    if (!Sink(X))
-      Aborted = true;
   }
 };
 

@@ -143,10 +143,10 @@ struct CheckResponse {
   std::string Name;
   /// Non-empty when the request failed (DSL parse error, unknown corpus
   /// entry, unknown model spec, a program over an enumeration cap or with
-  /// no well-formed candidate execution); the verdicts are then absent.
+  /// an ill-formed candidate shape); the verdicts are then absent.
   std::string Error;
   /// The 1-based source line of a DSL parse error, or of the first lint
-  /// error of a program with no well-formed candidate (0 otherwise).
+  /// error of a program with an ill-formed shape (0 otherwise).
   unsigned ErrorLine = 0;
   /// Candidates enumerated (shared by every model of the request).
   uint64_t Candidates = 0;

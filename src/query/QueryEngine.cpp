@@ -180,7 +180,7 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   // one shared analysis, so derived relations (fr, com, fences, ...) are
   // computed once per candidate, not once per (candidate, model).
   std::vector<Execution> FirstForbidden(Models.size());
-  forEachCandidate(*P, [&](const Candidate &C) {
+  const char *IllFormed = forEachCandidate(*P, [&](const Candidate &C) {
     if (R.CandidateCap && Resp.Candidates >= R.CandidateCap) {
       Resp.Truncated = true;
       return false;
@@ -220,13 +220,15 @@ CheckResponse evaluateRequest(const CheckRequest &R,
     Resp.Plan.Discharged = PC.Discharged;
   }
 
-  // An in-cap program yields no candidate only when every shape failed
-  // the well-formedness check (a cap never stops before the first one).
-  // Answer with the lint errors that say why, never with verdicts over an
-  // empty candidate set.
-  if (Resp.Candidates == 0) {
+  // A program with an ill-formed shape (e.g. an abort that drops the
+  // unlock of a region opened before the transaction) has behaviours no
+  // candidate represents. Answer with the shape's reason and the lint
+  // errors that say why, never with verdicts over the other shapes.
+  if (IllFormed) {
     Resp.Verdicts.clear();
-    Resp.Error = "no well-formed candidate execution";
+    Resp.Candidates = 0;
+    Resp.Truncated = false;
+    Resp.Error = std::string("ill-formed candidate shape (") + IllFormed + ")";
     bool First = true;
     for (const LintFinding &F : lintProgram(*P).Findings) {
       if (F.Severity != LintSeverity::Error)

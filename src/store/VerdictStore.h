@@ -113,8 +113,10 @@ public:
   /// Bump whenever verdict semantics can change: records stamped with any
   /// other version are unreachable (lookup misses) and are dropped by
   /// `compact`. History: 1 = first release of the store; 2 = a program
-  /// with no well-formed candidate is an error, not `candidates: 0`.
-  static constexpr uint32_t kEngineVersion = 2;
+  /// with no well-formed candidate is an error, not `candidates: 0`; 3 = so
+  /// is a program with any ill-formed shape (an abort path that drops an
+  /// unlock), not verdicts over its other shapes.
+  static constexpr uint32_t kEngineVersion = 3;
 
   /// Open (creating if absent) the store at \p Path for lookups and
   /// appends, rebuilding the in-memory index from the log and truncating

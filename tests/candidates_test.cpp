@@ -3,6 +3,7 @@
 #include "TestGraphs.h"
 #include "enumerate/Candidates.h"
 #include "litmus/FromExecution.h"
+#include "litmus/Library.h"
 #include "litmus/Parser.h"
 #include "models/ScModel.h"
 #include "models/X86Model.h"
@@ -132,6 +133,132 @@ TEST(CandidatesTest, DependenciesReachCandidates) {
   for (const Candidate &C : enumerateCandidates(Conv.Prog))
     SawData |= !C.X.Data.isEmpty();
   EXPECT_TRUE(SawData);
+}
+
+/// FNV-1a over a candidate stream: each candidate's `Execution::hash`
+/// (events, txn/cr classes, every relation) and its outcome's values, in
+/// enumeration order.
+struct StreamDigest {
+  uint64_t H = 0xcbf29ce484222325ull;
+  uint64_t Count = 0;
+
+  void mix(uint64_t V) {
+    H ^= V;
+    H *= 0x100000001b3ull;
+  }
+  void add(const Candidate &C) {
+    ++Count;
+    mix(C.X.hash());
+    for (const auto &[T, I, V] : C.O.RegValues) {
+      mix(T);
+      mix(I);
+      mix(static_cast<uint64_t>(V));
+    }
+    for (int V : C.O.MemValues)
+      mix(static_cast<uint64_t>(V));
+  }
+};
+
+TEST(CandidatesTest, CorpusStreamIsPinned) {
+  // The order and content of the corpus candidate stream, pinned: the
+  // engine's `first_forbidden` indices are positions in this stream.
+  StreamDigest D;
+  for (const CorpusEntry &E : sharedCorpus())
+    forEachCandidate(E.Prog, [&D](const Candidate &C) {
+      D.add(C);
+      return true;
+    });
+  EXPECT_EQ(D.Count, 403u);
+  EXPECT_EQ(D.H, 0x3efb497d1eca5012ull);
+}
+
+TEST(CandidatesTest, EveryCandidatePassesTheFullCheck) {
+  // The oracle for checking each shape once: the rf/co choices over a
+  // well-formed shape are well-formed by construction, so every candidate
+  // passes the full per-candidate `checkWellFormed`.
+  auto CheckAll = [](const Program &P) {
+    uint64_t Count = 0;
+    const char *Err = forEachCandidate(P, [&](const Candidate &C) {
+      ++Count;
+      EXPECT_EQ(C.X.checkWellFormed(), nullptr) << P.Name;
+      return true;
+    });
+    EXPECT_EQ(Err, nullptr) << P.Name;
+    return Count;
+  };
+  uint64_t Total = 0;
+  for (const CorpusEntry &E : sharedCorpus())
+    Total += CheckAll(E.Prog);
+  EXPECT_EQ(Total, 403u);
+
+  // Three writers of one location: co takes all six permutations, each
+  // with the load's four rf choices.
+  ParseResult R = parseProgram(R"(name 3W
+thread 0
+  store x 1
+thread 1
+  store x 2
+thread 2
+  store x 3
+  load x
+)");
+  ASSERT_TRUE(static_cast<bool>(R)) << R.Error;
+  EXPECT_EQ(CheckAll(R.Prog), 24u);
+}
+
+TEST(CandidatesTest, IllFormedAbortShapeIsReported) {
+  // The transaction may abort, and its abort drops the unlock of a region
+  // opened before it: that shape is ill-formed and yields no candidate;
+  // the success shape still yields its two, each fully well-formed.
+  ParseResult R = parseProgram(R"(name AbortLeavesLockHeld
+loc ok 1
+thread 0
+  lock
+  txbegin
+  store x 1
+  unlock
+  txend
+thread 1
+  load x
+post mem ok 0
+)");
+  ASSERT_TRUE(static_cast<bool>(R)) << R.Error;
+  uint64_t Count = 0;
+  const char *Err = forEachCandidate(R.Prog, [&](const Candidate &C) {
+    ++Count;
+    EXPECT_EQ(C.X.checkWellFormed(), nullptr);
+    EXPECT_FALSE(C.X.transactional().empty()); // the success shape
+    return true;
+  });
+  EXPECT_STREQ(Err, "critical region not delimited by matching lock/unlock");
+  EXPECT_EQ(Count, 2u);
+}
+
+TEST(CandidatesTest, ShapesAfterASinkStopAreStillChecked) {
+  // Both transactions aborting is well-formed; the first succeeding
+  // alone keeps the lock call and drops the unlock. A sink that stops at
+  // the first candidate must not hide that later shape.
+  ParseResult R = parseProgram(R"(name CutTwice
+thread 0
+  txbegin
+  lock
+  store x 1
+  txend
+  txbegin
+  unlock
+  txend
+thread 1
+  load x
+)");
+  ASSERT_TRUE(static_cast<bool>(R)) << R.Error;
+  unsigned Seen = 0;
+  const char *Err = forEachCandidate(R.Prog, [&Seen](const Candidate &C) {
+    ++Seen;
+    EXPECT_TRUE(C.X.transactional().empty()); // both aborted
+    return false;
+  });
+  EXPECT_EQ(Seen, 1u);
+  EXPECT_STREQ(Err, "critical region not delimited by matching lock/unlock");
 }
 
 TEST(CandidatesTest, AllowedOutcomesDeduplicated) {

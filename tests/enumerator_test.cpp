@@ -169,6 +169,32 @@ TEST(EnumeratorTest, PowerEnumeratesDependencies) {
   EXPECT_TRUE(SawAddr && SawData && SawCtrl);
 }
 
+TEST(EnumeratorTest, BaseStreamsArePinned) {
+  // Order and content of the base streams the Forbid synthesis walks:
+  // FNV-1a over each base's `Execution::hash`, in enumeration order.
+  struct Stream {
+    Arch A;
+    unsigned Events;
+    uint64_t Count;
+    uint64_t Digest;
+  };
+  for (const Stream &S : {Stream{Arch::X86, 4, 2658, 0x6131863fcce560ebull},
+                          Stream{Arch::Power, 3, 1692, 0xec5fbf2863adecaaull},
+                          Stream{Arch::Armv8, 3, 13360, 0xd66d35fb9446d985ull},
+                          Stream{Arch::Cpp, 3, 8376, 0x3d0112c9d2a5983dull}}) {
+    ExecutionEnumerator E(Vocabulary::forArch(S.A), S.Events);
+    uint64_t H = 0xcbf29ce484222325ull, Count = 0;
+    E.forEachBase([&](Execution &X) {
+      H ^= X.hash();
+      H *= 0x100000001b3ull;
+      ++Count;
+      return true;
+    });
+    EXPECT_EQ(Count, S.Count) << archName(S.A);
+    EXPECT_EQ(H, S.Digest) << archName(S.A);
+  }
+}
+
 TEST(EnumeratorTest, NoDuplicateBases) {
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   ExecutionEnumerator E(V, 3);

@@ -216,6 +216,43 @@ TEST(Lint_, UnbalancedAndMismatchedLockRegions) {
   EXPECT_NE(Nest->Message.find("nested lock call"), std::string::npos);
 }
 
+TEST(Lint_, LockRegionCutByTransactionBoundary) {
+  // An abort drops the transaction's events (§3.1): a lock region that
+  // crosses the boundary loses one of its lock calls on the abort path.
+  // One error each, at the crossing unlock or txend.
+  Program Out = parsed("loc ok 1\nthread 0\n  lock\n  txbegin\n  store x 1\n"
+                       "  unlock\n  txend\nthread 1\n  load x\n"
+                       "post mem ok 0\n");
+  LintReport R = lintProgram(Out);
+  ASSERT_EQ(R.Findings.size(), 1u);
+  EXPECT_EQ(R.Findings[0].Code, "unbalanced-lock");
+  EXPECT_EQ(R.Findings[0].Severity, LintSeverity::Error);
+  EXPECT_EQ(R.Findings[0].Line, 6u);
+  EXPECT_EQ(R.Findings[0].Instruction, 3);
+  EXPECT_NE(R.Findings[0].Message.find("an abort leaves the region open"),
+            std::string::npos);
+
+  Program In = parsed("loc ok 1\nthread 0\n  txbegin\n  lock\n  store x 1\n"
+                      "  txend\n  unlock\nthread 1\n  load x\n"
+                      "post mem ok 0\n");
+  R = lintProgram(In);
+  ASSERT_EQ(R.Findings.size(), 1u);
+  EXPECT_EQ(R.Findings[0].Code, "unbalanced-lock");
+  EXPECT_EQ(R.Findings[0].Severity, LintSeverity::Error);
+  EXPECT_EQ(R.Findings[0].Line, 6u);
+  EXPECT_EQ(R.Findings[0].Instruction, 3);
+  EXPECT_NE(R.Findings[0].Message.find("txend cuts the lock region"),
+            std::string::npos);
+
+  // A region that holds a whole transaction, or lies inside one, is fine.
+  for (const char *Src :
+       {"loc ok 1\nthread 0\n  lock\n  txbegin\n  store x 1\n  txend\n"
+        "  unlock\nthread 1\n  load x\npost mem ok 0\n",
+        "loc ok 1\nthread 0\n  txbegin\n  lock\n  store x 1\n  unlock\n"
+        "  txend\nthread 1\n  load x\npost mem ok 0\n"})
+    EXPECT_TRUE(lintProgram(parsed(Src)).Findings.empty()) << Src;
+}
+
 TEST(Lint_, RmwPairRules) {
   // Well-paired RMW is clean.
   Program Ok = parsed("loc x 0\n"

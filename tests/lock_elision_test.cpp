@@ -114,6 +114,10 @@ TEST(ElisionCheckTest, Armv8CounterexampleFound) {
   ASSERT_TRUE(R.CounterexampleFound);
   EXPECT_FALSE(holdsCrOrder(R.Abstract));
   EXPECT_TRUE(Tm.consistent(R.Concrete));
+  // The search order is pinned: the witness is found after exactly this
+  // many abstract and concrete checks.
+  EXPECT_EQ(R.AbstractChecked, 214u);
+  EXPECT_EQ(R.ConcreteChecked, 41u);
 }
 
 TEST(ElisionCheckTest, Armv8FixedSpinlockSound) {
@@ -125,6 +129,8 @@ TEST(ElisionCheckTest, Armv8FixedSpinlockSound) {
   EXPECT_FALSE(R.CounterexampleFound)
       << R.Abstract.dump() << R.Concrete.dump();
   EXPECT_TRUE(R.Complete);
+  EXPECT_EQ(R.AbstractChecked, 519u);
+  EXPECT_EQ(R.ConcreteChecked, 170u);
 }
 
 TEST(ElisionCheckTest, X86Sound) {
@@ -135,6 +141,8 @@ TEST(ElisionCheckTest, X86Sound) {
   ElisionResult R = checkLockElision(Tm, Spec, Arch::X86, false, 7, 300.0);
   EXPECT_FALSE(R.CounterexampleFound)
       << R.Abstract.dump() << R.Concrete.dump();
+  EXPECT_EQ(R.AbstractChecked, 519u);
+  EXPECT_EQ(R.ConcreteChecked, 330u);
 }
 
 TEST(ElisionCheckTest, TheFig10WitnessIsAmongThoseFound) {

@@ -8,8 +8,8 @@
 /// outcome sets — must equal a fresh enumeration per model with throwaway
 /// analyses. Plus: batch output byte-identical for Jobs in {1, 4, 16},
 /// in-order streaming, candidate caps, request-level error reporting,
-/// and the refusal of programs past the enumeration caps or with no
-/// well-formed candidate.
+/// and the refusal of programs past the enumeration caps or with an
+/// ill-formed candidate shape.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <tuple>
 
 #include <unistd.h>
 
@@ -244,20 +245,69 @@ TEST(QueryEngine_, RequestErrors) {
 
   // Every shape of this program fails well-formedness (a lock region
   // closed by txunlock), so it has no candidate to answer from: an error
-  // carrying the lint finding and its line, not "allowed: false".
+  // carrying the shape's reason, the lint finding and its line, not
+  // "allowed: false".
   CheckRequest Unbalanced;
   Unbalanced.Source = "name lockprobe\nthread 0\n  lock\n  store x 1\n"
                       "  txunlock\n";
   Unbalanced.ModelSpecs = {"x86"};
   CheckResponse R6 = Engine.evaluate(Unbalanced);
   EXPECT_FALSE(static_cast<bool>(R6));
-  EXPECT_EQ(R6.Error.rfind("no well-formed candidate execution: ", 0), 0u)
+  EXPECT_EQ(R6.Error.rfind("ill-formed candidate shape (critical region not "
+                           "delimited by matching lock/unlock): ",
+                           0),
+            0u)
       << R6.Error;
   EXPECT_NE(R6.Error.find("[unbalanced-lock]"), std::string::npos)
       << R6.Error;
   EXPECT_EQ(R6.ErrorLine, 5u);
   EXPECT_EQ(R6.Candidates, 0u);
   EXPECT_TRUE(R6.Verdicts.empty());
+
+  // Only the abort shape is ill-formed here: the transaction may abort,
+  // its handler zeroes `ok`, but the abort drops one lock call of a region
+  // the transaction boundary cuts. Refused, not answered "forbidden" from
+  // the success shape alone — in both nestings, at the crossing line.
+  for (const auto &[Source, Reason, Line] :
+       {std::tuple{"name AbortLeavesLockHeld\nloc ok 1\nthread 0\n  lock\n"
+                   "  txbegin\n  store x 1\n  unlock\n  txend\n"
+                   "thread 1\n  load x\npost mem ok 0\n",
+                   "critical region not delimited by matching lock/unlock",
+                   7u},
+        std::tuple{"name TxnCutsLockRegion\nloc ok 1\nthread 0\n  txbegin\n"
+                   "  lock\n  store x 1\n  txend\n  unlock\n"
+                   "thread 1\n  load x\npost mem ok 0\n",
+                   "lock call outside any critical region", 7u}}) {
+    CheckRequest Cut;
+    Cut.Source = Source;
+    Cut.ModelSpecs = {"x86"};
+    CheckResponse R7 = Engine.evaluate(Cut);
+    EXPECT_FALSE(static_cast<bool>(R7));
+    EXPECT_EQ(R7.Error.rfind(std::string("ill-formed candidate shape (") +
+                                 Reason + "): ",
+                             0),
+              0u)
+        << R7.Error;
+    EXPECT_NE(R7.Error.find("[unbalanced-lock]"), std::string::npos)
+        << R7.Error;
+    EXPECT_EQ(R7.ErrorLine, Line);
+    EXPECT_EQ(R7.Candidates, 0u);
+    EXPECT_TRUE(R7.Verdicts.empty());
+  }
+
+  // A candidate cap that stops before the ill-formed shape still refuses.
+  CheckRequest Capped;
+  Capped.Source = "name CutTwice\nthread 0\n  txbegin\n  lock\n  store x 1\n"
+                  "  txend\n  txbegin\n  unlock\n  txend\n"
+                  "thread 1\n  load x\n";
+  Capped.ModelSpecs = {"x86"};
+  Capped.CandidateCap = 1;
+  CheckResponse R8 = Engine.evaluate(Capped);
+  EXPECT_EQ(R8.Error.rfind("ill-formed candidate shape (", 0), 0u)
+      << R8.Error;
+  EXPECT_EQ(R8.ErrorLine, 6u); // the txend that cuts the region
+  EXPECT_FALSE(R8.Truncated);
+  EXPECT_TRUE(R8.Verdicts.empty());
 
   // A failing request inside a batch fails only itself.
   std::vector<CheckRequest> Mixed;

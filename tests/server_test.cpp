@@ -170,6 +170,20 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
                       "  txunlock\n";
   Requests.push_back(Unbalanced);
   Requests.push_back(Fine);
+  // An ill-formed abort shape beside a well-formed success shape, in
+  // both nestings of a lock region and a transaction.
+  CheckRequest AbortCut;
+  AbortCut.Name = "abort-cut";
+  AbortCut.Source = "name AbortLeavesLockHeld\nloc ok 1\nthread 0\n  lock\n"
+                    "  txbegin\n  store x 1\n  unlock\n  txend\n"
+                    "thread 1\n  load x\npost mem ok 0\n";
+  Requests.push_back(AbortCut);
+  CheckRequest TxnCut;
+  TxnCut.Name = "txn-cut";
+  TxnCut.Source = "name TxnCutsLockRegion\nloc ok 1\nthread 0\n  txbegin\n"
+                  "  lock\n  store x 1\n  txend\n  unlock\n"
+                  "thread 1\n  load x\npost mem ok 0\n";
+  Requests.push_back(TxnCut);
 
   QueryServer S({2});
   std::string Served = S.serveLine(requestsToJsonLine(Requests));
@@ -178,7 +192,7 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
   std::vector<CheckResponse> Back;
   std::string Error;
   ASSERT_TRUE(responsesFromJson(Served, Back, &Error)) << Error;
-  ASSERT_EQ(Back.size(), 6u);
+  ASSERT_EQ(Back.size(), 8u);
   EXPECT_FALSE(Back[0].Error.empty());
   EXPECT_FALSE(Back[1].Error.empty());
   EXPECT_GT(Back[1].ErrorLine, 0u); // DSL parse errors carry the line
@@ -192,13 +206,23 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
   EXPECT_EQ(Back[3].Error, Caps[0].Message);
   EXPECT_TRUE(Back[3].Verdicts.empty());
 
-  EXPECT_NE(Back[4].Error.find("no well-formed candidate execution"),
+  EXPECT_NE(Back[4].Error.find("ill-formed candidate shape"),
             std::string::npos)
       << Back[4].Error;
   EXPECT_EQ(Back[4].ErrorLine, 5u);
   EXPECT_TRUE(Back[4].Verdicts.empty());
   EXPECT_TRUE(Back[5].Error.empty()) << Back[5].Error;
   EXPECT_FALSE(Back[5].Verdicts.empty());
+  for (size_t I : {6u, 7u}) {
+    EXPECT_NE(Back[I].Error.find("ill-formed candidate shape"),
+              std::string::npos)
+        << Back[I].Error;
+    EXPECT_NE(Back[I].Error.find("[unbalanced-lock]"), std::string::npos)
+        << Back[I].Error;
+    EXPECT_EQ(Back[I].ErrorLine, 7u);
+    EXPECT_EQ(Back[I].Candidates, 0u);
+    EXPECT_TRUE(Back[I].Verdicts.empty());
+  }
 }
 
 TEST(QueryServer, PoolSurvivesManyBatches) {
