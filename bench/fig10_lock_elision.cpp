@@ -13,6 +13,7 @@
 #include "litmus/Printer.h"
 #include "metatheory/LockElision.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 
 using namespace tmw;
 
@@ -55,7 +56,7 @@ int main() {
   bench::header("Fig. 10 / Example 1.1 / Appendix B: lock elision on ARMv8",
                 "§1.1, §8.3, Fig. 10, Table 3, Appendix B");
   Armv8Model Tm;
-  Armv8Model Spec{Armv8Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Spec = ModelRegistry::parse("armv8/+baseline");
 
   // Table 3: the pi mapping in effect.
   std::printf("Table 3 mapping (events produced per method call):\n"
@@ -66,7 +67,7 @@ int main() {
               "  Ut -> (nothing)\n\n");
 
   // The automatic discovery.
-  ElisionResult R = checkLockElision(Tm, Spec, Arch::Armv8, false, 7,
+  ElisionResult R = checkLockElision(Tm, *Spec, Arch::Armv8, false, 7,
                                      bench::budgetSeconds(120.0));
   std::printf("ARMv8 search: %s after %llu abstract / %llu concrete "
               "executions in %.3fs (paper: Memalloy finds it in 63s)\n\n",
@@ -86,7 +87,7 @@ int main() {
   }
 
   // The fixed spinlock.
-  ElisionResult Fixed = checkLockElision(Tm, Spec, Arch::Armv8, true, 7,
+  ElisionResult Fixed = checkLockElision(Tm, *Spec, Arch::Armv8, true, 7,
                                          bench::budgetSeconds(120.0));
   std::printf("ARMv8 with DMB-fixed lock(): %s (complete: %s)\n\n",
               Fixed.CounterexampleFound ? "counterexample found (BUG)"

@@ -14,6 +14,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
+#include "models/ModelRegistry.h"
 #include "models/X86Model.h"
 #include "synth/Conformance.h"
 
@@ -28,13 +29,14 @@ int main(int argc, char **argv) {
       "Fig. 7; §5.3");
 
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   unsigned N = bench::maxEvents(5);
   double Budget = bench::budgetSeconds(180.0);
   unsigned Jobs = bench::jobs(argc, argv);
 
-  ForbidSuite S = synthesizeForbid(Tm, Baseline, V, N, Budget, Jobs);
+  ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, N, Budget, Jobs);
   std::printf("|E| = %u: %zu tests, synthesis %.2fs (%u job%s), "
               "complete: %s\n\n",
               N, S.Tests.size(), S.SynthesisSeconds, Jobs,
@@ -72,7 +74,7 @@ int main(int argc, char **argv) {
   // budget the test set is deterministic, so only the wall time moves.
   std::printf("\nJobs sweep (work-stealing):\n");
   std::string SweepJson =
-      bench::synthesisJobsSweepJson(Tm, Baseline, V, N, Budget);
+      bench::synthesisJobsSweepJson(Tm, *Baseline, V, N, Budget);
 
   char Head[256];
   std::snprintf(Head, sizeof(Head),

@@ -10,6 +10,7 @@
 
 #include "BenchUtil.h"
 #include "execution/Builder.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 
 using namespace tmw;
@@ -83,19 +84,15 @@ Execution remark51() {
 
 void row(const char *Name, const Execution &X, const char *PaperVerdict) {
   PowerModel Full;
-  PowerModel::Config NoT1;
-  NoT1.TProp1 = false;
-  PowerModel::Config NoT2;
-  NoT2.TProp2 = false;
-  PowerModel::Config NoThb;
-  NoThb.Thb = false;
+  auto Ablated = [&](const char *Spec) {
+    return bench::yesNo(ModelRegistry::parse(Spec)->consistent(X));
+  };
   ConsistencyResult C = Full.check(X);
   std::printf("%-24s %-10s %-14s %-9s %-9s %-9s   paper: %s\n", Name,
               C.Consistent ? "allowed" : "FORBIDDEN",
               C.FailedAxiom.empty() ? "-" : C.FailedAxiom.data(),
-              bench::yesNo(PowerModel(NoT1).consistent(X)),
-              bench::yesNo(PowerModel(NoT2).consistent(X)),
-              bench::yesNo(PowerModel(NoThb).consistent(X)), PaperVerdict);
+              Ablated("power/-tprop1"), Ablated("power/-tprop2"),
+              Ablated("power/-thb"), PaperVerdict);
 }
 
 } // namespace

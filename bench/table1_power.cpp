@@ -18,6 +18,7 @@
 #include "litmus/FromExecution.h"
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "query/QueryEngine.h"
 #include "synth/Conformance.h"
@@ -84,7 +85,8 @@ int main(int argc, char **argv) {
                 "Table 1, right half; §5.3");
 
   PowerModel Tm;
-  PowerModel Baseline{PowerModel::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("power/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::Power);
   unsigned MaxE = bench::maxEvents(4);
   double Budget = bench::budgetSeconds(120.0);
@@ -96,7 +98,7 @@ int main(int argc, char **argv) {
   unsigned TotForbid = 0, TotForbidSeen = 0;
   std::vector<Execution> AllForbid;
   for (unsigned N = 2; N <= MaxE; ++N) {
-    ForbidSuite S = synthesizeForbid(Tm, Baseline, V, N, Budget, Jobs);
+    ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, N, Budget, Jobs);
     std::vector<Program> Progs;
     std::vector<CheckResponse> Responses =
         Engine.runAll(suiteRequests(S.Tests, Progs));

@@ -26,6 +26,7 @@
 #include "litmus/FromExecution.h"
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
+#include "models/ModelRegistry.h"
 #include "models/X86Model.h"
 #include "query/QueryEngine.h"
 #include "synth/Conformance.h"
@@ -96,7 +97,8 @@ int main(int argc, char **argv) {
                 "Table 1, left half; §5.3");
 
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   unsigned MaxE = bench::maxEvents(5);
   double Budget = bench::budgetSeconds(120.0);
@@ -117,7 +119,7 @@ int main(int argc, char **argv) {
   };
 
   for (unsigned N = 2; N <= MaxE; ++N) {
-    ForbidSuite S = synthesizeForbid(Tm, Baseline, V, N, Budget, Jobs);
+    ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, N, Budget, Jobs);
     // Forbid "seen": batch the model side through the query engine, then
     // compare against the operational machine's reachable outcomes.
     std::vector<Program> Progs;

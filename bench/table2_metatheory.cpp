@@ -20,6 +20,7 @@
 #include "metatheory/Monotonicity.h"
 #include "models/Armv8Model.h"
 #include "models/CppModel.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/X86Model.h"
 
@@ -77,21 +78,25 @@ int main() {
   // to 7 events (L + body + U per thread).
   {
     X86Model X86Tm;
-    X86Model X86Spec{X86Model::Config::baseline()};
+    std::unique_ptr<MemoryModel> X86Spec =
+        ModelRegistry::parse("x86/+baseline");
     PowerModel PowerTm;
-    PowerModel PowerSpec{PowerModel::Config::baseline()};
+    std::unique_ptr<MemoryModel> PowerSpec =
+        ModelRegistry::parse("power/+baseline");
     Armv8Model ArmTm;
-    Armv8Model ArmSpec{Armv8Model::Config::baseline()};
+    std::unique_ptr<MemoryModel> ArmSpec =
+        ModelRegistry::parse("armv8/+baseline");
     struct Row {
       const char *Name;
       const MemoryModel *Tm, *Spec;
       Arch A;
       bool Fixed;
     };
-    Row Rows[] = {{"x86", &X86Tm, &X86Spec, Arch::X86, false},
-                  {"Power", &PowerTm, &PowerSpec, Arch::Power, false},
-                  {"ARMv8", &ArmTm, &ArmSpec, Arch::Armv8, false},
-                  {"ARMv8 (fixed)", &ArmTm, &ArmSpec, Arch::Armv8, true}};
+    Row Rows[] = {
+        {"x86", &X86Tm, X86Spec.get(), Arch::X86, false},
+        {"Power", &PowerTm, PowerSpec.get(), Arch::Power, false},
+        {"ARMv8", &ArmTm, ArmSpec.get(), Arch::Armv8, false},
+        {"ARMv8 (fixed)", &ArmTm, ArmSpec.get(), Arch::Armv8, true}};
     for (const Row &R : Rows) {
       ElisionResult Res =
           checkLockElision(*R.Tm, *R.Spec, R.A, R.Fixed, 7, Budget);

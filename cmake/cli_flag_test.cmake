@@ -47,6 +47,8 @@ expect_exit(2 tmw_audit --placements bogus)
 expect_exit(2 tmw_audit --corpus-cap bogus)
 expect_exit(2 tmw_audit --max-findings bogus)
 expect_exit(2 litmus_tool --corpus --jobs 0)
+expect_exit(2 litmus_tool --corpus --model x86/)  # empty modifier: unknown spec
+expect_exit(2 litmus_tool --corpus --model arm-silicon)  # no such alias
 expect_exit(2 tmw_lint --bogus-flag)
 expect_exit(2 tmw_lint)            # no inputs and no --corpus is a usage error
 

@@ -14,6 +14,7 @@
 #include "litmus/Printer.h"
 #include "metatheory/LockElision.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/X86Model.h"
 
@@ -52,17 +53,18 @@ int main() {
               "(abstract bound: 7 events)\n\n");
 
   X86Model X86Tm;
-  X86Model X86Spec{X86Model::Config::baseline()};
-  audit("x86 (TSX)", X86Tm, X86Spec, Arch::X86, false);
+  audit("x86 (TSX)", X86Tm, *ModelRegistry::parse("x86/+baseline"),
+        Arch::X86, false);
 
   PowerModel PowerTm;
-  PowerModel PowerSpec{PowerModel::Config::baseline()};
-  audit("Power", PowerTm, PowerSpec, Arch::Power, false);
+  audit("Power", PowerTm, *ModelRegistry::parse("power/+baseline"),
+        Arch::Power, false);
 
   Armv8Model ArmTm;
-  Armv8Model ArmSpec{Armv8Model::Config::baseline()};
-  audit("ARMv8", ArmTm, ArmSpec, Arch::Armv8, false);
-  audit("ARMv8 + DMB fix", ArmTm, ArmSpec, Arch::Armv8, true);
+  std::unique_ptr<MemoryModel> ArmSpec =
+      ModelRegistry::parse("armv8/+baseline");
+  audit("ARMv8", ArmTm, *ArmSpec, Arch::Armv8, false);
+  audit("ARMv8 + DMB fix", ArmTm, *ArmSpec, Arch::Armv8, true);
 
   std::printf(
       "\nMoral (§1.1): a critical region can start executing after the "

@@ -184,10 +184,6 @@ public:
     return Cancelled;
   }
 
-  unsigned numWorkers() const {
-    return static_cast<unsigned>(Deques.size());
-  }
-
 private:
   mutable std::mutex Mu;
   std::condition_variable Cv;

@@ -14,8 +14,8 @@ Relation noLoadBuffering(const ExecutionAnalysis &A, AxiomMask) {
 
 } // namespace
 
-ImplModel::ImplModel(std::unique_ptr<MemoryModel> Spec, bool NoLoadBuffering,
-                     const char *Name, const char *SpecToken)
+ImplModel::ImplModel(std::unique_ptr<MemoryModel> Spec, const char *Name,
+                     const char *SpecToken)
     : Spec(std::move(Spec)), Label(Name), Token(SpecToken) {
   AxiomList SpecAxioms = this->Spec->axioms();
   Axioms.assign(SpecAxioms.begin(), SpecAxioms.end());
@@ -26,25 +26,22 @@ ImplModel::ImplModel(std::unique_ptr<MemoryModel> Spec, bool NoLoadBuffering,
   // sits past the spec's indices, so the spec's term functions keep
   // reading their own bits.
   Mask = this->Spec->axiomMask();
-  Mask.set(static_cast<unsigned>(Axioms.size() - 1), NoLoadBuffering);
+  Mask.set(static_cast<unsigned>(Axioms.size() - 1), true);
 }
 
 ImplModel ImplModel::power8() {
-  return ImplModel(std::make_unique<PowerModel>(), /*NoLoadBuffering=*/true,
-                   "POWER8 (simulated)", "power8");
+  return ImplModel(ModelRegistry::make(Arch::Power), "POWER8 (simulated)",
+                   "power8");
 }
 
 ImplModel ImplModel::armv8Silicon() {
-  return ImplModel(std::make_unique<Armv8Model>(), /*NoLoadBuffering=*/true,
+  return ImplModel(ModelRegistry::make(Arch::Armv8),
                    "ARMv8+TM silicon (simulated)", "armv8-silicon");
 }
 
 ImplModel ImplModel::armv8BuggyRtl() {
-  Armv8Model::Config C;
-  C.TxnOrder = false;
-  return ImplModel(std::make_unique<Armv8Model>(C),
-                   /*NoLoadBuffering=*/true, "ARMv8 RTL prototype (buggy)",
-                   "armv8-rtl");
+  return ImplModel(ModelRegistry::parse("armv8/-TxnOrder"),
+                   "ARMv8 RTL prototype (buggy)", "armv8-rtl");
 }
 
 ImplModel ImplModel::implFor(Arch A) {
@@ -59,6 +56,5 @@ ImplModel ImplModel::implFor(Arch A) {
       "x86-impl (simulated)",   "power-impl (simulated)",
       "armv8-impl (simulated)", "cpp-impl (simulated)"};
   unsigned I = static_cast<unsigned>(A);
-  return ImplModel(ModelRegistry::make(A), /*NoLoadBuffering=*/true,
-                   Labels[I], Tokens[I]);
+  return ImplModel(ModelRegistry::make(A), Labels[I], Tokens[I]);
 }

@@ -20,9 +20,7 @@
 #ifndef TMW_HW_IMPLMODEL_H
 #define TMW_HW_IMPLMODEL_H
 
-#include "models/Armv8Model.h"
 #include "models/MemoryModel.h"
-#include "models/PowerModel.h"
 
 #include <memory>
 #include <vector>
@@ -33,13 +31,12 @@ namespace tmw {
 /// simulated machine can exhibit.
 class ImplModel : public MemoryModel {
 public:
-  /// Wrap \p Spec; when \p NoLoadBuffering, additionally require
-  /// acyclic(po u rf) (LB shapes never occur, as on real Power/ARM parts).
-  /// \p SpecToken, when given, is the registry spec name this wrapper
-  /// answers to (`ModelRegistry` resolves and round-trips it); the named
-  /// presets below set it, hand-built wrappers may leave it null.
-  ImplModel(std::unique_ptr<MemoryModel> Spec, bool NoLoadBuffering,
-            const char *Name, const char *SpecToken = nullptr);
+  /// Wrap \p Spec and additionally require acyclic(po u rf) (LB shapes
+  /// never occur, as on real Power/ARM parts). \p SpecToken is the
+  /// registry spec name this wrapper answers to (`ModelRegistry` resolves
+  /// and round-trips it).
+  ImplModel(std::unique_ptr<MemoryModel> Spec, const char *Name,
+            const char *SpecToken);
 
   const char *name() const override { return Label; }
   Arch arch() const override { return Spec->arch(); }
@@ -47,8 +44,7 @@ public:
   /// hence mask bits — are preserved by appending).
   AxiomList axioms() const override { return Axioms; }
 
-  /// Registry spec token ("power8", "x86-impl", ...), or nullptr for a
-  /// hand-built wrapper with no spec syntax.
+  /// Registry spec token ("power8", "x86-impl", ...).
   const char *specToken() const { return Token; }
 
   /// A conservative POWER8-like machine: the Power+TM model with no load
@@ -69,7 +65,7 @@ private:
   std::unique_ptr<MemoryModel> Spec;
   std::vector<Axiom> Axioms;
   const char *Label;
-  const char *Token = nullptr;
+  const char *Token;
 };
 
 } // namespace tmw

@@ -12,8 +12,8 @@
 ///    path drops one of its lock calls), RMW partner indices that do not pair up, postcondition assertions
 ///    naming nonexistent loads or locations, and dependency references
 ///    pointing at non-loads. Surfaced by the `tmw_lint` CLI, as a CI gate
-///    over the corpus, and in the query engine's error response for a
-///    program with an ill-formed candidate shape.
+///    over the corpus, and by the query engine, which refuses any program
+///    with an error-severity finding instead of answering it.
 ///
 ///  * **Sound program facts** (`computeFacts`): which vocabulary classes
 ///    (models/Axiom.h `namespace vocab`) the program can possibly speak.
@@ -46,7 +46,8 @@ class Execution;
 
 /// Finding severity. Errors mean the program cannot behave as written
 /// (the enumerator would drop events, candidates, or whole postconditions
-/// silently); warnings flag suspicious-but-legal constructions.
+/// silently), so the query engine refuses it; warnings flag
+/// suspicious-but-legal constructions, and the engine answers them.
 enum class LintSeverity : uint8_t { Error, Warning };
 
 /// Stable lowercase severity name ("error", "warning").
@@ -111,8 +112,8 @@ ProgramFacts computeFacts(const Program &P);
 /// The enumerator-cap findings for a program with facts \p F:
 /// `too-many-events` (past `kMaxEvents`), then `too-many-txns` (past
 /// `kMaxTxns`); empty when the program fits both caps. `lintProgram`
-/// reports them, and the query engine refuses a program that has any
-/// instead of answering from a partial candidate set.
+/// reports them first, so the query engine's refusal of an over-cap
+/// program leads with them.
 std::vector<LintFinding> capFindings(const ProgramFacts &F);
 
 /// The vocabulary classes one concrete execution speaks — the

@@ -2,7 +2,10 @@
 
 #include "litmus/Parser.h"
 
+#include "relation/EventSet.h"
+
 #include <cctype>
+#include <climits>
 #include <cstdlib>
 #include <cstring>
 #include <sstream>
@@ -24,10 +27,12 @@ std::vector<std::string> tokenize(const std::string &Line) {
   return Toks;
 }
 
+/// Parse a decimal `int`. A value outside `int` is an error, not a
+/// wrapped value (`thread 4294967296` must not read as thread 0).
 bool parseInt(const std::string &S, int &Out) {
   char *End = nullptr;
   long V = strtol(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0')
+  if (End == S.c_str() || *End != '\0' || V < INT_MIN || V > INT_MAX)
     return false;
   Out = static_cast<int>(V);
   return true;
@@ -136,12 +141,16 @@ ParseResult tmw::parseProgram(std::string_view Text) {
   Program &P = Res.Prog;
   int CurThread = -1;
   unsigned LineNo = 0;
+  // Line of each location's `loc` declaration (0: not declared), by LocId.
+  std::vector<unsigned> LocLines;
 
   std::string Line;
-  auto Fail = [&](const std::string &Msg) {
-    Res.Error = Msg;
+  // Every caller returns the result at once, so it is moved out, not
+  // copied with the partial program.
+  auto Fail = [&](std::string Msg) {
+    Res.Error = std::move(Msg);
     Res.ErrorLine = LineNo;
-    return Res;
+    return std::move(Res);
   };
 
   // Walk the lines of the view directly (no stream, no input copy): the
@@ -175,6 +184,11 @@ ParseResult tmw::parseProgram(std::string_view Text) {
       if (!parseInt(Toks[2], V))
         return Fail("bad initial value");
       LocId L = P.ensureLoc(Toks[1]);
+      LocLines.resize(P.LocNames.size());
+      if (LocLines[L])
+        return Fail("location '" + Toks[1] + "' already declared at line " +
+                    std::to_string(LocLines[L]));
+      LocLines[L] = LineNo;
       if (V != 0)
         P.InitialValues.push_back({L, V});
       continue;
@@ -183,6 +197,12 @@ ParseResult tmw::parseProgram(std::string_view Text) {
       int T;
       if (Toks.size() < 2 || !parseInt(Toks[1], T) || T < 0)
         return Fail("bad thread index");
+      // Threads are indexed densely, so the index sizes the program: an
+      // execution has at most kMaxEvents events, hence at most that many
+      // non-empty threads.
+      if (static_cast<unsigned>(T) >= kMaxEvents)
+        return Fail("thread index " + Toks[1] + " out of range (0.." +
+                    std::to_string(kMaxEvents - 1) + ")");
       while (static_cast<int>(P.Threads.size()) <= T)
         P.Threads.emplace_back();
       while (P.SrcLines.size() < P.Threads.size())

@@ -17,6 +17,13 @@
 ///   post mem x 1
 /// \endcode
 ///
+/// Each location has at most one `loc` line (a second one for the same
+/// name is an error at its line; `printDsl` emits exactly one per
+/// location). Thread indices run from 0 to `kMaxEvents - 1`; a larger
+/// index is an error at its line, since threads are stored densely up to
+/// the highest index named. Every number is a decimal `int`: one outside
+/// `int`'s range is an error, never a wrapped value.
+///
 /// Parsing never aborts the process: errors are reported through the
 /// result's `Error` field.
 ///

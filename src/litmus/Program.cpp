@@ -29,13 +29,6 @@ LocId Program::ensureLoc(const std::string &Name) {
   return static_cast<LocId>(LocNames.size() - 1);
 }
 
-unsigned Program::numInstructions() const {
-  unsigned N = 0;
-  for (const auto &T : Threads)
-    N += static_cast<unsigned>(T.size());
-  return N;
-}
-
 bool Program::hasTransactions() const {
   for (const auto &T : Threads)
     for (const auto &I : T)

@@ -97,8 +97,6 @@ struct Program {
   LocId locByName(const std::string &Name) const;
   /// Add (or find) a location named \p Name.
   LocId ensureLoc(const std::string &Name);
-  /// Total instruction count.
-  unsigned numInstructions() const;
   /// True when any thread contains a transaction.
   bool hasTransactions() const;
 };

@@ -104,20 +104,4 @@ const Axiom Armv8Axioms[] = {
 
 } // namespace
 
-Armv8Model::Armv8Model(Config C) {
-  Mask.set(kTfence, C.Tfence);
-  Mask.set(kStrongIsol, C.StrongIsol);
-  Mask.set(kTxnOrder, C.TxnOrder);
-  Mask.set(kTxnCancelsRMW, C.TxnCancelsRmw);
-}
-
 AxiomList Armv8Model::axioms() const { return Armv8Axioms; }
-
-Relation Armv8Model::orderedBefore(const ExecutionAnalysis &A) const {
-  return ob(A, Mask);
-}
-
-Armv8Model::Config Armv8Model::config() const {
-  return {Mask.test(kTfence), Mask.test(kStrongIsol), Mask.test(kTxnOrder),
-          Mask.test(kTxnCancelsRMW)};
-}

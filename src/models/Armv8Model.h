@@ -23,30 +23,11 @@ namespace tmw {
 /// ARMv8 (Fig. 8). Default configuration enables all TM axioms.
 class Armv8Model : public MemoryModel {
 public:
-  /// Thin shim lowering onto the named-axiom mask.
-  struct Config {
-    bool Tfence = true;
-    bool StrongIsol = true;
-    bool TxnOrder = true;
-    /// Exclusives fail across a transactional/non-transactional change.
-    bool TxnCancelsRmw = true;
-
-    static Config baseline() { return {false, false, false, false}; }
-  };
-
-  Armv8Model() = default;
-  explicit Armv8Model(Config C);
-
   const char *name() const override {
     return anyTmEnabled() ? "ARMv8+TM" : "ARMv8";
   }
   Arch arch() const override { return Arch::Armv8; }
   AxiomList axioms() const override;
-
-  /// The ordered-before relation (ob) of Fig. 8 under this configuration.
-  Relation orderedBefore(const ExecutionAnalysis &A) const;
-
-  Config config() const;
 };
 
 } // namespace tmw

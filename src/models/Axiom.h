@@ -83,9 +83,6 @@ enum class AxiomKind : uint8_t {
   Empty,       ///< `empty term`: no pair at all.
 };
 
-/// Human-readable kind name ("acyclic", "irreflexive", "empty").
-const char *axiomKindName(AxiomKind K);
-
 /// Which axioms of one model's `axioms()` list are enabled. Bit `I`
 /// corresponds to index `I` in the list; the default mask enables
 /// everything, so a mask is meaningful without knowing the list length.

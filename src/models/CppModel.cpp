@@ -90,17 +90,7 @@ const Axiom CppAxioms[] = {
 
 } // namespace
 
-CppModel::CppModel(Config C) { Mask.set(kTsw, C.Tsw); }
-
 AxiomList CppModel::axioms() const { return CppAxioms; }
-
-Relation CppModel::synchronisesWith(const ExecutionAnalysis &A) const {
-  return A.cppSynchronisesWith();
-}
-
-Relation CppModel::transactionalSw(const ExecutionAnalysis &A) const {
-  return A.cppTransactionalSw();
-}
 
 Relation CppModel::happensBefore(const ExecutionAnalysis &A) const {
   return hb(A, Mask);
@@ -127,5 +117,3 @@ bool CppModel::raceFree(const ExecutionAnalysis &A) const {
                    (Hb | Hb.inverse());
   return Races.isEmpty();
 }
-
-CppModel::Config CppModel::config() const { return {Mask.test(kTsw)}; }

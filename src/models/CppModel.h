@@ -24,17 +24,6 @@ namespace tmw {
 /// C++ (Fig. 9). Default configuration enables the TM extension.
 class CppModel : public MemoryModel {
 public:
-  /// Thin shim lowering onto the named-axiom mask.
-  struct Config {
-    /// Transactional synchronisation: hb includes tsw.
-    bool Tsw = true;
-
-    static Config baseline() { return {false}; }
-  };
-
-  CppModel() = default;
-  explicit CppModel(Config C);
-
   const char *name() const override {
     return anyTmEnabled() ? "C+++TM" : "C++";
   }
@@ -43,10 +32,6 @@ public:
 
   /// Happens-before: (sw u tsw u po)+.
   Relation happensBefore(const ExecutionAnalysis &A) const;
-  /// Synchronises-with (RC11, including fences and release sequences).
-  Relation synchronisesWith(const ExecutionAnalysis &A) const;
-  /// Transactional synchronisation (§7.2): weaklift(ecom, stxn).
-  Relation transactionalSw(const ExecutionAnalysis &A) const;
   /// Partial-SC relation psc (RC11) whose acyclicity is the SeqCst axiom.
   Relation psc(const ExecutionAnalysis &A) const;
   /// Conflicting event pairs (cnf in Fig. 9).
@@ -54,8 +39,6 @@ public:
 
   /// NoRace: conflicting non-atomic-pair events must be hb-ordered.
   bool raceFree(const ExecutionAnalysis &A) const;
-
-  Config config() const;
 };
 
 } // namespace tmw

@@ -13,6 +13,7 @@
 #include "hw/ImplModel.h"
 #include "lint/Lint.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/ScModel.h"
 #include "models/X86Model.h"
@@ -121,9 +122,12 @@ EvalPlan EvalPlan::compile(std::span<const MemoryModel *const> Models) {
   X86Model X86;
   PowerModel Power;
   Armv8Model Armv8;
-  X86Model X86Base{X86Model::Config::baseline()};
-  PowerModel PowerBase{PowerModel::Config::baseline()};
-  Armv8Model Armv8Base{Armv8Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> X86Base =
+      ModelRegistry::parse("x86/+baseline");
+  std::unique_ptr<MemoryModel> PowerBase =
+      ModelRegistry::parse("power/+baseline");
+  std::unique_ptr<MemoryModel> Armv8Base =
+      ModelRegistry::parse("armv8/+baseline");
   auto refSet = [&](const MemoryModel &M) {
     std::vector<uint32_t> V = compileSpec(M).Obls;
     std::sort(V.begin(), V.end());
@@ -133,9 +137,9 @@ EvalPlan EvalPlan::compile(std::span<const MemoryModel *const> Models) {
   std::vector<uint32_t> RefSc = refSet(Sc), RefTsc = refSet(Tsc),
                         RefX86 = refSet(X86), RefPower = refSet(Power),
                         RefArmv8 = refSet(Armv8),
-                        RefX86Base = refSet(X86Base),
-                        RefPowerBase = refSet(PowerBase),
-                        RefArmv8Base = refSet(Armv8Base);
+                        RefX86Base = refSet(*X86Base),
+                        RefPowerBase = refSet(*PowerBase),
+                        RefArmv8Base = refSet(*Armv8Base);
 
   // Guard obligations (all salt-0 terms, so they collapse with any spec
   // that already checks them as axioms). Footprints match the tables'
@@ -245,9 +249,9 @@ EvalPlan EvalPlan::compile(std::span<const MemoryModel *const> Models) {
           (weakerThan(J, X86, RefX86D) || weakerThan(J, Power, RefPowerD) ||
            weakerThan(J, Armv8, RefArmv8D)))
         addEdge(I, J, {GRmwIsol, GTxnCancel});
-      if (SrcSc && (weakerThan(J, X86Base, RefX86BaseD) ||
-                    weakerThan(J, PowerBase, RefPowerBaseD) ||
-                    weakerThan(J, Armv8Base, RefArmv8BaseD)))
+      if (SrcSc && (weakerThan(J, *X86Base, RefX86BaseD) ||
+                    weakerThan(J, *PowerBase, RefPowerBaseD) ||
+                    weakerThan(J, *Armv8Base, RefArmv8BaseD)))
         addEdge(I, J, {GRmwFree});
     }
 

@@ -9,18 +9,6 @@
 
 using namespace tmw;
 
-const char *tmw::axiomKindName(AxiomKind K) {
-  switch (K) {
-  case AxiomKind::Acyclic:
-    return "acyclic";
-  case AxiomKind::Irreflexive:
-    return "irreflexive";
-  case AxiomKind::Empty:
-    return "empty";
-  }
-  return "?";
-}
-
 int tmw::findAxiom(AxiomList Axioms, std::string_view Name) {
   for (unsigned I = 0; I < Axioms.size(); ++I)
     if (Axioms[I].Name == Name)

@@ -96,8 +96,12 @@ public:
   /// Enabled-axiom mask (indices into `axioms()`); defaults to all.
   const AxiomMask &axiomMask() const { return Mask; }
   void setAxiomMask(AxiomMask M) { Mask = M; }
-  /// Enable/disable one axiom by name; false when the name is unknown.
-  bool setAxiomEnabled(std::string_view Name, bool On);
+  /// Enable/disable one axiom by name (exact, case-sensitive); false when
+  /// the name is unknown. The typed way to configure a concrete model; a
+  /// registry spec (`ModelRegistry::parse("power/-tprop1")`) is the way
+  /// to name one. The result must be checked: a misspelled name is
+  /// otherwise dropped without a word.
+  [[nodiscard]] bool setAxiomEnabled(std::string_view Name, bool On);
   /// Whether the named axiom is enabled (false for unknown names).
   bool axiomEnabled(std::string_view Name) const;
 

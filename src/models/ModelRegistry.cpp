@@ -60,11 +60,9 @@ std::string axiomNamesOf(const MemoryModel &M) {
 std::unique_ptr<MemoryModel> makeWrapper(std::string_view Token) {
   if (equalsIgnoreCase(Token, "power8"))
     return std::make_unique<ImplModel>(ImplModel::power8());
-  if (equalsIgnoreCase(Token, "armv8-silicon") ||
-      equalsIgnoreCase(Token, "arm-silicon"))
+  if (equalsIgnoreCase(Token, "armv8-silicon"))
     return std::make_unique<ImplModel>(ImplModel::armv8Silicon());
-  if (equalsIgnoreCase(Token, "armv8-rtl") ||
-      equalsIgnoreCase(Token, "armv8-buggy-rtl"))
+  if (equalsIgnoreCase(Token, "armv8-rtl"))
     return std::make_unique<ImplModel>(ImplModel::armv8BuggyRtl());
   constexpr std::string_view Suffix = "-impl";
   if (Token.size() > Suffix.size() &&
@@ -160,28 +158,26 @@ std::unique_ptr<MemoryModel> ModelRegistry::parse(std::string_view Spec,
                 "' (expected one of: " + Bases + ", or <arch>-impl)");
   }
 
-  std::string_view Rest =
-      BaseToken.size() == Spec.size() ? std::string_view()
-                                      : Spec.substr(BaseToken.size() + 1);
-  while (!Rest.empty()) {
+  // Every "/" opens one modifier, so a trailing or doubled slash names an
+  // empty one and is an error, like an empty segment of a spec list.
+  for (size_t Slash = BaseToken.size(); Slash != Spec.size();) {
+    std::string_view Rest = Spec.substr(Slash + 1);
     std::string_view Mod = Rest.substr(0, Rest.find('/'));
-    Rest = Mod.size() == Rest.size() ? std::string_view()
-                                     : Rest.substr(Mod.size() + 1);
+    Slash += Mod.size() + 1;
     if (Mod.empty())
-      continue;
-    if (equalsIgnoreCase(Mod, "+baseline") ||
-        equalsIgnoreCase(Mod, "baseline")) {
+      return Fail("empty modifier in '" + std::string(Spec) + "'");
+    if (equalsIgnoreCase(Mod, "+baseline")) {
       M->setAxiomMask(baselineMask(M->axioms()));
       continue;
     }
-    if (equalsIgnoreCase(Mod, "+all") || equalsIgnoreCase(Mod, "all")) {
+    if (equalsIgnoreCase(Mod, "+all")) {
       M->setAxiomMask(AxiomMask::all());
       continue;
     }
-    bool Enable = Mod.front() == '+';
     if (Mod.front() != '+' && Mod.front() != '-')
       return Fail("bad modifier '" + std::string(Mod) +
                   "' (expected +baseline, +all, +name, or -name)");
+    bool Enable = Mod.front() == '+';
     std::string_view Name = Mod.substr(1);
     int I = findAxiomSpec(M->axioms(), Name);
     if (I < 0)
@@ -202,10 +198,7 @@ std::string ModelRegistry::print(const MemoryModel &M) {
     // Wrapper rendering: the wrapper's own spec token, then the state of
     // every axiom that differs from that token's default configuration
     // (so "armv8-rtl" stays "armv8-rtl", not a pile of ablations).
-    const char *Token = Impl->specToken();
-    std::string Spec =
-        Token ? Token
-              : std::string(archSpecName(M.arch())) + "-impl";
+    std::string Spec = Impl->specToken();
     std::unique_ptr<MemoryModel> Default = parse(Spec);
     AxiomList Axioms = M.axioms();
     unsigned N = static_cast<unsigned>(Axioms.size());

@@ -21,6 +21,12 @@
 ///          | "+" axiom-name     -- enable one axiom
 ///          | "-" axiom-name     -- disable one axiom
 ///
+/// Nothing else resolves: an empty modifier (`"x86/"`, `"x86//-tfence"`),
+/// a modifier without its sign (`"x86/baseline"`, `"x86/Order"`), or a
+/// base outside the two productions above is an unknown-spec error.
+/// Registry specs are the one way to configure a model by name; code that
+/// holds a concrete model type toggles axioms with `setAxiomEnabled`.
+///
 /// Modifiers apply left to right, starting from the base's default mask,
 /// so `"power/-TxnOrder"` is Power with transaction ordering ablated,
 /// `"cpp/+baseline"` is the non-transactional C++ baseline, and
@@ -90,9 +96,8 @@ public:
   /// Canonical spec of \p M. For plain models: the arch name, then
   /// "/+baseline" when the mask is exactly the baseline, otherwise one
   /// "/-name" per disabled axiom. For `ImplModel` wrappers: the wrapper's
-  /// spec token (falling back to "<arch>-impl" for hand-built wrappers)
-  /// followed by one "/+name" or "/-name" per axiom whose state differs
-  /// from that token's default. In both cases `parse(print(M))`
+  /// spec token followed by one "/+name" or "/-name" per axiom whose state
+  /// differs from that token's default. In both cases `parse(print(M))`
   /// reproduces M's arch, wrapper-ness, and mask.
   static std::string print(const MemoryModel &M);
 };

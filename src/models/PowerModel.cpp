@@ -199,16 +199,6 @@ const Axiom PowerAxioms[] = {
 
 } // namespace
 
-PowerModel::PowerModel(Config C) {
-  Mask.set(kTfence, C.Tfence);
-  Mask.set(kThb, C.Thb);
-  Mask.set(kTProp1, C.TProp1);
-  Mask.set(kTProp2, C.TProp2);
-  Mask.set(kStrongIsol, C.StrongIsol);
-  Mask.set(kTxnOrder, C.TxnOrder);
-  Mask.set(kTxnCancelsRMW, C.TxnCancelsRmw);
-}
-
 AxiomList PowerModel::axioms() const { return PowerAxioms; }
 
 Relation PowerModel::preservedProgramOrder(
@@ -218,11 +208,4 @@ Relation PowerModel::preservedProgramOrder(
 
 Relation PowerModel::happensBefore(const ExecutionAnalysis &A) const {
   return hb(A, Mask);
-}
-
-PowerModel::Config PowerModel::config() const {
-  return {Mask.test(kTfence),  Mask.test(kStrongIsol),
-          Mask.test(kTxnOrder), Mask.test(kTxnCancelsRMW),
-          Mask.test(kTProp1),  Mask.test(kTProp2),
-          Mask.test(kThb)};
 }

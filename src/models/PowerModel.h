@@ -28,28 +28,6 @@ namespace tmw {
 /// Power (Fig. 6). Default configuration enables all TM axioms.
 class PowerModel : public MemoryModel {
 public:
-  /// Thin shim lowering onto the named-axiom mask.
-  struct Config {
-    bool Tfence = true;
-    bool StrongIsol = true;
-    bool TxnOrder = true;
-    bool TxnCancelsRmw = true;
-    /// tprop1: write observed by a transaction propagates before the
-    /// transaction's own writes.
-    bool TProp1 = true;
-    /// tprop2: transactional writes are multicopy-atomic.
-    bool TProp2 = true;
-    /// thb: successful transactions serialise in a consistent order.
-    bool Thb = true;
-
-    static Config baseline() {
-      return {false, false, false, false, false, false, false};
-    }
-  };
-
-  PowerModel() = default;
-  explicit PowerModel(Config C);
-
   const char *name() const override {
     return anyTmEnabled() ? "Power+TM" : "Power";
   }
@@ -60,8 +38,6 @@ public:
   Relation preservedProgramOrder(const ExecutionAnalysis &A) const;
   /// The happens-before relation of Fig. 6 under this configuration.
   Relation happensBefore(const ExecutionAnalysis &A) const;
-
-  Config config() const;
 };
 
 } // namespace tmw

@@ -71,18 +71,8 @@ const Axiom X86Axioms[] = {
 
 } // namespace
 
-X86Model::X86Model(Config C) {
-  Mask.set(kTfence, C.Tfence);
-  Mask.set(kStrongIsol, C.StrongIsol);
-  Mask.set(kTxnOrder, C.TxnOrder);
-}
-
 AxiomList X86Model::axioms() const { return X86Axioms; }
 
 Relation X86Model::happensBefore(const ExecutionAnalysis &A) const {
   return hb(A, Mask);
-}
-
-X86Model::Config X86Model::config() const {
-  return {Mask.test(kTfence), Mask.test(kStrongIsol), Mask.test(kTxnOrder)};
 }

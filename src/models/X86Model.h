@@ -4,10 +4,10 @@
 /// The x86 memory model of Fig. 5: TSO happens-before (Alglave et al.) with
 /// the paper's TM additions — implicit transaction fences (tfence), strong
 /// isolation, and transaction ordering (TxnOrder). Each TM axiom is a named
-/// entry of the declarative axiom table and can be toggled by name through
-/// the `AxiomMask` API (or the `Config` shim below); the all-off
-/// configuration is the non-transactional baseline used when synthesising
-/// the Forbid suite.
+/// entry of the declarative axiom table and is toggled by name (a registry
+/// spec such as `"x86/-TxnOrder"`, or `setAxiomEnabled`); the all-off
+/// configuration, `"x86/+baseline"`, is the non-transactional baseline
+/// used when synthesising the Forbid suite.
 ///
 /// Axioms: Coherence, RMWIsol, tfence (TM modifier), Order,
 ///         StrongIsol (TM), TxnOrder (TM).
@@ -24,23 +24,6 @@ namespace tmw {
 /// x86 (Fig. 5). Default configuration enables all TM axioms.
 class X86Model : public MemoryModel {
 public:
-  /// Thin shim lowering onto the named-axiom mask (source compatibility
-  /// with the pre-axiom-API per-model configs).
-  struct Config {
-    /// Implicit fences at transaction boundaries (Intel SDM §16.3.6).
-    bool Tfence = true;
-    /// acyclic(stronglift(com, stxn)) — strong isolation (§5.2).
-    bool StrongIsol = true;
-    /// acyclic(stronglift(hb, stxn)) — transaction atomicity (§5.2).
-    bool TxnOrder = true;
-
-    /// The non-transactional baseline (ignores stxn entirely).
-    static Config baseline() { return {false, false, false}; }
-  };
-
-  X86Model() = default;
-  explicit X86Model(Config C);
-
   const char *name() const override {
     return anyTmEnabled() ? "x86+TM" : "x86";
   }
@@ -49,10 +32,6 @@ public:
 
   /// The happens-before relation of Fig. 5 under this configuration.
   Relation happensBefore(const ExecutionAnalysis &A) const;
-
-  /// The current mask rendered as a `Config` (axioms the shim does not
-  /// name are unaffected by it).
-  Config config() const;
 };
 
 } // namespace tmw

@@ -105,13 +105,20 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   if (Resp.Name.empty())
     Resp.Name = P->Name;
 
-  // A program past an enumeration cap is refused, never answered from a
-  // partial candidate set. The check precedes the store lookup, so an
-  // answer stored before the refusal existed is never served either.
-  for (const LintFinding &F : capFindings(Facts)) {
-    if (!Resp.Error.empty())
+  // A program with a lint error cannot behave as written (past an
+  // enumeration cap, an unbalanced region, a dangling dependency or
+  // postcondition, ...): refused with every error, never answered from a
+  // partial or silently reduced candidate set. The check precedes the
+  // store lookup, so an answer stored before the refusal existed is never
+  // served either.
+  for (const LintFinding &F : lintProgram(*P).Findings) {
+    if (F.Severity != LintSeverity::Error)
+      continue;
+    if (Resp.Error.empty())
+      Resp.ErrorLine = F.Line;
+    else
       Resp.Error += "; ";
-    Resp.Error += F.Message;
+    Resp.Error += F.Message + " [" + std::string(F.Code) + "]";
   }
   if (!Resp.Error.empty())
     return Finish();
@@ -220,25 +227,14 @@ CheckResponse evaluateRequest(const CheckRequest &R,
     Resp.Plan.Discharged = PC.Discharged;
   }
 
-  // A program with an ill-formed shape (e.g. an abort that drops the
-  // unlock of a region opened before the transaction) has behaviours no
-  // candidate represents. Answer with the shape's reason and the lint
-  // errors that say why, never with verdicts over the other shapes.
+  // Backstop: a program that lints clean yet has an ill-formed shape has
+  // behaviours no candidate represents. Answer with the shape's reason,
+  // never with verdicts over the other shapes.
   if (IllFormed) {
     Resp.Verdicts.clear();
     Resp.Candidates = 0;
     Resp.Truncated = false;
     Resp.Error = std::string("ill-formed candidate shape (") + IllFormed + ")";
-    bool First = true;
-    for (const LintFinding &F : lintProgram(*P).Findings) {
-      if (F.Severity != LintSeverity::Error)
-        continue;
-      if (First)
-        Resp.ErrorLine = F.Line;
-      Resp.Error += First ? ": " : "; ";
-      Resp.Error += F.Message + " [" + std::string(F.Code) + "]";
-      First = false;
-    }
     return Finish();
   }
 

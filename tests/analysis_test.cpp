@@ -16,6 +16,7 @@
 #include "hw/ImplModel.h"
 #include "models/Armv8Model.h"
 #include "models/CppModel.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/ScModel.h"
 #include "models/X86Model.h"
@@ -250,11 +251,12 @@ TEST(AnalysisMemoization, ResetRetargets) {
 
 TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
 
-  ForbidSuite Seq = synthesizeForbid(Tm, Baseline, V, 4, 300.0, 1);
-  ForbidSuite Par = synthesizeForbid(Tm, Baseline, V, 4, 300.0, 4);
+  ForbidSuite Seq = synthesizeForbid(Tm, *Baseline, V, 4, 300.0, 1);
+  ForbidSuite Par = synthesizeForbid(Tm, *Baseline, V, 4, 300.0, 4);
   ASSERT_TRUE(Seq.Complete);
   ASSERT_TRUE(Par.Complete);
   EXPECT_EQ(Seq.BasesVisited, Par.BasesVisited);
@@ -272,11 +274,19 @@ TEST(ShardedEnumeration, ParallelForbidSynthesisMatchesSequential) {
 //===----------------------------------------------------------------------===
 // Axiom-engine cross-check: the declarative axiom lists driven by the
 // generic engine must reproduce, verdict for verdict (including the first
-// failed axiom), the PR-1 hand-written check() bodies, which are kept
-// below as independent reference implementations.
+// failed axiom), the original hand-written check() bodies, which are kept
+// below as independent reference implementations. Each reads its model's
+// TM toggles by axiom name.
 //===----------------------------------------------------------------------===
 
 namespace legacy {
+
+/// Whether \p M enables the named toggle. The name must exist, so a typo
+/// here cannot silently read as "off".
+bool enabled(const MemoryModel &M, std::string_view Name) {
+  EXPECT_GE(findAxiom(M.axioms(), Name), 0) << Name;
+  return M.axiomEnabled(Name);
+}
 
 ConsistencyResult checkSc(const ExecutionAnalysis &A) {
   Relation Hb = A.po() | A.com();
@@ -295,7 +305,7 @@ ConsistencyResult checkTsc(const ExecutionAnalysis &A) {
 }
 
 ConsistencyResult checkX86(const ExecutionAnalysis &A,
-                           X86Model::Config Cfg) {
+                           const MemoryModel &M) {
   unsigned N = A.size();
   const Relation &Com = A.com();
   if (!(A.poLoc() | Com).isAcyclic())
@@ -310,16 +320,16 @@ ConsistencyResult checkX86(const ExecutionAnalysis &A,
   EventSet Locked = A.rmw().domain() | A.rmw().range();
   Relation LockedId = Relation::identityOn(Locked, N);
   Relation Implied = LockedId.compose(A.po()) | A.po().compose(LockedId);
-  if (Cfg.Tfence)
+  if (enabled(M, "tfence"))
     Implied |= A.tfence();
   Relation Hb = A.fenceRel(FenceKind::MFence) | Ppo | Implied | A.rfe() |
                 A.fr() | A.co();
   if (!Hb.isAcyclic())
     return ConsistencyResult::fail("Order");
 
-  if (Cfg.StrongIsol && !A.strongLiftComStxn().isAcyclic())
+  if (enabled(M, "StrongIsol") && !A.strongLiftComStxn().isAcyclic())
     return ConsistencyResult::fail("StrongIsol");
-  if (Cfg.TxnOrder && !strongLift(Hb, A.stxn()).isAcyclic())
+  if (enabled(M, "TxnOrder") && !strongLift(Hb, A.stxn()).isAcyclic())
     return ConsistencyResult::fail("TxnOrder");
   return ConsistencyResult::ok();
 }
@@ -353,7 +363,7 @@ Relation legacyPowerPpo(const ExecutionAnalysis &A) {
 }
 
 ConsistencyResult checkPower(const ExecutionAnalysis &A,
-                             PowerModel::Config Cfg) {
+                             const MemoryModel &M) {
   unsigned N = A.size();
   const Relation &Com = A.com();
   if (!(A.poLoc() | Com).isAcyclic())
@@ -367,14 +377,14 @@ ConsistencyResult checkPower(const ExecutionAnalysis &A,
       A.fenceRel(FenceKind::LwSync) - Relation::cross(W, Rd, N);
   const Relation &Tfence = A.tfence();
   Relation Fence = Sync | LwSync;
-  if (Cfg.Tfence)
+  if (enabled(M, "tfence"))
     Fence |= Tfence;
 
   Relation Ihb = legacyPowerPpo(A) | Fence;
   const Relation &Rfe = A.rfe();
   Relation Hb = Rfe.optional().compose(Ihb).compose(Rfe.optional());
   const Relation &Stxn = A.stxn();
-  if (Cfg.Thb) {
+  if (enabled(M, "thb")) {
     Relation FreCoe = (A.fre() | A.coe()).reflexiveTransitiveClosure();
     Relation Chain =
         (Rfe | FreCoe.compose(Ihb)).reflexiveTransitiveClosure();
@@ -389,7 +399,7 @@ ConsistencyResult checkPower(const ExecutionAnalysis &A,
   Relation Efence = Rfe.optional().compose(Fence).compose(Rfe.optional());
   Relation Prop1 = IdW.compose(Efence).compose(HbStar).compose(IdW);
   Relation SyncLike = Sync;
-  if (Cfg.Tfence)
+  if (enabled(M, "tfence"))
     SyncLike |= Tfence;
   Relation Prop2 = A.external(Com)
                        .reflexiveTransitiveClosure()
@@ -398,26 +408,27 @@ ConsistencyResult checkPower(const ExecutionAnalysis &A,
                        .compose(SyncLike)
                        .compose(HbStar);
   Relation Prop = Prop1 | Prop2;
-  if (Cfg.TProp1)
+  if (enabled(M, "tprop1"))
     Prop |= Rfe.compose(Stxn).compose(IdW);
-  if (Cfg.TProp2)
+  if (enabled(M, "tprop2"))
     Prop |= Stxn.compose(Rfe);
 
   if (!(A.co() | Prop).isAcyclic())
     return ConsistencyResult::fail("Propagation");
   if (!A.fre().compose(Prop).compose(HbStar).isIrreflexive())
     return ConsistencyResult::fail("Observation");
-  if (Cfg.StrongIsol && !A.strongLiftComStxn().isAcyclic())
+  if (enabled(M, "StrongIsol") && !A.strongLiftComStxn().isAcyclic())
     return ConsistencyResult::fail("StrongIsol");
-  if (Cfg.TxnOrder && !strongLift(Hb, Stxn).isAcyclic())
+  if (enabled(M, "TxnOrder") && !strongLift(Hb, Stxn).isAcyclic())
     return ConsistencyResult::fail("TxnOrder");
-  if (Cfg.TxnCancelsRmw && !(A.rmw() & Tfence.transitiveClosure()).isEmpty())
+  if (enabled(M, "TxnCancelsRMW") &&
+      !(A.rmw() & Tfence.transitiveClosure()).isEmpty())
     return ConsistencyResult::fail("TxnCancelsRMW");
   return ConsistencyResult::ok();
 }
 
 ConsistencyResult checkArmv8(const ExecutionAnalysis &A,
-                             Armv8Model::Config Cfg) {
+                             const MemoryModel &M) {
   unsigned N = A.size();
   const Relation &Com = A.com();
   if (!(A.poLoc() | Com).isAcyclic())
@@ -455,28 +466,28 @@ ConsistencyResult checkArmv8(const ExecutionAnalysis &A,
   Bob |= A.po().compose(IdL);
   Bob |= A.po().compose(IdL).compose(A.coi());
   Relation Ob = Obs | Dob | Aob | Bob;
-  if (Cfg.Tfence)
+  if (enabled(M, "tfence"))
     Ob |= A.tfence();
   if (!Ob.isAcyclic())
     return ConsistencyResult::fail("Order");
 
   if (!(A.rmw() & A.fre().compose(A.coe())).isEmpty())
     return ConsistencyResult::fail("RMWIsol");
-  if (Cfg.StrongIsol && !A.strongLiftComStxn().isAcyclic())
+  if (enabled(M, "StrongIsol") && !A.strongLiftComStxn().isAcyclic())
     return ConsistencyResult::fail("StrongIsol");
-  if (Cfg.TxnOrder && !strongLift(Ob, A.stxn()).isAcyclic())
+  if (enabled(M, "TxnOrder") && !strongLift(Ob, A.stxn()).isAcyclic())
     return ConsistencyResult::fail("TxnOrder");
-  if (Cfg.TxnCancelsRmw &&
+  if (enabled(M, "TxnCancelsRMW") &&
       !(A.rmw() & A.tfence().transitiveClosure()).isEmpty())
     return ConsistencyResult::fail("TxnCancelsRMW");
   return ConsistencyResult::ok();
 }
 
 ConsistencyResult checkCpp(const ExecutionAnalysis &A,
-                           CppModel::Config Cfg) {
+                           const MemoryModel &M) {
   unsigned N = A.size();
   Relation Sw = A.cppSynchronisesWith();
-  if (Cfg.Tsw)
+  if (enabled(M, "Tsw"))
     Sw |= A.cppTransactionalSw();
   Relation Hb = (Sw | A.po()).transitiveClosure();
   const Relation &Com = A.com();
@@ -520,65 +531,41 @@ void expectSameVerdict(const MemoryModel &M, ConsistencyResult Ref,
 }
 
 TEST(AxiomEngineCrossCheck, MatchesLegacyCheckersOnAllConfigs) {
-  // Every config the PR-1 Config structs could express: default,
-  // baseline, and each single-toggle-off variant, for all six models,
-  // over the mixed x86/C++ cross-check corpus.
+  // SC, TSC, and for each TM model its default, its `+baseline`, and
+  // each single TM axiom off, over the mixed x86/C++ cross-check corpus.
+  using Checker = ConsistencyResult (*)(const ExecutionAnalysis &,
+                                        const MemoryModel &);
+  struct Oracle {
+    const char *Spec;
+    Checker Check;
+    std::unique_ptr<MemoryModel> M;
+  };
+  std::vector<Oracle> Oracles;
+  for (const char *Spec : {"x86", "x86/+baseline", "x86/-tfence",
+                           "x86/-StrongIsol", "x86/-TxnOrder"})
+    Oracles.push_back({Spec, checkX86, ModelRegistry::parse(Spec)});
+  for (const char *Spec :
+       {"power", "power/+baseline", "power/-tfence", "power/-thb",
+        "power/-tprop1", "power/-tprop2", "power/-StrongIsol",
+        "power/-TxnOrder", "power/-TxnCancelsRMW"})
+    Oracles.push_back({Spec, checkPower, ModelRegistry::parse(Spec)});
+  for (const char *Spec :
+       {"armv8", "armv8/+baseline", "armv8/-tfence", "armv8/-StrongIsol",
+        "armv8/-TxnOrder", "armv8/-TxnCancelsRMW"})
+    Oracles.push_back({Spec, checkArmv8, ModelRegistry::parse(Spec)});
+  for (const char *Spec : {"cpp", "cpp/-Tsw"})
+    Oracles.push_back({Spec, checkCpp, ModelRegistry::parse(Spec)});
+  for (const Oracle &O : Oracles)
+    ASSERT_TRUE(O.M) << O.Spec;
+
   for (Arch A : {Arch::X86, Arch::Cpp}) {
     for (const Execution &X :
          corpus(Vocabulary::forArch(A), 3, /*Cap=*/300)) {
       ExecutionAnalysis An(X);
       expectSameVerdict(ScModel(), legacy::checkSc(An), X, "SC");
       expectSameVerdict(TscModel(), legacy::checkTsc(An), X, "TSC");
-
-      for (int Drop = -2; Drop < 3; ++Drop) {
-        X86Model::Config C =
-            Drop == -2 ? X86Model::Config::baseline() : X86Model::Config();
-        if (Drop == 0)
-          C.Tfence = false;
-        if (Drop == 1)
-          C.StrongIsol = false;
-        if (Drop == 2)
-          C.TxnOrder = false;
-        expectSameVerdict(X86Model(C), legacy::checkX86(An, C), X, "x86");
-      }
-      for (int Drop = -2; Drop < 7; ++Drop) {
-        PowerModel::Config C = Drop == -2 ? PowerModel::Config::baseline()
-                                          : PowerModel::Config();
-        if (Drop == 0)
-          C.Tfence = false;
-        if (Drop == 1)
-          C.StrongIsol = false;
-        if (Drop == 2)
-          C.TxnOrder = false;
-        if (Drop == 3)
-          C.TxnCancelsRmw = false;
-        if (Drop == 4)
-          C.TProp1 = false;
-        if (Drop == 5)
-          C.TProp2 = false;
-        if (Drop == 6)
-          C.Thb = false;
-        expectSameVerdict(PowerModel(C), legacy::checkPower(An, C), X,
-                          "Power");
-      }
-      for (int Drop = -2; Drop < 4; ++Drop) {
-        Armv8Model::Config C = Drop == -2 ? Armv8Model::Config::baseline()
-                                          : Armv8Model::Config();
-        if (Drop == 0)
-          C.Tfence = false;
-        if (Drop == 1)
-          C.StrongIsol = false;
-        if (Drop == 2)
-          C.TxnOrder = false;
-        if (Drop == 3)
-          C.TxnCancelsRmw = false;
-        expectSameVerdict(Armv8Model(C), legacy::checkArmv8(An, C), X,
-                          "ARMv8");
-      }
-      for (bool Tsw : {true, false}) {
-        CppModel::Config C{Tsw};
-        expectSameVerdict(CppModel(C), legacy::checkCpp(An, C), X, "C++");
-      }
+      for (const Oracle &O : Oracles)
+        expectSameVerdict(*O.M, O.Check(An, *O.M), X, O.Spec);
     }
   }
 }

@@ -2,6 +2,7 @@
 
 #include "TestGraphs.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -106,8 +107,7 @@ TEST(Armv8TmTest, TfenceForbidsStoreBufferingAroundTransactions) {
   Execution X = B.build();
   Armv8Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("armv8/+baseline")->consistent(X));
 }
 
 TEST(Armv8TmTest, TxnCancelsRmwAcrossBoundary) {
@@ -169,18 +169,17 @@ TEST(Armv8TmTest, BuggyRtlAllowsTxnOrderViolation) {
   Execution X = shapes::lockElisionConcrete(/*FixedSpinlock=*/true);
   Armv8Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  Armv8Model::Config Buggy;
-  Buggy.TxnOrder = false;
-  EXPECT_TRUE(Armv8Model(Buggy).consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("armv8/-TxnOrder")->consistent(X));
 }
 
 TEST(Armv8TmTest, TransactionFreeExecutionsUnchanged) {
   Armv8Model Tm;
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("armv8/+baseline");
   for (const Execution &X :
        {shapes::storeBuffering(), shapes::messagePassing(),
         shapes::loadBuffering(true), shapes::iriw(MemOrder::Acquire)}) {
-    EXPECT_EQ(Tm.consistent(X), Baseline.consistent(X));
+    EXPECT_EQ(Tm.consistent(X), Baseline->consistent(X));
   }
 }
 

@@ -7,6 +7,7 @@
 #include "hw/TsoMachine.h"
 #include "litmus/FromExecution.h"
 #include "litmus/Printer.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/X86Model.h"
 
@@ -18,9 +19,10 @@ namespace {
 
 ForbidSuite x86Suite(unsigned N) {
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
-  return synthesizeForbid(Tm, Baseline, V, N, 300.0);
+  return synthesizeForbid(Tm, *Baseline, V, N, 300.0);
 }
 
 TEST(ForbidTest, X86TwoEventsEmpty) {
@@ -36,12 +38,13 @@ TEST(ForbidTest, X86ThreeEventsNonEmpty) {
   EXPECT_TRUE(S.Complete);
   EXPECT_FALSE(S.Tests.empty());
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   for (const Execution &X : S.Tests) {
     // Forbidden by the TM model, allowed by the baseline, minimal.
     EXPECT_FALSE(Tm.consistent(X));
-    EXPECT_TRUE(Baseline.consistent(X));
+    EXPECT_TRUE(Baseline->consistent(X));
     EXPECT_TRUE(isMinimallyInconsistent(X, Tm, V));
     // Conformance tests always exercise a transaction.
     EXPECT_GE(X.numTxns(), 1u);
@@ -78,9 +81,10 @@ TEST(ForbidTest, FoundTimesMonotoneAndBounded) {
 
 TEST(ForbidTest, BudgetAbortsCleanly) {
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
-  ForbidSuite S = synthesizeForbid(Tm, Baseline, V, 5, 0.0);
+  ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, 5, 0.0);
   EXPECT_FALSE(S.Complete);
 }
 
@@ -142,9 +146,10 @@ TEST(ConformanceRunTest, MostAllowTestsSeenOnTso) {
 
 TEST(ConformanceRunTest, PowerForbidNotObservableOnImpl) {
   PowerModel Tm;
-  PowerModel Baseline{PowerModel::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("power/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::Power);
-  ForbidSuite S = synthesizeForbid(Tm, Baseline, V, 3, 300.0);
+  ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, 3, 300.0);
   ImplModel P8 = ImplModel::power8();
   for (const Execution &X : S.Tests) {
     Program P = programFromExecution(X, "forbid").Prog;

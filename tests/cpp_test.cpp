@@ -2,6 +2,7 @@
 
 #include "TestGraphs.h"
 #include "models/CppModel.h"
+#include "models/ModelRegistry.h"
 
 #include <gtest/gtest.h>
 
@@ -130,8 +131,7 @@ TEST(CppTmTest, TransactionalMessagePassingForbidden) {
   EXPECT_EQ(R.FailedAxiom, "HbCom");
 
   // Without tsw (the baseline C++ model) the shape is allowed — and racy.
-  CppModel Baseline{CppModel::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("cpp/+baseline")->consistent(X));
 }
 
 TEST(CppTmTest, TswMakesTransactionsRaceFree) {
@@ -148,7 +148,8 @@ TEST(CppTmTest, TswMakesTransactionsRaceFree) {
   EXPECT_TRUE(M.consistent(X));
   EXPECT_TRUE(M.raceFree(X));
   // Remove the transactions: immediately racy.
-  CppModel Baseline{CppModel::Config::baseline()};
+  CppModel Baseline;
+  ASSERT_TRUE(Baseline.setAxiomEnabled("Tsw", false));
   EXPECT_FALSE(Baseline.raceFree(X));
 }
 

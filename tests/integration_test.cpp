@@ -19,6 +19,7 @@
 #include "litmus/Printer.h"
 #include "metatheory/LockElision.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 #include "models/X86Model.h"
 #include "synth/Conformance.h"
 
@@ -30,9 +31,10 @@ namespace {
 
 TEST(PipelineTest, SynthesiseConvertRunX86) {
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::X86);
-  ForbidSuite Suite = synthesizeForbid(Tm, Baseline, V, 4, 120.0);
+  ForbidSuite Suite = synthesizeForbid(Tm, *Baseline, V, 4, 120.0);
   ASSERT_FALSE(Suite.Tests.empty());
 
   unsigned Checked = 0;
@@ -47,7 +49,7 @@ TEST(PipelineTest, SynthesiseConvertRunX86) {
     for (const Candidate &C : enumerateCandidates(Conv.Prog))
       if (C.O.satisfies(Conv.Prog)) {
         ++Matching;
-        IntendedConsistentSomewhere |= Baseline.consistent(C.X);
+        IntendedConsistentSomewhere |= Baseline->consistent(C.X);
       }
     EXPECT_GE(Matching, 1u);
     EXPECT_TRUE(IntendedConsistentSomewhere);
@@ -59,9 +61,9 @@ TEST(PipelineTest, SynthesiseConvertRunX86) {
 
 TEST(PipelineTest, ElisionWitnessRendersAsExample11) {
   Armv8Model Tm;
-  Armv8Model Spec{Armv8Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Spec = ModelRegistry::parse("armv8/+baseline");
   ElisionResult R =
-      checkLockElision(Tm, Spec, Arch::Armv8, false, 7, 300.0);
+      checkLockElision(Tm, *Spec, Arch::Armv8, false, 7, 300.0);
   ASSERT_TRUE(R.CounterexampleFound);
 
   // The abstract side renders with lock()/unlock() pseudo-calls.
@@ -153,9 +155,10 @@ TEST(PipelineTest, DslRoundTripPreservesModelVerdicts) {
   X86Model Model;
   EXPECT_EQ(postconditionReachable(P, Model),
             postconditionReachable(R.Prog, Model));
-  X86Model Baseline{X86Model::Config::baseline()};
-  EXPECT_EQ(postconditionReachable(P, Baseline),
-            postconditionReachable(R.Prog, Baseline));
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
+  EXPECT_EQ(postconditionReachable(P, *Baseline),
+            postconditionReachable(R.Prog, *Baseline));
 }
 
 } // namespace

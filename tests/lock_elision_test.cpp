@@ -3,6 +3,7 @@
 #include "TestGraphs.h"
 #include "metatheory/LockElision.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/X86Model.h"
 
@@ -33,8 +34,7 @@ TEST(CrOrderTest, Fig10AbstractViolatesSerialisation) {
   Execution X = fig10Abstract();
   EXPECT_FALSE(holdsCrOrder(X));
   // But the memory part is architecturally fine.
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("armv8/+baseline")->consistent(X));
 }
 
 TEST(CrOrderTest, SerialisedRegionsPass) {
@@ -108,9 +108,9 @@ TEST(ElisionCheckTest, Armv8CounterexampleFound) {
   // Table 2: lock elision is unsound on ARMv8 — found quickly (63s for
   // Memalloy; our explicit search needs a few seconds at most).
   Armv8Model Tm;
-  Armv8Model Spec{Armv8Model::Config::baseline()};
-  ElisionResult R =
-      checkLockElision(Tm, Spec, Arch::Armv8, false, 7, 300.0);
+  ElisionResult R = checkLockElision(
+      Tm, *ModelRegistry::parse("armv8/+baseline"), Arch::Armv8, false, 7,
+      300.0);
   ASSERT_TRUE(R.CounterexampleFound);
   EXPECT_FALSE(holdsCrOrder(R.Abstract));
   EXPECT_TRUE(Tm.consistent(R.Concrete));
@@ -123,9 +123,9 @@ TEST(ElisionCheckTest, Armv8CounterexampleFound) {
 TEST(ElisionCheckTest, Armv8FixedSpinlockSound) {
   // Table 2: with the DMB appended, no counterexample at the same bound.
   Armv8Model Tm;
-  Armv8Model Spec{Armv8Model::Config::baseline()};
-  ElisionResult R =
-      checkLockElision(Tm, Spec, Arch::Armv8, true, 7, 300.0);
+  ElisionResult R = checkLockElision(
+      Tm, *ModelRegistry::parse("armv8/+baseline"), Arch::Armv8, true, 7,
+      300.0);
   EXPECT_FALSE(R.CounterexampleFound)
       << R.Abstract.dump() << R.Concrete.dump();
   EXPECT_TRUE(R.Complete);
@@ -137,8 +137,8 @@ TEST(ElisionCheckTest, X86Sound) {
   // Table 2 reports a >48h timeout with no counterexample for x86; our
   // bounded search is exhaustive at this scale and confirms soundness.
   X86Model Tm;
-  X86Model Spec{X86Model::Config::baseline()};
-  ElisionResult R = checkLockElision(Tm, Spec, Arch::X86, false, 7, 300.0);
+  ElisionResult R = checkLockElision(
+      Tm, *ModelRegistry::parse("x86/+baseline"), Arch::X86, false, 7, 300.0);
   EXPECT_FALSE(R.CounterexampleFound)
       << R.Abstract.dump() << R.Concrete.dump();
   EXPECT_EQ(R.AbstractChecked, 519u);

@@ -4,6 +4,7 @@
 
 #include "TestGraphs.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 #include "models/ScModel.h"
 #include "models/X86Model.h"
 
@@ -84,18 +85,16 @@ TEST(MinimizeTest, MinimisedWitnessStaysExhibitedByBuggyRtl) {
   // spec from RTL.
   Execution X = shapes::lockElisionConcrete(/*FixedSpinlock=*/true);
   Armv8Model Spec;
-  Armv8Model::Config BuggyCfg;
-  BuggyCfg.TxnOrder = false;
-  Armv8Model Buggy(BuggyCfg);
+  std::unique_ptr<MemoryModel> Buggy = ModelRegistry::parse("armv8/-TxnOrder");
   Vocabulary V = Vocabulary::forArch(Arch::Armv8);
   ASSERT_FALSE(Spec.consistent(X));
-  ASSERT_TRUE(Buggy.consistent(X));
+  ASSERT_TRUE(Buggy->consistent(X));
 
   Execution Min = minimizeInconsistent(
       X, Spec, V,
-      [&Buggy](const Execution &Y) { return Buggy.consistent(Y); });
+      [&Buggy](const Execution &Y) { return Buggy->consistent(Y); });
   EXPECT_FALSE(Spec.consistent(Min));
-  EXPECT_TRUE(Buggy.consistent(Min));
+  EXPECT_TRUE(Buggy->consistent(Min));
   EXPECT_LE(Min.size(), X.size());
 }
 

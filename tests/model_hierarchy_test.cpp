@@ -17,6 +17,7 @@
 #include "enumerate/Enumerator.h"
 #include "models/Armv8Model.h"
 #include "models/CppModel.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/ScModel.h"
 #include "models/X86Model.h"
@@ -45,13 +46,17 @@ struct Models {
   ScModel Sc;
   TscModel Tsc;
   X86Model X86;
-  X86Model X86Base{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> X86Base =
+      ModelRegistry::parse("x86/+baseline");
   PowerModel Power;
-  PowerModel PowerBase{PowerModel::Config::baseline()};
+  std::unique_ptr<MemoryModel> PowerBase =
+      ModelRegistry::parse("power/+baseline");
   Armv8Model Armv8;
-  Armv8Model Armv8Base{Armv8Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Armv8Base =
+      ModelRegistry::parse("armv8/+baseline");
   CppModel Cpp;
-  CppModel CppBase{CppModel::Config::baseline()};
+  std::unique_ptr<MemoryModel> CppBase =
+      ModelRegistry::parse("cpp/+baseline");
 };
 
 class HierarchySweep : public ::testing::TestWithParam<unsigned> {
@@ -83,13 +88,13 @@ TEST_P(HierarchySweep, TscIsAnUpperBoundForEveryTmModel) {
 TEST_P(HierarchySweep, TmConsistencyImpliesBaselineConsistency) {
   sweep(Vocabulary::forArch(Arch::X86), GetParam(), [&](const Execution &X) {
     if (M.X86.consistent(X)) {
-      EXPECT_TRUE(M.X86Base.consistent(X)) << X.dump();
+      EXPECT_TRUE(M.X86Base->consistent(X)) << X.dump();
     }
     if (M.Power.consistent(X)) {
-      EXPECT_TRUE(M.PowerBase.consistent(X)) << X.dump();
+      EXPECT_TRUE(M.PowerBase->consistent(X)) << X.dump();
     }
     if (M.Armv8.consistent(X)) {
-      EXPECT_TRUE(M.Armv8Base.consistent(X)) << X.dump();
+      EXPECT_TRUE(M.Armv8Base->consistent(X)) << X.dump();
     }
   });
 }
@@ -119,9 +124,9 @@ TEST_P(HierarchySweep, ScImpliesHardwareBaselines) {
   sweep(Vocabulary::forArch(Arch::SC), GetParam(), [&](const Execution &X) {
     if (!X.Rmw.isEmpty() || !M.Sc.consistent(X))
       return;
-    EXPECT_TRUE(M.X86Base.consistent(X)) << X.dump();
-    EXPECT_TRUE(M.PowerBase.consistent(X)) << X.dump();
-    EXPECT_TRUE(M.Armv8Base.consistent(X)) << X.dump();
+    EXPECT_TRUE(M.X86Base->consistent(X)) << X.dump();
+    EXPECT_TRUE(M.PowerBase->consistent(X)) << X.dump();
+    EXPECT_TRUE(M.Armv8Base->consistent(X)) << X.dump();
   });
 }
 
@@ -145,12 +150,12 @@ TEST_P(HierarchySweep, TransactionFreeAgreementBetweenTmAndBaseline) {
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   ExecutionEnumerator Enum(V, GetParam());
   Enum.forEachBase([&](Execution &X) {
-    EXPECT_EQ(M.X86.consistent(X), M.X86Base.consistent(X)) << X.dump();
-    EXPECT_EQ(M.Power.consistent(X), M.PowerBase.consistent(X))
+    EXPECT_EQ(M.X86.consistent(X), M.X86Base->consistent(X)) << X.dump();
+    EXPECT_EQ(M.Power.consistent(X), M.PowerBase->consistent(X))
         << X.dump();
-    EXPECT_EQ(M.Armv8.consistent(X), M.Armv8Base.consistent(X))
+    EXPECT_EQ(M.Armv8.consistent(X), M.Armv8Base->consistent(X))
         << X.dump();
-    EXPECT_EQ(M.Cpp.consistent(X), M.CppBase.consistent(X)) << X.dump();
+    EXPECT_EQ(M.Cpp.consistent(X), M.CppBase->consistent(X)) << X.dump();
     return true;
   });
 }

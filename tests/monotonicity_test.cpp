@@ -4,6 +4,7 @@
 #include "metatheory/Monotonicity.h"
 #include "models/Armv8Model.h"
 #include "models/CppModel.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 #include "models/X86Model.h"
 
@@ -95,11 +96,9 @@ TEST(MonotonicityTest, CppHoldsAtSmallBounds) {
 
 TEST(MonotonicityTest, PowerWithoutTxnCancelsRmwHolds) {
   // Ablation: TxnCancelsRMW is exactly what breaks monotonicity.
-  PowerModel::Config C;
-  C.TxnCancelsRmw = false;
-  PowerModel M(C);
   Vocabulary V = Vocabulary::forArch(Arch::Power);
-  MonotonicityResult R = checkMonotonicity(M, V, 2, 60.0);
+  MonotonicityResult R = checkMonotonicity(
+      *ModelRegistry::parse("power/-TxnCancelsRMW"), V, 2, 60.0);
   EXPECT_FALSE(R.CounterexampleFound);
 }
 

@@ -43,12 +43,44 @@ TEST(ParserError_, LocRequiresNameAndInitial) {
 
 TEST(ParserError_, BadInitialValue) {
   expectError("loc x zero\n", "bad initial value", 1);
+  // Numbers outside `int` are refused, not wrapped.
+  expectError("loc x 4294967297\n", "bad initial value", 1);
+}
+
+TEST(ParserError_, LocationDeclaredTwice) {
+  // A second `loc` cannot take effect (the first value would win
+  // silently), so it is refused at its line.
+  expectError("loc x 1\nthread 0\n  load x\nloc x 2\n",
+              "location 'x' already declared at line 1", 4);
+  expectError("loc x 0\nloc y 0\nloc x 0\n",
+              "location 'x' already declared at line 1", 3);
+  // A location first named by an instruction may still be declared once.
+  ParseResult Late = parseProgram("thread 0\n  load x\nloc x 3\n");
+  ASSERT_TRUE(static_cast<bool>(Late)) << Late.Error;
+  EXPECT_EQ(Late.Prog.initialValue(0), 3);
 }
 
 TEST(ParserError_, BadThreadIndex) {
   expectError("thread\n", "bad thread index", 1);
   expectError("thread one\n", "bad thread index", 1);
   expectError("thread -1\n", "bad thread index", 1);
+  // 2^32 must not wrap to thread 0.
+  expectError("thread 4294967296\n  store x 1\n", "bad thread index", 1);
+}
+
+TEST(ParserError_, ThreadIndexOutOfRange) {
+  // Threads are stored densely up to the highest index named, so an
+  // unchecked index is an unchecked allocation (2000000000 asks for tens
+  // of GB; CI's hostile-input smoke sends that one under a memory
+  // limit). Every index from kMaxEvents on is refused at its line; the
+  // largest legal one still parses.
+  expectError("name HugeThread\nthread 64\n  store x 1\n",
+              "thread index 64 out of range (0..63)", 2);
+  expectError("thread 0\n  load x\nthread 1000000\n  store x 1\n",
+              "thread index 1000000 out of range (0..63)", 3);
+  ParseResult Last = parseProgram("thread 63\n  store x 1\n");
+  ASSERT_TRUE(static_cast<bool>(Last)) << Last.Error;
+  EXPECT_EQ(Last.Prog.Threads.size(), 64u);
 }
 
 TEST(ParserError_, IncompletePostcondition) {
@@ -89,6 +121,8 @@ TEST(ParserError_, StoreRequiresLocationAndValue) {
               "store requires a location and a value", 2);
   expectError("thread 0\n  store x one\n",
               "store requires a location and a value", 2);
+  expectError("thread 0\n  store x 4294967297\n",
+              "store requires a location and a value", 2);
 }
 
 TEST(ParserError_, FenceRequiresFlavour) {
@@ -108,6 +142,8 @@ TEST(ParserError_, BadDependencyReference) {
               "bad dependency reference: addr:rQ", 2);
   expectError("thread 0\n  load x rmw:-2\n",
               "bad dependency reference: rmw:-2", 2);
+  expectError("thread 0\n  load x addr:r4294967296\n",
+              "bad dependency reference: addr:r4294967296", 2);
 }
 
 TEST(ParserError_, UnknownAttribute) {

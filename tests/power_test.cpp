@@ -1,6 +1,7 @@
 //===- power_test.cpp - Power with transactions (Fig. 6, §5.2) ----------------==//
 
 #include "TestGraphs.h"
+#include "models/ModelRegistry.h"
 #include "models/PowerModel.h"
 
 #include <gtest/gtest.h>
@@ -93,12 +94,9 @@ TEST(PowerTmTest, Sec52Execution1ForbiddenByIntegratedBarrier) {
   EXPECT_EQ(R.FailedAxiom, "Observation");
 
   // Without tprop1 (the integrated memory barrier) it is allowed.
-  PowerModel::Config NoTprop1;
-  NoTprop1.TProp1 = false;
-  EXPECT_TRUE(PowerModel(NoTprop1).consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("power/-tprop1")->consistent(X));
   // The baseline without transactions allows it too.
-  PowerModel Baseline{PowerModel::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("power/+baseline")->consistent(X));
 }
 
 TEST(PowerTmTest, Sec52Execution2ForbiddenByMulticopyAtomicity) {
@@ -108,9 +106,7 @@ TEST(PowerTmTest, Sec52Execution2ForbiddenByMulticopyAtomicity) {
   EXPECT_FALSE(R.Consistent);
   EXPECT_EQ(R.FailedAxiom, "Observation");
 
-  PowerModel::Config NoTprop2;
-  NoTprop2.TProp2 = false;
-  EXPECT_TRUE(PowerModel(NoTprop2).consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("power/-tprop2")->consistent(X));
 }
 
 TEST(PowerTmTest, Sec52Execution3ForbiddenByTransactionOrdering) {
@@ -118,9 +114,7 @@ TEST(PowerTmTest, Sec52Execution3ForbiddenByTransactionOrdering) {
   PowerModel Tm;
   EXPECT_FALSE(Tm.consistent(X));
 
-  PowerModel::Config NoThb;
-  NoThb.Thb = false;
-  EXPECT_TRUE(PowerModel(NoThb).consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("power/-thb")->consistent(X));
 }
 
 TEST(PowerTmTest, IriwWithOneTransactionAllowed) {
@@ -168,8 +162,7 @@ TEST(PowerTmTest, TfenceActsLikeSync) {
 
   PowerModel Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  PowerModel Baseline{PowerModel::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("power/+baseline")->consistent(X));
 }
 
 TEST(PowerTmTest, DongolComparisonShapeForbidden) {
@@ -183,24 +176,22 @@ TEST(PowerTmTest, DongolComparisonShapeForbidden) {
   EXPECT_FALSE(Tm.consistent(X));
 
   // Dropping only thb keeps it forbidden via StrongIsol...
-  PowerModel::Config NoThb;
-  NoThb.Thb = false;
-  NoThb.TxnOrder = false;
-  EXPECT_FALSE(PowerModel(NoThb).consistent(X));
+  EXPECT_FALSE(
+      ModelRegistry::parse("power/-thb/-TxnOrder")->consistent(X));
   // ...and dropping isolation as well finally admits it.
-  PowerModel::Config NoOrdering = NoThb;
-  NoOrdering.StrongIsol = false;
-  EXPECT_TRUE(PowerModel(NoOrdering).consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("power/-thb/-TxnOrder/-StrongIsol")
+                  ->consistent(X));
 }
 
 TEST(PowerTmTest, TransactionFreeExecutionsUnchanged) {
   PowerModel Tm;
-  PowerModel Baseline{PowerModel::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("power/+baseline");
   for (const Execution &X :
        {shapes::storeBuffering(), shapes::messagePassing(),
         shapes::messagePassingDep(true), shapes::loadBuffering(true),
         shapes::iriw(MemOrder::NonAtomic, true)}) {
-    EXPECT_EQ(Tm.consistent(X), Baseline.consistent(X));
+    EXPECT_EQ(Tm.consistent(X), Baseline->consistent(X));
   }
 }
 

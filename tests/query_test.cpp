@@ -8,13 +8,17 @@
 /// outcome sets — must equal a fresh enumeration per model with throwaway
 /// analyses. Plus: batch output byte-identical for Jobs in {1, 4, 16},
 /// in-order streaming, candidate caps, request-level error reporting,
-/// and the refusal of programs past the enumeration caps or with an
-/// ill-formed candidate shape.
+/// and the refusal of exactly the programs with a lint error (past the
+/// enumeration caps, unbalanced regions, dangling dependencies or
+/// postconditions), even when a stale answer for one is stored.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "enumerate/Candidates.h"
+#include "lint/Lint.h"
 #include "litmus/Library.h"
+#include "litmus/Parser.h"
+#include "litmus/Printer.h"
 #include "models/ModelRegistry.h"
 #include "query/QueryEngine.h"
 #include "query/QueryIO.h"
@@ -243,23 +247,17 @@ TEST(QueryEngine_, RequestErrors) {
   CheckResponse R5 = Engine.evaluate(Both);
   EXPECT_FALSE(static_cast<bool>(R5));
 
-  // Every shape of this program fails well-formedness (a lock region
-  // closed by txunlock), so it has no candidate to answer from: an error
-  // carrying the shape's reason, the lint finding and its line, not
-  // "allowed: false".
+  // This program lints with an error (a lock region closed by txunlock,
+  // so every shape is ill-formed): refused before enumeration with the
+  // finding, its code and its line, not "allowed: false".
   CheckRequest Unbalanced;
   Unbalanced.Source = "name lockprobe\nthread 0\n  lock\n  store x 1\n"
                       "  txunlock\n";
   Unbalanced.ModelSpecs = {"x86"};
   CheckResponse R6 = Engine.evaluate(Unbalanced);
   EXPECT_FALSE(static_cast<bool>(R6));
-  EXPECT_EQ(R6.Error.rfind("ill-formed candidate shape (critical region not "
-                           "delimited by matching lock/unlock): ",
-                           0),
-            0u)
-      << R6.Error;
-  EXPECT_NE(R6.Error.find("[unbalanced-lock]"), std::string::npos)
-      << R6.Error;
+  EXPECT_EQ(R6.Error,
+            "region opened by lock is closed by txunlock [unbalanced-lock]");
   EXPECT_EQ(R6.ErrorLine, 5u);
   EXPECT_EQ(R6.Candidates, 0u);
   EXPECT_TRUE(R6.Verdicts.empty());
@@ -268,34 +266,34 @@ TEST(QueryEngine_, RequestErrors) {
   // its handler zeroes `ok`, but the abort drops one lock call of a region
   // the transaction boundary cuts. Refused, not answered "forbidden" from
   // the success shape alone — in both nestings, at the crossing line.
-  for (const auto &[Source, Reason, Line] :
+  for (const auto &[Source, Message, Line] :
        {std::tuple{"name AbortLeavesLockHeld\nloc ok 1\nthread 0\n  lock\n"
                    "  txbegin\n  store x 1\n  unlock\n  txend\n"
                    "thread 1\n  load x\npost mem ok 0\n",
-                   "critical region not delimited by matching lock/unlock",
+                   "unlock inside a transaction closes the lock region opened "
+                   "at instruction 0 outside it, so an abort leaves the "
+                   "region open [unbalanced-lock]",
                    7u},
         std::tuple{"name TxnCutsLockRegion\nloc ok 1\nthread 0\n  txbegin\n"
                    "  lock\n  store x 1\n  txend\n  unlock\n"
                    "thread 1\n  load x\npost mem ok 0\n",
-                   "lock call outside any critical region", 7u}}) {
+                   "txend cuts the lock region opened at instruction 1, so "
+                   "an abort drops its lock call but keeps its unlock "
+                   "[unbalanced-lock]",
+                   7u}}) {
     CheckRequest Cut;
     Cut.Source = Source;
     Cut.ModelSpecs = {"x86"};
     CheckResponse R7 = Engine.evaluate(Cut);
     EXPECT_FALSE(static_cast<bool>(R7));
-    EXPECT_EQ(R7.Error.rfind(std::string("ill-formed candidate shape (") +
-                                 Reason + "): ",
-                             0),
-              0u)
-        << R7.Error;
-    EXPECT_NE(R7.Error.find("[unbalanced-lock]"), std::string::npos)
-        << R7.Error;
+    EXPECT_EQ(R7.Error, Message);
     EXPECT_EQ(R7.ErrorLine, Line);
     EXPECT_EQ(R7.Candidates, 0u);
     EXPECT_TRUE(R7.Verdicts.empty());
   }
 
-  // A candidate cap that stops before the ill-formed shape still refuses.
+  // A candidate cap cannot let a refused program through: the refusal
+  // comes before enumeration, with every error in line order.
   CheckRequest Capped;
   Capped.Source = "name CutTwice\nthread 0\n  txbegin\n  lock\n  store x 1\n"
                   "  txend\n  txbegin\n  unlock\n  txend\n"
@@ -303,7 +301,13 @@ TEST(QueryEngine_, RequestErrors) {
   Capped.ModelSpecs = {"x86"};
   Capped.CandidateCap = 1;
   CheckResponse R8 = Engine.evaluate(Capped);
-  EXPECT_EQ(R8.Error.rfind("ill-formed candidate shape (", 0), 0u)
+  EXPECT_EQ(R8.Error.rfind("txend cuts the lock region opened at "
+                           "instruction 1",
+                           0),
+            0u)
+      << R8.Error;
+  EXPECT_NE(R8.Error.find("[unbalanced-lock]; unlock inside a transaction"),
+            std::string::npos)
       << R8.Error;
   EXPECT_EQ(R8.ErrorLine, 6u); // the txend that cuts the region
   EXPECT_FALSE(R8.Truncated);
@@ -391,6 +395,120 @@ TEST(QueryEngine_, OverCapProgramsAreRefused) {
   StoreCounters SC = Store->counters();
   EXPECT_EQ(SC.Hits + SC.Misses, 0u);
   EXPECT_EQ(SC.Appends, 1u); // the seeded answer only
+  ::unlink(Path.c_str());
+}
+
+TEST(QueryEngine_, RefusesExactlyTheProgramsLintRejects) {
+  // Each fixture but the last lints with an error (unbalanced
+  // transactions, a `post reg` on a missing thread, a dependency on no
+  // earlier load); the last declares `loc x` twice, a parse error. With
+  // the corpus, which lints clean: the engine refuses a program if and
+  // only if it lints with an error, and then says why, at the first
+  // error's line.
+  const std::vector<std::pair<std::string, std::string>> Fixtures = {
+      {"NestedTxbegin", "name NestedTxbegin\nthread 0\n  txbegin\n"
+                        "  txbegin\n  store x 1\n  txend\n  txend\n"
+                        "thread 1\n  load x\n"},
+      {"StrayTxend", "name StrayTxend\nthread 0\n  store x 1\n  txend\n"
+                     "thread 1\n  load x\n"},
+      {"OpenTxbegin", "name OpenTxbegin\nthread 0\n  txbegin\n"
+                      "  store x 1\nthread 1\n  load x\n"},
+      {"PostRegNoThread", "name PostRegNoThread\nthread 0\n  load x\n"
+                          "post reg 5 r0 1\n"},
+      {"DanglingAddr", "name DanglingAddr\nthread 0\n  load x\n"
+                       "  store y 1 addr:r5\n"},
+      {"LocTwice", "name LocTwice\nloc x 1\nloc x 2\nthread 0\n"
+                   "  load x\npost reg 0 r0 2\n"}};
+  const std::vector<std::string> Specs = {"x86", "power"};
+
+  std::vector<CheckRequest> Requests;
+  std::vector<ParseResult> Parsed;
+  for (const auto &[Name, Source] : Fixtures) {
+    CheckRequest R;
+    R.Source = Source;
+    R.ModelSpecs = Specs;
+    Requests.push_back(R);
+    Parsed.push_back(parseProgram(Source));
+  }
+  for (const CorpusEntry &E : sharedCorpus()) {
+    CheckRequest R;
+    R.Corpus = E.Name;
+    R.ModelSpecs = Specs;
+    Requests.push_back(R);
+    Parsed.push_back({E.Prog, "", 0});
+  }
+
+  // A stale answer stored for every fixture that parses (an SB verdict
+  // under its name and source): the refusal precedes the store lookup,
+  // so none is ever served.
+  std::string Path = testing::TempDir() + "query_test_lint_refusal.log";
+  ::unlink(Path.c_str());
+  std::string Error;
+  std::unique_ptr<VerdictStore> Store = VerdictStore::open(Path, &Error);
+  ASSERT_TRUE(Store) << Error;
+  CheckRequest SbReq;
+  SbReq.Corpus = "SB";
+  SbReq.ModelSpecs = Specs;
+  CheckResponse Stale = QueryEngine().evaluate(SbReq);
+  ASSERT_TRUE(static_cast<bool>(Stale)) << Stale.Error;
+  unsigned Seeded = 0;
+  for (size_t I = 0; I < Fixtures.size(); ++I) {
+    if (!Parsed[I])
+      continue;
+    Stale.Name = Fixtures[I].first;
+    ASSERT_TRUE(Store->append(
+        VerdictStore::makeKey(Stale.Name, Fixtures[I].second, Specs,
+                              /*Explain=*/false, /*WantOutcomes=*/false,
+                              /*CandidateCap=*/0),
+        toJson(Stale)));
+    ++Seeded;
+  }
+  ASSERT_EQ(Seeded, Fixtures.size() - 1);
+
+  SessionCache Cache;
+  for (SessionCache *C : {static_cast<SessionCache *>(nullptr), &Cache})
+    for (VerdictStore *S : {static_cast<VerdictStore *>(nullptr),
+                            Store.get()}) {
+      std::vector<CheckResponse> Rs =
+          QueryEngine({.Cache = C, .Store = S}).runAll(Requests);
+      ASSERT_EQ(Rs.size(), Requests.size());
+      unsigned Refused = 0;
+      for (size_t I = 0; I < Rs.size(); ++I) {
+        const CheckResponse &R = Rs[I];
+        SCOPED_TRACE(I < Fixtures.size() ? Fixtures[I].first
+                                         : Requests[I].Corpus);
+        if (!Parsed[I]) {
+          EXPECT_EQ(R.Error, "parse error: " + Parsed[I].Error);
+          EXPECT_EQ(R.ErrorLine, Parsed[I].ErrorLine);
+          EXPECT_TRUE(R.Verdicts.empty());
+          ++Refused;
+          continue;
+        }
+        std::string Want;
+        unsigned WantLine = 0;
+        for (const LintFinding &F : lintProgram(Parsed[I].Prog).Findings) {
+          if (F.Severity != LintSeverity::Error)
+            continue;
+          if (Want.empty())
+            WantLine = F.Line;
+          else
+            Want += "; ";
+          Want += F.Message + " [" + std::string(F.Code) + "]";
+        }
+        EXPECT_EQ(R.Error, Want);
+        EXPECT_EQ(R.Error.empty(), !lintProgram(Parsed[I].Prog).hasErrors());
+        if (Want.empty()) {
+          EXPECT_EQ(R.Verdicts.size(), Specs.size());
+          continue;
+        }
+        ++Refused;
+        EXPECT_EQ(R.ErrorLine, WantLine);
+        EXPECT_TRUE(R.Verdicts.empty());
+        EXPECT_EQ(R.Candidates, 0u);
+        EXPECT_EQ(R.Store.Lookups, 0u);
+      }
+      EXPECT_EQ(Refused, Fixtures.size());
+    }
   ::unlink(Path.c_str());
 }
 

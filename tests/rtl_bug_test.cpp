@@ -11,6 +11,7 @@
 #include "execution/Builder.h"
 #include "hw/ImplModel.h"
 #include "models/Armv8Model.h"
+#include "models/ModelRegistry.h"
 #include "synth/Conformance.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +22,8 @@ namespace {
 
 TEST(RtlBugTest, ForbidSuiteCatchesTxnOrderViolation) {
   Armv8Model Tm;
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("armv8/+baseline");
   // TxnOrder-only witnesses first appear at 4 events and need no
   // dependencies (a release write ordered before the transaction's
   // conflicting store); restrict the vocabulary so the 4-event synthesis
@@ -30,7 +32,7 @@ TEST(RtlBugTest, ForbidSuiteCatchesTxnOrderViolation) {
   V.Deps = false;
   V.MaxThreads = 2;
   V.MaxLocations = 2;
-  ForbidSuite Suite = synthesizeForbid(Tm, Baseline, V, 4, 300.0);
+  ForbidSuite Suite = synthesizeForbid(Tm, *Baseline, V, 4, 300.0);
   ASSERT_FALSE(Suite.Tests.empty());
 
   ImplModel Buggy = ImplModel::armv8BuggyRtl();
@@ -64,8 +66,9 @@ TEST(RtlBugTest, TxnOrderOnlyWitnessShape) {
   ConsistencyResult C = Tm.check(X);
   ASSERT_FALSE(C.Consistent);
   EXPECT_EQ(C.FailedAxiom, "TxnOrder");
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("armv8/+baseline");
+  EXPECT_TRUE(Baseline->consistent(X));
   EXPECT_TRUE(ImplModel::armv8BuggyRtl().consistent(X));
   Vocabulary V = Vocabulary::forArch(Arch::Armv8);
   EXPECT_TRUE(isMinimallyInconsistent(X, Tm, V));
@@ -75,9 +78,10 @@ TEST(RtlBugTest, BuggyRtlIsWeakerThanSpec) {
   // Whatever the spec allows, the buggy RTL allows (dropping an axiom
   // only adds behaviours) — checked on the Allow suite.
   Armv8Model Tm;
-  Armv8Model Baseline{Armv8Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("armv8/+baseline");
   Vocabulary V = Vocabulary::forArch(Arch::Armv8);
-  ForbidSuite Suite = synthesizeForbid(Tm, Baseline, V, 3, 60.0);
+  ForbidSuite Suite = synthesizeForbid(Tm, *Baseline, V, 3, 60.0);
   std::vector<Execution> Allow = relaxationsOf(Suite.Tests, V);
   ImplModel Buggy = ImplModel::armv8BuggyRtl();
   for (const Execution &X : Allow)

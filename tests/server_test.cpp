@@ -184,6 +184,14 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
                   "  lock\n  store x 1\n  txend\n  unlock\n"
                   "thread 1\n  load x\npost mem ok 0\n";
   Requests.push_back(TxnCut);
+  // A thread index past the event cap, between two good requests: a parse
+  // error at its line, not a million empty threads per success mask.
+  Requests.push_back(Fine);
+  CheckRequest HugeThread;
+  HugeThread.Name = "huge-thread";
+  HugeThread.Source = "name HugeThread\nthread 1000000\n  store x 1\n";
+  Requests.push_back(HugeThread);
+  Requests.push_back(Fine);
 
   QueryServer S({2});
   std::string Served = S.serveLine(requestsToJsonLine(Requests));
@@ -192,7 +200,7 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
   std::vector<CheckResponse> Back;
   std::string Error;
   ASSERT_TRUE(responsesFromJson(Served, Back, &Error)) << Error;
-  ASSERT_EQ(Back.size(), 8u);
+  ASSERT_EQ(Back.size(), 11u);
   EXPECT_FALSE(Back[0].Error.empty());
   EXPECT_FALSE(Back[1].Error.empty());
   EXPECT_GT(Back[1].ErrorLine, 0u); // DSL parse errors carry the line
@@ -203,25 +211,31 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
   std::vector<LintFinding> Caps = capFindings(computeFacts(Parsed.Prog));
   ASSERT_EQ(Caps.size(), 1u);
   EXPECT_EQ(Caps[0].Code, "too-many-events");
-  EXPECT_EQ(Back[3].Error, Caps[0].Message);
+  EXPECT_EQ(Back[3].Error, Caps[0].Message + " [too-many-events]");
   EXPECT_TRUE(Back[3].Verdicts.empty());
 
-  EXPECT_NE(Back[4].Error.find("ill-formed candidate shape"),
-            std::string::npos)
-      << Back[4].Error;
+  EXPECT_EQ(Back[4].Error,
+            "region opened by lock is closed by txunlock [unbalanced-lock]");
   EXPECT_EQ(Back[4].ErrorLine, 5u);
   EXPECT_TRUE(Back[4].Verdicts.empty());
   EXPECT_TRUE(Back[5].Error.empty()) << Back[5].Error;
   EXPECT_FALSE(Back[5].Verdicts.empty());
   for (size_t I : {6u, 7u}) {
-    EXPECT_NE(Back[I].Error.find("ill-formed candidate shape"),
-              std::string::npos)
+    EXPECT_NE(Back[I].Error.find("so an abort "), std::string::npos)
         << Back[I].Error;
     EXPECT_NE(Back[I].Error.find("[unbalanced-lock]"), std::string::npos)
         << Back[I].Error;
     EXPECT_EQ(Back[I].ErrorLine, 7u);
     EXPECT_EQ(Back[I].Candidates, 0u);
     EXPECT_TRUE(Back[I].Verdicts.empty());
+  }
+  EXPECT_EQ(Back[9].Error,
+            "parse error: thread index 1000000 out of range (0..63)");
+  EXPECT_EQ(Back[9].ErrorLine, 2u);
+  EXPECT_TRUE(Back[9].Verdicts.empty());
+  for (size_t I : {8u, 10u}) {
+    EXPECT_TRUE(Back[I].Error.empty()) << Back[I].Error;
+    EXPECT_FALSE(Back[I].Verdicts.empty());
   }
 }
 

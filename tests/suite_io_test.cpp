@@ -5,6 +5,7 @@
 #include "enumerate/Candidates.h"
 #include "litmus/FromExecution.h"
 #include "litmus/Parser.h"
+#include "models/ModelRegistry.h"
 #include "models/X86Model.h"
 
 #include <gtest/gtest.h>
@@ -36,9 +37,10 @@ protected:
 
   ForbidSuite suite() {
     X86Model Tm;
-    X86Model Baseline{X86Model::Config::baseline()};
+    std::unique_ptr<MemoryModel> Baseline =
+        ModelRegistry::parse("x86/+baseline");
     Vocabulary V = Vocabulary::forArch(Arch::X86);
-    return synthesizeForbid(Tm, Baseline, V, 3, 120.0);
+    return synthesizeForbid(Tm, *Baseline, V, 3, 120.0);
   }
 };
 
@@ -69,8 +71,9 @@ TEST_F(SuiteIoTest, FilesCarryProvenanceAndParseBack) {
   // its postcondition is unreachable under x86+TM.
   X86Model Tm;
   EXPECT_FALSE(postconditionReachable(R.Prog, Tm));
-  X86Model Baseline{X86Model::Config::baseline()};
-  EXPECT_TRUE(postconditionReachable(R.Prog, Baseline));
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
+  EXPECT_TRUE(postconditionReachable(R.Prog, *Baseline));
 }
 
 TEST_F(SuiteIoTest, RejectsUnwritableDirectory) {

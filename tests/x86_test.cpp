@@ -1,6 +1,7 @@
 //===- x86_test.cpp - x86-TSO with transactions (Fig. 5) ----------------------==//
 
 #include "TestGraphs.h"
+#include "models/ModelRegistry.h"
 #include "models/X86Model.h"
 
 #include <gtest/gtest.h>
@@ -105,8 +106,7 @@ TEST(X86TmTest, TfenceForbidsStoreBufferingAroundTransactions) {
   X86Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
   // The non-transactional baseline ignores stxn and allows it.
-  X86Model Baseline{X86Model::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("x86/+baseline")->consistent(X));
 }
 
 TEST(X86TmTest, StrongIsolationEnforced) {
@@ -123,8 +123,7 @@ TEST(X86TmTest, StrongIsolationEnforced) {
   X86Model Tm;
   ConsistencyResult Res = Tm.check(X);
   EXPECT_FALSE(Res.Consistent);
-  X86Model Baseline{X86Model::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("x86/+baseline")->consistent(X));
 }
 
 TEST(X86TmTest, TxnOrderForbidsUnserialisableTransactions) {
@@ -141,20 +140,20 @@ TEST(X86TmTest, TxnOrderForbidsUnserialisableTransactions) {
 
   X86Model Tm;
   EXPECT_FALSE(Tm.consistent(X));
-  X86Model Baseline{X86Model::Config::baseline()};
-  EXPECT_TRUE(Baseline.consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("x86/+baseline")->consistent(X));
 }
 
 TEST(X86TmTest, TransactionFreeExecutionsUnchanged) {
   // §8: the TM model gives the same semantics to transaction-free
   // executions as the original model.
   X86Model Tm;
-  X86Model Baseline{X86Model::Config::baseline()};
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
   for (const Execution &X :
        {shapes::storeBuffering(), shapes::messagePassing(),
         shapes::loadBuffering(false), shapes::iriw(),
         shapes::messagePassingDep(false)}) {
-    EXPECT_EQ(Tm.consistent(X), Baseline.consistent(X));
+    EXPECT_EQ(Tm.consistent(X), Baseline->consistent(X));
   }
 }
 
@@ -169,13 +168,9 @@ TEST(X86TmTest, AblationFlagsAreIndependent) {
   B.txn({W1});
   Execution X = B.build();
 
-  X86Model::Config NoTfence;
-  NoTfence.Tfence = false;
-  EXPECT_TRUE(X86Model(NoTfence).consistent(X));
-
-  X86Model::Config OnlyTfence = X86Model::Config::baseline();
-  OnlyTfence.Tfence = true;
-  EXPECT_FALSE(X86Model(OnlyTfence).consistent(X));
+  EXPECT_TRUE(ModelRegistry::parse("x86/-tfence")->consistent(X));
+  EXPECT_FALSE(
+      ModelRegistry::parse("x86/+baseline/+tfence")->consistent(X));
 }
 
 TEST(X86TmTest, CommittedTransactionActsAsSingleEvent) {
