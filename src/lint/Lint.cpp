@@ -54,9 +54,17 @@ private:
     return 0;
   }
 
+  /// A finding on instruction \p I of thread \p T sits on that
+  /// instruction's line; one that names no instruction, on \p Line.
   void add(LintSeverity Sev, std::string_view Code, std::string Msg,
-           int T = -1, int I = -1) {
-    R.Findings.push_back({Sev, Code, std::move(Msg), T, I, lineOf(T, I)});
+           int T = -1, int I = -1, unsigned Line = 0) {
+    R.Findings.push_back(
+        {Sev, Code, std::move(Msg), T, I, I >= 0 ? lineOf(T, I) : Line});
+  }
+
+  /// Line \p K of \p Lines (a `post` line table), 0 past its end.
+  static unsigned postLine(const std::vector<unsigned> &Lines, size_t K) {
+    return K < Lines.size() ? Lines[K] : 0;
   }
 
   /// Hard enumerator caps, counted once by `computeFacts`.
@@ -242,13 +250,16 @@ private:
     Check(Ins.CtrlDeps, "control");
   }
 
+  /// A finding on a register that exists sits on its instruction's line;
+  /// any other, on the line of its `post`.
   void lintPostconditions() {
-    const std::string Unnamed = "<unnamed>";
-    for (const RegAssertion &A : P.RegPost) {
+    for (size_t K = 0; K < P.RegPost.size(); ++K) {
+      const RegAssertion &A = P.RegPost[K];
+      unsigned Line = postLine(P.RegPostLines, K);
       if (A.Thread >= P.Threads.size()) {
         add(LintSeverity::Error, "bad-postcondition",
-            "post reg names nonexistent thread " +
-                std::to_string(A.Thread));
+            "post reg names nonexistent thread " + std::to_string(A.Thread),
+            -1, -1, Line);
         continue;
       }
       const std::vector<Instruction> &Th = P.Threads[A.Thread];
@@ -259,13 +270,16 @@ private:
                 std::to_string(A.Thread) +
                 " does not name a load (only loads define registers)",
             static_cast<int>(A.Thread),
-            A.LoadIndex < Th.size() ? static_cast<int>(A.LoadIndex) : -1);
+            A.LoadIndex < Th.size() ? static_cast<int>(A.LoadIndex) : -1,
+            Line);
     }
-    for (const MemAssertion &M : P.MemPost)
-      if (M.Loc < 0 || static_cast<size_t>(M.Loc) >= P.LocNames.size())
+    for (size_t K = 0; K < P.MemPost.size(); ++K) {
+      LocId L = P.MemPost[K].Loc;
+      if (L < 0 || static_cast<size_t>(L) >= P.LocNames.size())
         add(LintSeverity::Error, "bad-postcondition",
-            "post mem names nonexistent location id " +
-                std::to_string(M.Loc));
+            "post mem names nonexistent location id " + std::to_string(L),
+            -1, -1, postLine(P.MemPostLines, K));
+    }
   }
 };
 

@@ -56,8 +56,9 @@ const char *lintSeverityName(LintSeverity S);
 /// One lint finding. `Code` is an interned literal (stable across
 /// releases; CI scripts may match on it); `Thread`/`Instruction` are -1
 /// for program-level findings; `Line` is the 1-based source line when the
-/// program was parsed from DSL text (0 for programmatically built
-/// programs, which carry no `Program::SrcLines`).
+/// program was parsed from DSL text — the named instruction's, else the
+/// `post`'s for a postcondition finding (0 for programmatically built
+/// programs, which carry no `Program::SrcLines` or post lines).
 struct LintFinding {
   LintSeverity Severity = LintSeverity::Error;
   std::string_view Code;

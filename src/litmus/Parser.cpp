@@ -223,8 +223,15 @@ ParseResult tmw::parseProgram(std::string_view Text) {
         int RI;
         if (!parseInt(Reg, RI) || !parseInt(Toks[4], V))
           return Fail("bad post reg operands");
+        // Thread and register are indices: a negative one must not wrap
+        // to a huge unsigned one.
+        if (T < 0)
+          return Fail("post reg thread " + Toks[2] + " is negative");
+        if (RI < 0)
+          return Fail("post reg register " + Toks[3] + " is negative");
         P.RegPost.push_back({static_cast<unsigned>(T),
                              static_cast<unsigned>(RI), V});
+        P.RegPostLines.push_back(LineNo);
         continue;
       }
       if (Toks[1] == "mem") {
@@ -232,6 +239,7 @@ ParseResult tmw::parseProgram(std::string_view Text) {
         if (Toks.size() < 4 || !parseInt(Toks[3], V))
           return Fail("post mem requires: location, value");
         P.MemPost.push_back({P.ensureLoc(Toks[2]), V});
+        P.MemPostLines.push_back(LineNo);
         continue;
       }
       return Fail("unknown postcondition kind: " + Toks[1]);

@@ -87,6 +87,9 @@ struct Program {
   std::vector<std::pair<LocId, int>> InitialValues;
   std::vector<RegAssertion> RegPost;
   std::vector<MemAssertion> MemPost;
+  /// Source line (1-based) of each `post`, parallel to `RegPost` and
+  /// `MemPost`; filled and left empty like `SrcLines`.
+  std::vector<unsigned> RegPostLines, MemPostLines;
   /// Location names; index = LocId. The `ok` location, when present, is
   /// named "ok".
   std::vector<std::string> LocNames;

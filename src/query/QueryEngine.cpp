@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <map>
 #include <thread>
 
 using namespace tmw;
@@ -30,24 +31,74 @@ double secondsSince(TimePoint Start) {
       .count();
 }
 
-/// Evaluate one request using \p Arena as the per-worker analysis arena
-/// (created on first use, retargeted per candidate — the same arena
-/// discipline as the synthesis workers). \p Cache supplies the request's
-/// models, parse and plan; it never changes the response. \p Specialize,
-/// under the Planned strategy, pre-discharges footprint-disjoint
-/// obligations from the program's static vocabulary (verdict-neutral; see
-/// BatchOptions).
-CheckResponse evaluateRequest(const CheckRequest &R,
-                              std::optional<ExecutionAnalysis> &Arena,
-                              SessionCache &Cache, EvalStrategy Strategy,
-                              VerdictStore *Store, bool Specialize) {
-  TimePoint T0 = std::chrono::steady_clock::now();
-  CheckResponse Resp;
+/// A request's allowed outcomes, collected without a copy per model: each
+/// distinct outcome is interned once, in `Outcome::operator<` order, and
+/// each model records which outcome ids its consistent candidates reach.
+class OutcomeSets {
+public:
+  explicit OutcomeSets(size_t NumModels) : NumModels(NumModels) {}
+
+  /// The id of \p O, interning a copy on first sight.
+  uint32_t intern(const Outcome &O) {
+    auto [It, New] = Ids.try_emplace(O, static_cast<uint32_t>(Ids.size()));
+    if (New)
+      Reached.resize(Reached.size() + NumModels);
+    return It->second;
+  }
+
+  /// Model \p M reached outcome \p Id.
+  void add(size_t M, uint32_t Id) { Reached[Id * NumModels + M] = 1; }
+
+  /// Model \p M's outcomes, sorted and deduplicated, sized exactly.
+  std::vector<Outcome> list(size_t M) const {
+    size_t N = 0;
+    for (const auto &[O, Id] : Ids)
+      N += Reached[Id * NumModels + M];
+    std::vector<Outcome> Out;
+    Out.reserve(N);
+    for (const auto &[O, Id] : Ids)
+      if (Reached[Id * NumModels + M])
+        Out.push_back(O);
+    return Out;
+  }
+
+private:
+  size_t NumModels;
+  std::map<Outcome, uint32_t> Ids;
+  /// Row `Id`, column `M`: model M reached outcome Id.
+  std::vector<char> Reached;
+};
+
+/// The failed axioms of \p M on the analysed candidate \p A, each with
+/// its witness events.
+std::vector<FailedAxiomInfo> failedAxioms(const MemoryModel &M,
+                                          const ExecutionAnalysis &A) {
+  CheckReport Report = M.checkAll(A);
+  std::vector<FailedAxiomInfo> Out;
+  for (const AxiomVerdict &AV : Report.Verdicts) {
+    if (AV.Holds)
+      continue;
+    FailedAxiomInfo &Info = Out.emplace_back();
+    Info.Axiom = std::string(AV.Ax->Name);
+    for (EventId E : AV.Witness)
+      Info.Witness.push_back(E);
+  }
+  return Out;
+}
+
+/// Answer request \p R into \p Resp, a default-constructed response slot,
+/// using \p Arena as the per-worker analysis arena (created on first use,
+/// retargeted per candidate — the same arena discipline as the synthesis
+/// workers). The response is built in place, never copied. \p Cache
+/// supplies the request's models, parse and plan; it never changes the
+/// response. \p Specialize, under the Planned strategy, pre-discharges
+/// footprint-disjoint obligations from the program's static vocabulary
+/// (verdict-neutral; see BatchOptions). `Seconds` is the caller's.
+void evaluateRequest(const CheckRequest &R, CheckResponse &Resp,
+                     std::optional<ExecutionAnalysis> &Arena,
+                     SessionCache &Cache, EvalStrategy Strategy,
+                     VerdictStore *Store, bool Specialize) {
   Resp.Name = R.Name;
-  auto Finish = [&]() -> CheckResponse & {
-    Resp.Seconds = secondsSince(T0);
-    return Resp;
-  };
 
   // Resolve every model spec up front: a bad spec fails the request
   // before any enumeration work. Const models are shared freely across
@@ -66,7 +117,7 @@ CheckResponse evaluateRequest(const CheckRequest &R,
         Cache.model(Specs[M], &Error, &Canonical[M]);
     if (!Model) {
       Resp.Error = "model spec '" + Specs[M] + "': " + Error;
-      return Finish();
+      return;
     }
     Models.push_back(std::move(Model));
   }
@@ -80,27 +131,27 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   ProgramFacts Facts;
   if (!R.Source.empty() && !R.Corpus.empty()) {
     Resp.Error = "request sets both 'source' and 'corpus'";
-    return Finish();
+    return;
   }
   if (!R.Source.empty()) {
     Parse = Cache.program(R.Source, &Facts);
     if (!*Parse) {
       Resp.Error = "parse error: " + Parse->Error;
       Resp.ErrorLine = Parse->ErrorLine;
-      return Finish();
+      return;
     }
     P = &Parse->Prog;
   } else if (!R.Corpus.empty()) {
     const CorpusEntry *E = findCorpusEntry(R.Corpus);
     if (!E) {
       Resp.Error = "unknown corpus entry '" + R.Corpus + "'";
-      return Finish();
+      return;
     }
     P = &E->Prog;
     Facts = computeFacts(*P);
   } else {
     Resp.Error = "empty request: set 'source' or 'corpus'";
-    return Finish();
+    return;
   }
   if (Resp.Name.empty())
     Resp.Name = P->Name;
@@ -121,7 +172,7 @@ CheckResponse evaluateRequest(const CheckRequest &R,
     Resp.Error += F.Message + " [" + std::string(F.Code) + "]";
   }
   if (!Resp.Error.empty())
-    return Finish();
+    return;
 
   Resp.Verdicts.resize(Models.size());
   for (size_t M = 0; M < Models.size(); ++M)
@@ -153,7 +204,7 @@ CheckResponse evaluateRequest(const CheckRequest &R,
         Stored.Store.Lookups = 1;
         Stored.Store.Hits = 1;
         Resp = std::move(Stored);
-        return Finish();
+        return;
       }
       // Unparseable stored document — unreachable through the checksummed
       // append path; evaluate cold (the resident key blocks re-append).
@@ -185,8 +236,13 @@ CheckResponse evaluateRequest(const CheckRequest &R,
 
   // Enumerate the candidates ONCE; fan each one out to every model over
   // one shared analysis, so derived relations (fr, com, fences, ...) are
-  // computed once per candidate, not once per (candidate, model).
-  std::vector<Execution> FirstForbidden(Models.size());
+  // computed once per candidate, not once per (candidate, model). Both
+  // strategies collect through this one loop. A candidate's outcome is
+  // interned at most once, however many models reach it, and a first
+  // forbidden candidate is explained while it is still the one analysed.
+  std::optional<OutcomeSets> Outcomes;
+  if (R.WantOutcomes)
+    Outcomes.emplace(Models.size());
   const char *IllFormed = forEachCandidate(*P, [&](const Candidate &C) {
     if (R.CandidateCap && Resp.Candidates >= R.CandidateCap) {
       Resp.Truncated = true;
@@ -200,6 +256,7 @@ CheckResponse evaluateRequest(const CheckRequest &R,
     bool Satisfies = C.O.satisfies(*P);
     if (Plan)
       Plan->evaluate(*Arena, Scratch, Spec ? &*Spec : nullptr);
+    std::optional<uint32_t> OutcomeId;
     for (size_t M = 0; M < Models.size(); ++M) {
       ModelVerdict &V = Resp.Verdicts[M];
       bool Consistent =
@@ -207,12 +264,15 @@ CheckResponse evaluateRequest(const CheckRequest &R,
       if (Consistent) {
         ++V.Consistent;
         V.Allowed |= Satisfies;
-        if (R.WantOutcomes)
-          V.AllowedOutcomes.push_back(C.O);
+        if (Outcomes) {
+          if (!OutcomeId)
+            OutcomeId = Outcomes->intern(C.O);
+          Outcomes->add(M, *OutcomeId);
+        }
       } else if (V.FirstForbidden < 0) {
         V.FirstForbidden = Index;
         if (R.Explain)
-          FirstForbidden[M] = C.X;
+          V.FailedAxioms = failedAxioms(*Models[M], *Arena);
       }
     }
     return true;
@@ -235,39 +295,12 @@ CheckResponse evaluateRequest(const CheckRequest &R,
     Resp.Candidates = 0;
     Resp.Truncated = false;
     Resp.Error = std::string("ill-formed candidate shape (") + IllFormed + ")";
-    return Finish();
+    return;
   }
 
-  if (R.Explain)
-    for (size_t M = 0; M < Models.size(); ++M) {
-      ModelVerdict &V = Resp.Verdicts[M];
-      if (V.FirstForbidden < 0)
-        continue;
-      // Re-analyse the stored copy (the enumeration's candidate is gone);
-      // checkAll reports every violated axiom plus its witness events.
-      if (!Arena)
-        Arena.emplace(FirstForbidden[M]);
-      else
-        Arena->reset(FirstForbidden[M]);
-      CheckReport Report = Models[M]->checkAll(*Arena);
-      for (const AxiomVerdict &AV : Report.Verdicts) {
-        if (AV.Holds)
-          continue;
-        FailedAxiomInfo Info;
-        Info.Axiom = std::string(AV.Ax->Name);
-        for (EventId E : AV.Witness)
-          Info.Witness.push_back(E);
-        V.FailedAxioms.push_back(std::move(Info));
-      }
-    }
-
-  if (R.WantOutcomes)
-    for (ModelVerdict &V : Resp.Verdicts) {
-      std::sort(V.AllowedOutcomes.begin(), V.AllowedOutcomes.end());
-      V.AllowedOutcomes.erase(
-          std::unique(V.AllowedOutcomes.begin(), V.AllowedOutcomes.end()),
-          V.AllowedOutcomes.end());
-    }
+  if (Outcomes)
+    for (size_t M = 0; M < Models.size(); ++M)
+      Resp.Verdicts[M].AllowedOutcomes = Outcomes->list(M);
 
   // Persist the cold answer (append + fsync). Error responses are not
   // stored: they can depend on mutable context (the corpus set, registry
@@ -275,7 +308,6 @@ CheckResponse evaluateRequest(const CheckRequest &R,
   if (Store && Resp.Error.empty() &&
       Store->append(StoreKey, toJson(Resp)))
     Resp.Store.Appends = 1;
-  return Finish();
 }
 
 } // namespace
@@ -299,9 +331,11 @@ bool BatchRun::runOne(size_t I, unsigned Worker,
   ++Loads[Worker].Tasks;
   Loads[Worker].Steals += Stolen;
   if (!Skip) {
-    Results[I] = evaluateRequest(Requests[I], Arena, *Opts.Cache,
-                                 Opts.Strategy, Opts.Store, Opts.Specialize);
-    Loads[Worker].BasesVisited += Results[I].Candidates;
+    CheckResponse &Resp = Results[I];
+    evaluateRequest(Requests[I], Resp, Arena, *Opts.Cache, Opts.Strategy,
+                    Opts.Store, Opts.Specialize);
+    Resp.Seconds = secondsSince(S0);
+    Loads[Worker].BasesVisited += Resp.Candidates;
   }
   Loads[Worker].BusySeconds += secondsSince(S0);
   // Stream in request order: emit response i only after 0..i-1. Exactly

@@ -327,12 +327,27 @@ TEST(Lint_, DependencyRules) {
 }
 
 TEST(Lint_, PostconditionRules) {
-  // post reg names a thread that does not exist.
+  // post reg names a thread that does not exist: the finding sits on the
+  // post's line.
   Program Thr = parsed("loc x 0\nthread 0\n  load x\npost reg 3 r0 0\n");
   std::optional<LintFinding> T =
      findingWithCode(lintProgram(Thr), "bad-postcondition");
   ASSERT_TRUE(T.has_value());
   EXPECT_NE(T->Message.find("nonexistent thread 3"), std::string::npos);
+  EXPECT_EQ(T->Line, 4u);
+  EXPECT_EQ(T->Thread, -1);
+
+  // post reg names a register past its thread's end: again the post's
+  // line (the second post, not the first).
+  Program Past = parsed("loc x 0\nthread 0\n  load x\n"
+                        "post reg 0 r0 0\npost reg 0 r5 0\n");
+  std::optional<LintFinding> P =
+     findingWithCode(lintProgram(Past), "bad-postcondition");
+  ASSERT_TRUE(P.has_value());
+  EXPECT_NE(P->Message.find("post reg r5 of thread 0"), std::string::npos);
+  EXPECT_EQ(P->Line, 5u);
+  EXPECT_EQ(P->Thread, 0);
+  EXPECT_EQ(P->Instruction, -1);
 
   // post reg names a store: registers are load instruction indices, so
   // the assertion can never be satisfied.
@@ -344,13 +359,21 @@ TEST(Lint_, PostconditionRules) {
   EXPECT_NE(S->Message.find("does not name a load"), std::string::npos);
 
   // post mem with an out-of-range location id (programmatic only: the
-  // parser interns names, so a DSL post mem always resolves).
+  // parser interns names, so a DSL post mem always resolves). On its
+  // post's line when it has one, line 0 when it was built in code.
   Program Mem = parsed("loc x 0\nthread 0\n  store x 1\npost mem x 1\n");
   Mem.MemPost.push_back({LocId(99), 0});
   std::optional<LintFinding> M =
      findingWithCode(lintProgram(Mem), "bad-postcondition");
   ASSERT_TRUE(M.has_value());
   EXPECT_NE(M->Message.find("nonexistent location id 99"), std::string::npos);
+  EXPECT_EQ(M->Line, 0u);
+  Mem.MemPost.front().Loc = LocId(98);
+  std::optional<LintFinding> M4 =
+     findingWithCode(lintProgram(Mem), "bad-postcondition");
+  ASSERT_TRUE(M4.has_value());
+  EXPECT_NE(M4->Message.find("nonexistent location id 98"), std::string::npos);
+  EXPECT_EQ(M4->Line, 4u);
 }
 
 TEST(Lint_, CorpusLintsClean) {

@@ -99,6 +99,21 @@ TEST(ParserError_, BadPostRegOperands) {
   expectError("post reg 0 r0 one\n", "bad post reg operands", 1);
 }
 
+TEST(ParserError_, NegativePostRegOperands) {
+  // Thread and register are indices: -1 must not reach lint as thread
+  // 4294967295, nor r-2 as register 4294967294.
+  expectError("thread 0\n  load x\npost reg -1 r0 1\n",
+              "post reg thread -1 is negative", 3);
+  expectError("thread 0\n  load x\npost reg 0 r-2 1\n",
+              "post reg register r-2 is negative", 3);
+  expectError("thread 0\n  load x\npost reg 0 -2 1\n",
+              "post reg register -2 is negative", 3);
+  // A negative value is a value, not an index.
+  ParseResult Value = parseProgram("thread 0\n  load x\npost reg 0 r0 -1\n");
+  ASSERT_TRUE(static_cast<bool>(Value)) << Value.Error;
+  EXPECT_EQ(Value.Prog.RegPost.at(0).Value, -1);
+}
+
 TEST(ParserError_, PostMemRequiresLocationValue) {
   expectError("post mem x\n", "post mem requires: location, value", 1);
   expectError("post mem x one\n", "post mem requires: location, value", 1);

@@ -6,7 +6,9 @@
 /// wrappers), the engine's enumerate-once/check-many verdicts — allowed,
 /// consistent counts, first-forbidden index, failed-axiom names, allowed
 /// outcome sets — must equal a fresh enumeration per model with throwaway
-/// analyses. Plus: batch output byte-identical for Jobs in {1, 4, 16},
+/// analyses, in every collection mode (explain and outcomes each on or
+/// off) under both evaluation strategies. Plus: batch output
+/// byte-identical for Jobs in {1, 4, 16},
 /// in-order streaming, candidate caps, request-level error reporting,
 /// and the refusal of exactly the programs with a lint error (past the
 /// enumeration caps, unbalanced regions, dangling dependencies or
@@ -49,13 +51,16 @@ struct DirectVerdict {
   bool Allowed = false;
   uint64_t Consistent = 0;
   int64_t FirstForbidden = -1;
-  std::vector<std::string> FailedAxioms;
+  std::vector<FailedAxiomInfo> FailedAxioms;
   std::vector<Outcome> AllowedOutcomes;
 };
 
-DirectVerdict directCheck(const Program &P, const MemoryModel &M) {
+DirectVerdict directCheck(const Program &P, const MemoryModel &M,
+                          size_t Cap = 0) {
   DirectVerdict Out;
   std::vector<Candidate> Cands = enumerateCandidates(P);
+  if (Cap && Cands.size() > Cap)
+    Cands.resize(Cap);
   const Execution *FirstForbidden = nullptr;
   for (size_t I = 0; I < Cands.size(); ++I) {
     const Candidate &C = Cands[I];
@@ -70,9 +75,14 @@ DirectVerdict directCheck(const Program &P, const MemoryModel &M) {
   }
   if (FirstForbidden) {
     ExecutionAnalysis A(*FirstForbidden);
-    for (const AxiomVerdict &V : M.checkAll(A).Verdicts)
-      if (!V.Holds)
-        Out.FailedAxioms.push_back(std::string(V.Ax->Name));
+    for (const AxiomVerdict &V : M.checkAll(A).Verdicts) {
+      if (V.Holds)
+        continue;
+      FailedAxiomInfo &F = Out.FailedAxioms.emplace_back();
+      F.Axiom = std::string(V.Ax->Name);
+      for (EventId E : V.Witness)
+        F.Witness.push_back(E);
+    }
   }
   std::sort(Out.AllowedOutcomes.begin(), Out.AllowedOutcomes.end());
   Out.AllowedOutcomes.erase(
@@ -94,35 +104,70 @@ std::vector<CheckRequest> corpusRequests(bool Explain, bool Outcomes) {
   return Requests;
 }
 
-TEST(QueryEngine_, DifferentialAgainstDirectLoops) {
-  std::vector<CorpusEntry> Corpus = standardCorpus();
-  std::vector<CheckRequest> Requests =
-      corpusRequests(/*Explain=*/true, /*Outcomes=*/true);
-  std::vector<CheckResponse> Responses = QueryEngine().runAll(Requests);
-  ASSERT_EQ(Responses.size(), Corpus.size());
-
-  for (size_t E = 0; E < Corpus.size(); ++E) {
-    const CheckResponse &Resp = Responses[E];
-    ASSERT_TRUE(static_cast<bool>(Resp)) << Resp.Error;
-    EXPECT_EQ(Resp.Name, Corpus[E].Name);
-    EXPECT_EQ(Resp.Candidates, enumerateCandidates(Corpus[E].Prog).size());
-    ASSERT_EQ(Resp.Verdicts.size(), kSpecMatrix.size());
-
-    for (size_t S = 0; S < kSpecMatrix.size(); ++S) {
-      std::unique_ptr<MemoryModel> M = ModelRegistry::parse(kSpecMatrix[S]);
-      ASSERT_TRUE(M) << kSpecMatrix[S];
-      DirectVerdict Want = directCheck(Corpus[E].Prog, *M);
-      const ModelVerdict &Got = Resp.Verdicts[S];
-      SCOPED_TRACE(Corpus[E].Name + " under " + kSpecMatrix[S]);
-      EXPECT_EQ(Got.Allowed, Want.Allowed);
-      EXPECT_EQ(Got.Consistent, Want.Consistent);
-      EXPECT_EQ(Got.FirstForbidden, Want.FirstForbidden);
-      ASSERT_EQ(Got.FailedAxioms.size(), Want.FailedAxioms.size());
-      for (size_t F = 0; F < Want.FailedAxioms.size(); ++F)
-        EXPECT_EQ(Got.FailedAxioms[F].Axiom, Want.FailedAxioms[F]);
-      EXPECT_EQ(Got.AllowedOutcomes, Want.AllowedOutcomes);
+/// \p Got against the direct loop's \p Want, for a request that asked
+/// for explanations (\p Explain) and outcomes (\p Outcomes) or not: what
+/// was not asked for must be absent.
+void expectVerdict(const ModelVerdict &Got, const DirectVerdict &Want,
+                   bool Explain, bool Outcomes) {
+  EXPECT_EQ(Got.Allowed, Want.Allowed);
+  EXPECT_EQ(Got.Consistent, Want.Consistent);
+  EXPECT_EQ(Got.FirstForbidden, Want.FirstForbidden);
+  if (Explain) {
+    // Names and witness events, from a fresh analysis of a copy.
+    ASSERT_EQ(Got.FailedAxioms.size(), Want.FailedAxioms.size());
+    for (size_t F = 0; F < Want.FailedAxioms.size(); ++F) {
+      EXPECT_EQ(Got.FailedAxioms[F].Axiom, Want.FailedAxioms[F].Axiom);
+      EXPECT_EQ(Got.FailedAxioms[F].Witness, Want.FailedAxioms[F].Witness);
     }
+  } else {
+    EXPECT_TRUE(Got.FailedAxioms.empty());
   }
+  if (Outcomes) {
+    EXPECT_EQ(Got.AllowedOutcomes, Want.AllowedOutcomes);
+    // Collected to its exact size: a moved response carries no slack.
+    EXPECT_EQ(Got.AllowedOutcomes.capacity(), Got.AllowedOutcomes.size());
+  } else {
+    EXPECT_TRUE(Got.AllowedOutcomes.empty());
+  }
+}
+
+TEST(QueryEngine_, DifferentialAgainstDirectLoops) {
+  // Every collection mode, under both evaluation strategies.
+  std::vector<CorpusEntry> Corpus = standardCorpus();
+  std::vector<std::vector<DirectVerdict>> Direct(Corpus.size());
+  for (size_t E = 0; E < Corpus.size(); ++E)
+    for (const std::string &Spec : kSpecMatrix) {
+      std::unique_ptr<MemoryModel> M = ModelRegistry::parse(Spec);
+      ASSERT_TRUE(M) << Spec;
+      Direct[E].push_back(directCheck(Corpus[E].Prog, *M));
+    }
+
+  for (bool Explain : {false, true})
+    for (bool Outcomes : {false, true})
+      for (EvalStrategy Strategy :
+           {EvalStrategy::Planned, EvalStrategy::Independent}) {
+        std::vector<CheckResponse> Responses =
+            QueryEngine({.Strategy = Strategy})
+                .runAll(corpusRequests(Explain, Outcomes));
+        ASSERT_EQ(Responses.size(), Corpus.size());
+        for (size_t E = 0; E < Corpus.size(); ++E) {
+          const CheckResponse &Resp = Responses[E];
+          ASSERT_TRUE(static_cast<bool>(Resp)) << Resp.Error;
+          EXPECT_EQ(Resp.Name, Corpus[E].Name);
+          EXPECT_EQ(Resp.Candidates,
+                    enumerateCandidates(Corpus[E].Prog).size());
+          ASSERT_EQ(Resp.Verdicts.size(), kSpecMatrix.size());
+          for (size_t S = 0; S < kSpecMatrix.size(); ++S) {
+            SCOPED_TRACE(Corpus[E].Name + " under " + kSpecMatrix[S] +
+                         (Explain ? ", explain" : "") +
+                         (Outcomes ? ", outcomes" : "") +
+                         (Strategy == EvalStrategy::Planned
+                              ? ", planned"
+                              : ", independent"));
+            expectVerdict(Resp.Verdicts[S], Direct[E][S], Explain, Outcomes);
+          }
+        }
+      }
 }
 
 TEST(QueryEngine_, ReachabilityMatchesPostconditionReachable) {
@@ -203,14 +248,26 @@ TEST(QueryEngine_, CandidateCapTruncatesDeterministically) {
   ASSERT_GT(FullResp.Candidates, 3u);
   EXPECT_FALSE(FullResp.Truncated);
 
+  // Capped, with outcomes: every verdict, outcomes included, is the
+  // direct loop's over the first three candidates.
   CheckRequest Capped = Full;
   Capped.CandidateCap = 3;
+  Capped.WantOutcomes = true;
   CheckResponse CapResp = QueryEngine().evaluate(Capped);
   ASSERT_TRUE(static_cast<bool>(CapResp)) << CapResp.Error;
   EXPECT_TRUE(CapResp.Truncated);
   EXPECT_EQ(CapResp.Candidates, 3u);
-  for (const ModelVerdict &V : CapResp.Verdicts)
-    EXPECT_LE(V.Consistent, 3u);
+  ASSERT_EQ(CapResp.Verdicts.size(), Capped.ModelSpecs.size());
+  const Program &P = findCorpusEntry("IRIW")->Prog;
+  for (size_t S = 0; S < Capped.ModelSpecs.size(); ++S) {
+    SCOPED_TRACE(Capped.ModelSpecs[S]);
+    std::unique_ptr<MemoryModel> M =
+        ModelRegistry::parse(Capped.ModelSpecs[S]);
+    ASSERT_TRUE(M);
+    expectVerdict(CapResp.Verdicts[S], directCheck(P, *M, 3),
+                  /*Explain=*/false, /*Outcomes=*/true);
+    EXPECT_LE(CapResp.Verdicts[S].Consistent, 3u);
+  }
 }
 
 TEST(QueryEngine_, RequestErrors) {
@@ -400,35 +457,48 @@ TEST(QueryEngine_, OverCapProgramsAreRefused) {
 
 TEST(QueryEngine_, RefusesExactlyTheProgramsLintRejects) {
   // Each fixture but the last lints with an error (unbalanced
-  // transactions, a `post reg` on a missing thread, a dependency on no
-  // earlier load); the last declares `loc x` twice, a parse error. With
-  // the corpus, which lints clean: the engine refuses a program if and
-  // only if it lints with an error, and then says why, at the first
-  // error's line.
-  const std::vector<std::pair<std::string, std::string>> Fixtures = {
-      {"NestedTxbegin", "name NestedTxbegin\nthread 0\n  txbegin\n"
-                        "  txbegin\n  store x 1\n  txend\n  txend\n"
-                        "thread 1\n  load x\n"},
-      {"StrayTxend", "name StrayTxend\nthread 0\n  store x 1\n  txend\n"
-                     "thread 1\n  load x\n"},
-      {"OpenTxbegin", "name OpenTxbegin\nthread 0\n  txbegin\n"
-                      "  store x 1\nthread 1\n  load x\n"},
-      {"PostRegNoThread", "name PostRegNoThread\nthread 0\n  load x\n"
-                          "post reg 5 r0 1\n"},
-      {"DanglingAddr", "name DanglingAddr\nthread 0\n  load x\n"
-                       "  store y 1 addr:r5\n"},
-      {"LocTwice", "name LocTwice\nloc x 1\nloc x 2\nthread 0\n"
-                   "  load x\npost reg 0 r0 2\n"}};
+  // transactions, a `post reg` on a missing thread or register, a
+  // dependency on no earlier load); the last declares `loc x` twice, a
+  // parse error. With the corpus, which lints clean: the engine refuses a
+  // program if and only if it lints with an error, and then says why, at
+  // the first error's line (pinned per fixture).
+  struct Fixture {
+    std::string Name, Source;
+    unsigned Line;
+  };
+  const std::vector<Fixture> Fixtures = {
+      {"NestedTxbegin",
+       "name NestedTxbegin\nthread 0\n  txbegin\n"
+       "  txbegin\n  store x 1\n  txend\n  txend\nthread 1\n  load x\n",
+       4},
+      {"StrayTxend",
+       "name StrayTxend\nthread 0\n  store x 1\n  txend\n"
+       "thread 1\n  load x\n",
+       4},
+      {"OpenTxbegin",
+       "name OpenTxbegin\nthread 0\n  txbegin\n"
+       "  store x 1\nthread 1\n  load x\n",
+       3},
+      {"PostRegNoThread",
+       "name PostRegNoThread\nthread 0\n  load x\npost reg 5 r0 1\n", 4},
+      {"PostRegPastEnd",
+       "name PostRegPastEnd\nthread 0\n  load x\npost reg 0 r5 1\n", 4},
+      {"DanglingAddr",
+       "name DanglingAddr\nthread 0\n  load x\n  store y 1 addr:r5\n", 4},
+      {"LocTwice",
+       "name LocTwice\nloc x 1\nloc x 2\nthread 0\n"
+       "  load x\npost reg 0 r0 2\n",
+       3}};
   const std::vector<std::string> Specs = {"x86", "power"};
 
   std::vector<CheckRequest> Requests;
   std::vector<ParseResult> Parsed;
-  for (const auto &[Name, Source] : Fixtures) {
+  for (const Fixture &F : Fixtures) {
     CheckRequest R;
-    R.Source = Source;
+    R.Source = F.Source;
     R.ModelSpecs = Specs;
     Requests.push_back(R);
-    Parsed.push_back(parseProgram(Source));
+    Parsed.push_back(parseProgram(F.Source));
   }
   for (const CorpusEntry &E : sharedCorpus()) {
     CheckRequest R;
@@ -455,9 +525,9 @@ TEST(QueryEngine_, RefusesExactlyTheProgramsLintRejects) {
   for (size_t I = 0; I < Fixtures.size(); ++I) {
     if (!Parsed[I])
       continue;
-    Stale.Name = Fixtures[I].first;
+    Stale.Name = Fixtures[I].Name;
     ASSERT_TRUE(Store->append(
-        VerdictStore::makeKey(Stale.Name, Fixtures[I].second, Specs,
+        VerdictStore::makeKey(Stale.Name, Fixtures[I].Source, Specs,
                               /*Explain=*/false, /*WantOutcomes=*/false,
                               /*CandidateCap=*/0),
         toJson(Stale)));
@@ -475,8 +545,11 @@ TEST(QueryEngine_, RefusesExactlyTheProgramsLintRejects) {
       unsigned Refused = 0;
       for (size_t I = 0; I < Rs.size(); ++I) {
         const CheckResponse &R = Rs[I];
-        SCOPED_TRACE(I < Fixtures.size() ? Fixtures[I].first
+        SCOPED_TRACE(I < Fixtures.size() ? Fixtures[I].Name
                                          : Requests[I].Corpus);
+        if (I < Fixtures.size()) {
+          EXPECT_EQ(R.ErrorLine, Fixtures[I].Line);
+        }
         if (!Parsed[I]) {
           EXPECT_EQ(R.Error, "parse error: " + Parsed[I].Error);
           EXPECT_EQ(R.ErrorLine, Parsed[I].ErrorLine);
