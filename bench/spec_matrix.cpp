@@ -15,18 +15,9 @@
 /// both paths per size; >=1.5x at 6 specs (growing with size) is the
 /// regression bar. `--smoke` runs one rep per point for CI.
 ///
-/// A second section measures *footprint specialization* (lint/Lint.h +
-/// `EvalPlan::specialize`) on the txn-free corpus slice — the programs
-/// where every Txn-footprint obligation (tfence, tprop1/2, TxnCancelsRMW,
-/// Tsw, and the hierarchy-edge guards) is pre-discharged once per program
-/// instead of evaluated per candidate. Planned+specialized vs
-/// planned+unspecialized at the full 24-spec pool, byte-identity
-/// verified, `specialization` object in the JSON.
-///
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
-#include "lint/Lint.h"
 #include "litmus/Library.h"
 #include "query/QueryEngine.h"
 #include "query/QueryIO.h"
@@ -148,71 +139,6 @@ int main(int argc, char **argv) {
     Points.push_back(P);
   }
 
-  // Footprint specialization on the txn-free corpus slice: every program
-  // whose static facts (lint/Lint.h) prove the Txn vocabulary absent, at
-  // the full 24-spec pool where the Txn-footprint obligations are
-  // densest. Same planned engine both sides; only `Specialize` differs,
-  // so the delta is exactly the per-candidate cost of obligations the
-  // footprints pre-discharge. Timed single-threaded: the saving lives in
-  // the per-candidate evaluation loop, and worker-pool scheduling jitter
-  // at higher jobs counts is larger than the effect being measured.
-  // Byte-identity is proven at both jobs 1 and the bench jobs count,
-  // because verdict-neutrality is the bar specialization must clear.
-  std::vector<CorpusEntry> TxnFree;
-  for (const CorpusEntry &E : Corpus)
-    if (computeFacts(E.Prog).TxnFree)
-      TxnFree.push_back(E);
-  if (TxnFree.empty()) {
-    std::fprintf(stderr, "MISMATCH: corpus has no txn-free programs — the "
-                         "specialization slice is empty\n");
-    return 1;
-  }
-  std::vector<CheckRequest> SpecRequests =
-      makeRequests(TxnFree, Pool.size(), Reps);
-  double SpecOnSec = 1e18, SpecOffSec = 1e18;
-  uint64_t Discharged = 0, SpecChecks = 0;
-  std::vector<CheckResponse> SpecOn, SpecOff;
-  for (unsigned T = 0; T < Timings; ++T) {
-    BatchTelemetry TOn;
-    SpecOn = QueryEngine({.Jobs = 1,
-                          .Strategy = EvalStrategy::Planned,
-                          .Specialize = true})
-                 .runAll(SpecRequests, &TOn);
-    BatchTelemetry TOff;
-    SpecOff = QueryEngine({.Jobs = 1,
-                           .Strategy = EvalStrategy::Planned,
-                           .Specialize = false})
-                  .runAll(SpecRequests, &TOff);
-    SpecOnSec = std::min(SpecOnSec, TOn.Seconds);
-    SpecOffSec = std::min(SpecOffSec, TOff.Seconds);
-    Discharged = TOn.Plan.Discharged;
-    SpecChecks = TOn.Checks;
-    if (TOff.Plan.Discharged != 0) {
-      std::fprintf(stderr, "MISMATCH: unspecialized run reported %llu "
-                           "discharged obligations\n",
-                   static_cast<unsigned long long>(TOff.Plan.Discharged));
-      return 1;
-    }
-  }
-  std::string SpecOnJson = responsesToJson(SpecOn, nullptr);
-  if (SpecOnJson != responsesToJson(SpecOff, nullptr) ||
-      SpecOnJson !=
-          responsesToJson(QueryEngine({.Jobs = Jobs,
-                                       .Strategy = EvalStrategy::Planned,
-                                       .Specialize = true})
-                              .runAll(SpecRequests),
-                          nullptr) ||
-      SpecOnJson !=
-          responsesToJson(QueryEngine({.Jobs = Jobs,
-                                       .Strategy = EvalStrategy::Planned,
-                                       .Specialize = false})
-                              .runAll(SpecRequests),
-                          nullptr)) {
-    std::fprintf(stderr, "MISMATCH: specialization changed the canonical "
-                         "responses on the txn-free slice\n");
-    return 1;
-  }
-
   std::printf("%5s %10s %10s %12s %12s %8s %9s %9s\n", "specs", "checks",
               "cand", "indep s", "planned s", "speedup", "term-hit", "short-c");
   std::string PointsJson;
@@ -254,31 +180,11 @@ int main(int argc, char **argv) {
               "(jobs 1 and %u).\n",
               Jobs);
 
-  double SpecSpeedup = SpecOffSec / SpecOnSec;
-  std::printf("\nfootprint specialization, txn-free slice (%zu/%zu programs, "
-              "%zu specs):\n"
-              "  unspecialized %.4f s, specialized %.4f s (%.2fx), "
-              "%llu obligations discharged; byte-identical.\n",
-              TxnFree.size(), Corpus.size(), Pool.size(), SpecOffSec,
-              SpecOnSec, SpecSpeedup,
-              static_cast<unsigned long long>(Discharged));
-
-  char SpecJson[512];
-  std::snprintf(
-      SpecJson, sizeof(SpecJson),
-      "\"specialization\": {\"txn_free_programs\": %zu, \"specs\": %zu, "
-      "\"checks\": %llu, \"off_seconds\": %.4f, \"on_seconds\": %.4f, "
-      "\"speedup\": %.3f, \"discharged\": %llu}",
-      TxnFree.size(), Pool.size(), static_cast<unsigned long long>(SpecChecks),
-      SpecOffSec, SpecOnSec, SpecSpeedup,
-      static_cast<unsigned long long>(Discharged));
-
   char Json[512];
   std::snprintf(Json, sizeof(Json),
                 "{\"bench\": \"spec_matrix\", \"programs\": %zu, \"reps\": %u, "
                 "\"jobs\": %u, \"speedup_at_6\": %.3f, \"points\": [",
                 Corpus.size(), Reps, Jobs, SpeedupAt6);
-  bench::writeBenchJson("spec_matrix", std::string(Json) + PointsJson + "], " +
-                                           SpecJson + "}");
+  bench::writeBenchJson("spec_matrix", std::string(Json) + PointsJson + "]}");
   return 0;
 }

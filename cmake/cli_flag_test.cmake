@@ -33,7 +33,6 @@ endfunction()
 # --- bad values: every strict numeric flag, one probe each -----------------
 expect_exit(2 litmus_tool --corpus --cap bogus)
 expect_exit(2 litmus_tool --corpus --cap 12x)
-expect_exit(2 litmus_tool --corpus --specialize bogus)
 expect_exit(2 tmw_serve --max-clients bogus)
 expect_exit(2 tmw_serve --max-clients 0)
 expect_exit(2 tmw_serve --accept-limit bogus)
@@ -41,6 +40,7 @@ expect_exit(2 tmw_serve --jobs bogus)
 expect_exit(2 tmw_serve --jobs)
 expect_exit(2 tmw_serve --serial)  # removed flag: an unknown-flag usage error
 expect_exit(2 litmus_tool --lint)  # removed flag: tmw_lint is the lint frontend
+expect_exit(2 litmus_tool --corpus --specialize on)  # removed flag: planned evaluation always specializes
 expect_exit(2 tmw_audit --bases bogus)
 expect_exit(2 tmw_audit --events bogus)
 expect_exit(2 tmw_audit --placements bogus)
@@ -54,7 +54,7 @@ expect_exit(2 tmw_lint)            # no inputs and no --corpus is a usage error
 
 # --- good values: the same flags must still accept well-formed operands ----
 expect_exit(0 tmw_lint --corpus)
-expect_exit(0 litmus_tool --corpus --cap 4 --specialize on --jobs 2)
+expect_exit(0 litmus_tool --corpus --cap 4 --jobs 2)
 
 if(FAILURES GREATER 0)
   message(FATAL_ERROR "${FAILURES} CLI flag-validation case(s) failed")

@@ -38,16 +38,11 @@
 ///                    accounting to the JSON (forfeits cross-jobs
 ///                    byte-determinism).
 ///   --eval <s>       candidate evaluation strategy: "planned" (default;
-///                    one cross-spec evaluation plan per spec set) or
-///                    "independent" (reference per-model loop). The
-///                    canonical JSON is byte-identical either way — the
-///                    flag exists so CI can prove it with cmp.
-///   --specialize <s> "on" (default) or "off": specialize each planned
-///                    evaluation to the program's static vocabulary facts
-///                    (lint/Lint.h), pre-discharging footprint-disjoint
-///                    obligations once per program. Verdict-neutral like
-///                    --eval — byte-identical canonical JSON either way,
-///                    and CI proves it with cmp.
+///                    one cross-spec evaluation plan per spec list,
+///                    specialized to each program's static vocabulary
+///                    facts) or "independent" (reference per-model
+///                    loop). The canonical JSON is byte-identical either
+///                    way — the flag exists so CI can prove it with cmp.
 ///   --store <path>   persistent verdict store (store/VerdictStore.h):
 ///                    answers whose exact content key (program source,
 ///                    canonical specs, options, engine version) is on
@@ -170,24 +165,11 @@ int main(int Argc, char **Argv) {
   std::vector<std::string> ModelSpecs;
   std::vector<const char *> Files;
   bool Corpus = false, Json = false, Explain = false, Outcomes = false;
-  bool Telemetry = false, Specialize = true;
+  bool Telemetry = false;
   unsigned Jobs = 1;
   uint64_t Cap = 0;
   std::string StorePath;
   EvalStrategy Strategy = EvalStrategy::Planned;
-  auto ParseSpecialize = [&](const char *Value) {
-    if (std::strcmp(Value, "on") == 0) {
-      Specialize = true;
-      return true;
-    }
-    if (std::strcmp(Value, "off") == 0) {
-      Specialize = false;
-      return true;
-    }
-    std::fprintf(stderr, "error: --specialize %s: expected 'on' or 'off'\n",
-                 Value);
-    return false;
-  };
   auto ParseEval = [&](const char *Value) {
     if (std::strcmp(Value, "planned") == 0) {
       Strategy = EvalStrategy::Planned;
@@ -216,12 +198,6 @@ int main(int Argc, char **Argv) {
         return 2;
     } else if (std::strncmp(A, "--eval=", 7) == 0) {
       if (!ParseEval(A + 7))
-        return 2;
-    } else if (std::strcmp(A, "--specialize") == 0 && I + 1 < Argc) {
-      if (!ParseSpecialize(Argv[++I]))
-        return 2;
-    } else if (std::strncmp(A, "--specialize=", 13) == 0) {
-      if (!ParseSpecialize(A + 13))
         return 2;
     } else if (std::strcmp(A, "--corpus") == 0) {
       Corpus = true;
@@ -327,8 +303,8 @@ int main(int Argc, char **Argv) {
     }
   }
 
-  QueryEngine Engine({.Jobs = Jobs, .Strategy = Strategy,
-                      .Specialize = Specialize, .Store = Store.get()});
+  QueryEngine Engine(
+      {.Jobs = Jobs, .Strategy = Strategy, .Store = Store.get()});
   int Failed = 0;
 
   if (Json) {

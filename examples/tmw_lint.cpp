@@ -20,16 +20,19 @@
 ///              CI diffs it across runs like the audit and bench
 ///              artifacts.
 ///
+/// A file that fails to parse is reported like any other program, with
+/// one error finding (code `parse-error`) at the parse error's line, so
+/// neither form reads clean for it; every other input is still linted.
+///
 /// Exit status: 0 when every program lints clean, 1 when any finding was
-/// reported (warnings included — the corpus gate wants a clean corpus,
-/// not a quiet one) or any file failed to parse, 2 on usage errors.
+/// reported (warnings and parse errors included — the corpus gate wants
+/// a clean corpus, not a quiet one), 2 on usage errors.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "lint/Lint.h"
 #include "lint/LintIO.h"
 #include "litmus/Library.h"
-#include "litmus/Parser.h"
 
 #include <cstdio>
 #include <cstring>
@@ -63,19 +66,7 @@ int main(int Argc, char **Argv) {
     return 2;
   }
 
-  // Parse failures are hard errors (exit 1, like a finding), but they do
-  // not abort the batch: every other input still gets linted and its own
-  // diagnostic, however late in the argument list the bad file sits.
-  bool ParseFailed = false;
   std::vector<LintedProgram> Linted;
-  auto LintOne = [&](const Program &P, std::string Name) {
-    LintedProgram L;
-    L.Name = std::move(Name);
-    L.Report = lintProgram(P);
-    L.Facts = computeFacts(P);
-    Linted.push_back(std::move(L));
-  };
-
   for (const char *File : Files) {
     std::ifstream In(File);
     if (!In) {
@@ -84,18 +75,11 @@ int main(int Argc, char **Argv) {
     }
     std::stringstream Ss;
     Ss << In.rdbuf();
-    ParseResult Parsed = parseProgram(Ss.str());
-    if (!Parsed) {
-      std::fprintf(stderr, "%s:%u: error: %s\n", File, Parsed.ErrorLine,
-                   Parsed.Error.c_str());
-      ParseFailed = true;
-      continue;
-    }
-    LintOne(Parsed.Prog, File);
+    Linted.push_back(lintSource(Ss.str(), File));
   }
   if (Corpus)
     for (const CorpusEntry &E : sharedCorpus())
-      LintOne(E.Prog, E.Name);
+      Linted.push_back({E.Name, lintProgram(E.Prog), computeFacts(E.Prog)});
 
   size_t Findings = 0;
   for (const LintedProgram &L : Linted)
@@ -110,5 +94,5 @@ int main(int Argc, char **Argv) {
                 Linted.size() == 1 ? "" : "s", Findings,
                 Findings == 1 ? "" : "s");
   }
-  return (Findings || ParseFailed) ? 1 : 0;
+  return Findings ? 1 : 0;
 }

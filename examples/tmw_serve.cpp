@@ -2,7 +2,7 @@
 ///
 /// The resident frontend of the batch query engine (server/QueryServer.h):
 /// instead of one process per batch, start once and stream batches in —
-/// the corpus, parsed programs, resolved model specs, and the worker pool
+/// the corpus, parsed programs, resolved spec sets, and the worker pool
 /// (threads + analysis arenas) stay resident, so repeated CI/bench
 /// queries stop paying process startup and re-parsing.
 ///
@@ -44,7 +44,7 @@
 ///                         verdicts document (forfeits byte-identity with
 ///                         one-shot runs).
 ///   --stats               print session counters (batches, cache hits,
-///                         evictions, resident evaluation plans — plus
+///                         evictions, resident spec sets — plus
 ///                         per-connection traffic under the multiplexer)
 ///                         to stderr at exit.
 ///   --print-corpus-batch  emit the built-in corpus as one batch line —
@@ -114,8 +114,8 @@ void printServerStats(const QueryServer &Server) {
                "tmw_serve: %llu batches (%llu bad, %llu cancelled), "
                "%llu requests; "
                "program cache %llu hits / %llu misses (%llu resident, "
-               "%llu evictions); model cache %llu hits / %llu misses; "
-               "plan cache %llu hits / %llu misses (%llu resident)\n",
+               "%llu evictions); spec-set cache %llu hits / %llu misses "
+               "(%llu resident)\n",
                static_cast<unsigned long long>(St.Batches),
                static_cast<unsigned long long>(St.BadBatches),
                static_cast<unsigned long long>(St.CancelledBatches),
@@ -124,11 +124,9 @@ void printServerStats(const QueryServer &Server) {
                static_cast<unsigned long long>(St.Cache.ProgramMisses),
                static_cast<unsigned long long>(St.Cache.ProgramsCached),
                static_cast<unsigned long long>(St.Cache.ProgramEvictions),
-               static_cast<unsigned long long>(St.Cache.ModelHits),
-               static_cast<unsigned long long>(St.Cache.ModelMisses),
-               static_cast<unsigned long long>(St.Cache.PlanHits),
-               static_cast<unsigned long long>(St.Cache.PlanMisses),
-               static_cast<unsigned long long>(St.Cache.PlansCached));
+               static_cast<unsigned long long>(St.Cache.SpecSetHits),
+               static_cast<unsigned long long>(St.Cache.SpecSetMisses),
+               static_cast<unsigned long long>(St.Cache.SpecSetsCached));
 }
 
 void printMuxStats(const server::MuxStats &M) {

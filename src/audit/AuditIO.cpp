@@ -4,18 +4,9 @@
 
 #include "query/Json.h"
 
-#include <cinttypes>
-#include <cstdio>
-
 using namespace tmw;
 
 namespace {
-
-void appendUint(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
-  Out += Buf;
-}
 
 void appendFinding(std::string &Out, const AuditFinding &F) {
   Out += "{\"pass\": ";
@@ -26,7 +17,7 @@ void appendFinding(std::string &Out, const AuditFinding &F) {
   jsonAppendString(Out, F.Axiom);
   if (F.Bit >= 0) {
     Out += ", \"bit\": ";
-    appendUint(Out, static_cast<uint64_t>(F.Bit));
+    jsonAppendUint(Out, static_cast<uint64_t>(F.Bit));
     Out += ", \"bit_name\": ";
     jsonAppendString(Out, F.BitName);
   }
@@ -45,7 +36,7 @@ void appendPrecision(std::string &Out, const SaltPrecisionNote &N) {
   Out += ", \"axiom\": ";
   jsonAppendString(Out, N.Axiom);
   Out += ", \"bit\": ";
-  appendUint(Out, static_cast<uint64_t>(N.Bit < 0 ? 0 : N.Bit));
+  jsonAppendUint(Out, static_cast<uint64_t>(N.Bit < 0 ? 0 : N.Bit));
   Out += ", \"bit_name\": ";
   jsonAppendString(Out, N.BitName);
   Out += '}';
@@ -64,7 +55,7 @@ std::string tmw::auditReportToJson(const AuditReport &R) {
     jsonAppendString(Out, R.Error);
   }
   Out += ", \"events\": ";
-  appendUint(Out, R.Events);
+  jsonAppendUint(Out, R.Events);
   Out += ", \"specs\": [";
   bool First = true;
   for (const std::string &S : R.Specs) {
@@ -74,21 +65,21 @@ std::string tmw::auditReportToJson(const AuditReport &R) {
     jsonAppendString(Out, S);
   }
   Out += "], \"counters\": {\"probes\": ";
-  appendUint(Out, R.Counters.Probes);
+  jsonAppendUint(Out, R.Counters.Probes);
   Out += ", \"corpus_probes\": ";
-  appendUint(Out, R.Counters.CorpusProbes);
+  jsonAppendUint(Out, R.Counters.CorpusProbes);
   Out += ", \"vocab_probes\": ";
-  appendUint(Out, R.Counters.VocabProbes);
+  jsonAppendUint(Out, R.Counters.VocabProbes);
   Out += ", \"bases\": ";
-  appendUint(Out, R.Counters.Bases);
+  jsonAppendUint(Out, R.Counters.Bases);
   Out += ", \"placements\": ";
-  appendUint(Out, R.Counters.Placements);
+  jsonAppendUint(Out, R.Counters.Placements);
   Out += ", \"units\": ";
-  appendUint(Out, R.Counters.Units);
+  jsonAppendUint(Out, R.Counters.Units);
   Out += ", \"term_evals\": ";
-  appendUint(Out, R.Counters.TermEvals);
+  jsonAppendUint(Out, R.Counters.TermEvals);
   Out += ", \"footprint_checks\": ";
-  appendUint(Out, R.Counters.FootprintChecks);
+  jsonAppendUint(Out, R.Counters.FootprintChecks);
   Out += "}, \"truncated\": ";
   Out += R.Truncated ? "true" : "false";
   Out += ", \"findings\": [";

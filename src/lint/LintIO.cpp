@@ -2,20 +2,12 @@
 
 #include "lint/LintIO.h"
 
+#include "litmus/Parser.h"
 #include "query/Json.h"
-
-#include <cinttypes>
-#include <cstdio>
 
 using namespace tmw;
 
 namespace {
-
-void appendUint(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
-  Out += Buf;
-}
 
 void appendBool(std::string &Out, bool B) { Out += B ? "true" : "false"; }
 
@@ -27,11 +19,11 @@ void appendFinding(std::string &Out, const LintFinding &F) {
   Out += ", \"message\": ";
   jsonAppendString(Out, F.Message);
   Out += ", \"thread\": ";
-  Out += std::to_string(F.Thread);
+  jsonAppendInt(Out, F.Thread);
   Out += ", \"instruction\": ";
-  Out += std::to_string(F.Instruction);
+  jsonAppendInt(Out, F.Instruction);
   Out += ", \"line\": ";
-  appendUint(Out, F.Line);
+  jsonAppendUint(Out, F.Line);
   Out += '}';
 }
 
@@ -58,11 +50,26 @@ void appendFacts(std::string &Out, const ProgramFacts &F) {
     jsonAppendString(Out, fenceKindName(static_cast<FenceKind>(K)));
   }
   Out += "], \"vocabulary\": ";
-  appendUint(Out, F.Vocabulary);
+  jsonAppendUint(Out, F.Vocabulary);
   Out += '}';
 }
 
 } // namespace
+
+LintedProgram tmw::lintSource(std::string_view Source, std::string Name) {
+  LintedProgram L;
+  L.Name = std::move(Name);
+  ParseResult Parsed = parseProgram(Source);
+  if (!Parsed) {
+    L.Report.Findings.push_back({LintSeverity::Error, "parse-error",
+                                 std::move(Parsed.Error), -1, -1,
+                                 Parsed.ErrorLine});
+    return L;
+  }
+  L.Report = lintProgram(Parsed.Prog);
+  L.Facts = computeFacts(Parsed.Prog);
+  return L;
+}
 
 std::string tmw::lintReportToJson(std::span<const LintedProgram> Programs) {
   uint64_t Errors = 0, Warnings = 0;
@@ -83,9 +90,9 @@ std::string tmw::lintReportToJson(std::span<const LintedProgram> Programs) {
     Out += "{\"name\": ";
     jsonAppendString(Out, LP.Name);
     Out += ", \"errors\": ";
-    appendUint(Out, ProgErrors);
+    jsonAppendUint(Out, ProgErrors);
     Out += ", \"warnings\": ";
-    appendUint(Out, ProgWarnings);
+    jsonAppendUint(Out, ProgWarnings);
     Out += ", \"facts\": ";
     appendFacts(Out, LP.Facts);
     Out += ", \"findings\": [";
@@ -99,9 +106,9 @@ std::string tmw::lintReportToJson(std::span<const LintedProgram> Programs) {
     Out += "]}";
   }
   Out += "], \"errors\": ";
-  appendUint(Out, Errors);
+  jsonAppendUint(Out, Errors);
   Out += ", \"warnings\": ";
-  appendUint(Out, Warnings);
+  jsonAppendUint(Out, Warnings);
   Out += ", \"clean\": ";
   appendBool(Out, Errors == 0 && Warnings == 0);
   Out += "}\n";

@@ -29,6 +29,12 @@ struct LintedProgram {
   ProgramFacts Facts;
 };
 
+/// Parse \p Source and lint it as program \p Name. A source that fails to
+/// parse is still one program, so reports never read clean for it: its
+/// only finding is an error with code `parse-error` at the parse error's
+/// line, and its facts are default-valued.
+LintedProgram lintSource(std::string_view Source, std::string Name);
+
 /// Render the whole batch as one `tmw-lint-v1` document (trailing
 /// newline included). Field order is fixed.
 std::string lintReportToJson(std::span<const LintedProgram> Programs);

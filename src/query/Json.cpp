@@ -51,6 +51,16 @@ std::string tmw::jsonQuote(std::string_view S) {
   return Out;
 }
 
+void tmw::jsonAppendUint(std::string &Out, uint64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
+void tmw::jsonAppendInt(std::string &Out, int64_t V) {
+  char Buf[24];
+  Out.append(Buf, std::to_chars(Buf, Buf + sizeof(Buf), V).ptr);
+}
+
 const JsonValue *JsonValue::get(std::string_view Key) const {
   if (K != Kind::Object)
     return nullptr;

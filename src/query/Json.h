@@ -34,6 +34,10 @@ void jsonAppendString(std::string &Out, std::string_view S);
 /// Render \p S as a JSON string literal.
 std::string jsonQuote(std::string_view S);
 
+/// Append \p V to \p Out in plain decimal (a leading '-' when negative).
+void jsonAppendUint(std::string &Out, uint64_t V);
+void jsonAppendInt(std::string &Out, int64_t V);
+
 /// A parsed JSON value. Object members preserve their source order.
 struct JsonValue {
   enum class Kind : uint8_t { Null, Bool, Number, String, Array, Object };

@@ -104,7 +104,8 @@ struct PlanStats {
   /// Obligation verdicts pre-decided by footprint specialization
   /// (models/EvalPlan.h `Specialization`), summed over candidates.
   uint64_t Discharged = 0;
-  /// Plans compiled / served from the resident session cache.
+  /// Spec sets (models, spellings and plan) built / served from the
+  /// session cache, counted for Planned requests only.
   uint64_t Compiles = 0, CacheHits = 0;
 
   PlanStats &operator+=(const PlanStats &O) {

@@ -8,7 +8,6 @@
 #include "litmus/Parser.h"
 #include "litmus/Printer.h"
 #include "models/EvalPlan.h"
-#include "models/ModelRegistry.h"
 #include "query/Json.h"
 #include "query/QueryIO.h"
 #include "query/SessionCache.h"
@@ -90,37 +89,23 @@ std::vector<FailedAxiomInfo> failedAxioms(const MemoryModel &M,
 /// using \p Arena as the per-worker analysis arena (created on first use,
 /// retargeted per candidate — the same arena discipline as the synthesis
 /// workers). The response is built in place, never copied. \p Cache
-/// supplies the request's models, parse and plan; it never changes the
-/// response. \p Specialize, under the Planned strategy, pre-discharges
-/// footprint-disjoint obligations from the program's static vocabulary
-/// (verdict-neutral; see BatchOptions). `Seconds` is the caller's.
+/// supplies the request's spec set and parse; it never changes the
+/// response. `Seconds` is the caller's.
 void evaluateRequest(const CheckRequest &R, CheckResponse &Resp,
                      std::optional<ExecutionAnalysis> &Arena,
                      SessionCache &Cache, EvalStrategy Strategy,
-                     VerdictStore *Store, bool Specialize) {
+                     VerdictStore *Store) {
   Resp.Name = R.Name;
 
-  // Resolve every model spec up front: a bad spec fails the request
-  // before any enumeration work. Const models are shared freely across
-  // threads, so cached resolutions are handed out as-is, each with its
-  // canonical spelling.
-  std::vector<std::string> Specs = R.ModelSpecs;
-  if (Specs.empty())
-    for (Arch A : ModelRegistry::allArchs())
-      Specs.push_back(ModelRegistry::archSpecName(A));
-  std::vector<std::shared_ptr<const MemoryModel>> Models;
-  std::vector<std::string> Canonical(Specs.size());
-  Models.reserve(Specs.size());
-  for (size_t M = 0; M < Specs.size(); ++M) {
-    std::string Error;
-    std::shared_ptr<const MemoryModel> Model =
-        Cache.model(Specs[M], &Error, &Canonical[M]);
-    if (!Model) {
-      Resp.Error = "model spec '" + Specs[M] + "': " + Error;
-      return;
-    }
-    Models.push_back(std::move(Model));
-  }
+  // Resolve the spec list up front: a bad spec fails the request before
+  // any enumeration work. The set's models, spellings and plan are
+  // immutable and shared across threads.
+  bool SetHit = false;
+  std::shared_ptr<const SpecSet> Set =
+      Cache.specs(R.ModelSpecs, &Resp.Error, &SetHit);
+  if (!Set)
+    return;
+  const auto &Models = Set->Models;
 
   // Resolve the program: inline DSL source or a corpus entry, with its
   // static facts (enumeration caps, plan specialization). The parse (and
@@ -176,14 +161,14 @@ void evaluateRequest(const CheckRequest &R, CheckResponse &Resp,
 
   Resp.Verdicts.resize(Models.size());
   for (size_t M = 0; M < Models.size(); ++M)
-    Resp.Verdicts[M].Spec = Canonical[M];
+    Resp.Verdicts[M].Spec = Set->Canonical[M];
 
   // Persistent tier: with a verdict store attached, an exact content
   // match (engine version, options, name, canonical specs, full program
-  // source) answers from disk before any plan compile or enumeration.
-  // The stored document is the canonical JSON of a previous evaluation,
-  // and parse→serialise round-trips byte-exactly (query_io_test), so a
-  // stored hit is byte-identical to a cold evaluation.
+  // source) answers from disk before any enumeration. The stored document
+  // is the canonical JSON of a previous evaluation, and parse→serialise
+  // round-trips byte-exactly (query_io_test), so a stored hit is
+  // byte-identical to a cold evaluation.
   std::string StoreKey;
   if (Store) {
     // Corpus entries are keyed by their printed DSL — the same content
@@ -194,8 +179,9 @@ void evaluateRequest(const CheckRequest &R, CheckResponse &Resp,
       CorpusSource = printDsl(*P);
       Source = CorpusSource;
     }
-    StoreKey = VerdictStore::makeKey(Resp.Name, Source, Canonical, R.Explain,
-                                     R.WantOutcomes, R.CandidateCap);
+    StoreKey = VerdictStore::makeKey(Resp.Name, Source, Set->Canonical,
+                                     R.Explain, R.WantOutcomes,
+                                     R.CandidateCap);
     ++Resp.Store.Lookups;
     if (std::optional<std::string> Doc = Store->lookup(StoreKey)) {
       CheckResponse Stored;
@@ -211,27 +197,18 @@ void evaluateRequest(const CheckRequest &R, CheckResponse &Resp,
     }
   }
 
-  // Planned strategy: compile (or fetch) the spec set's cross-spec
-  // evaluation plan. Keyed by the canonical printed specs, so any
-  // spelling of the same resolved set shares one plan.
-  std::shared_ptr<const EvalPlan> Plan;
+  // Planned strategy: evaluate through the set's cross-spec plan,
+  // specialized to the program's static vocabulary so footprint-disjoint
+  // obligations are decided once per program (verdict-neutral by the
+  // audited footprint contract).
+  const EvalPlan *Plan = nullptr;
   EvalPlan::Scratch Scratch;
-  std::optional<EvalPlan::Specialization> Spec;
+  EvalPlan::Specialization Spec;
   if (Strategy == EvalStrategy::Planned) {
-    std::vector<const MemoryModel *> Raw(Models.size());
-    for (size_t M = 0; M < Models.size(); ++M)
-      Raw[M] = Models[M].get();
-    std::string Key;
-    for (const std::string &C : Canonical) {
-      Key += C;
-      Key += '\n';
-    }
-    bool Hit = false;
-    Plan = Cache.plan(Key, Raw, &Hit);
-    (Hit ? Resp.Plan.CacheHits : Resp.Plan.Compiles) = 1;
+    Plan = &Set->Plan;
+    (SetHit ? Resp.Plan.CacheHits : Resp.Plan.Compiles) = 1;
     Scratch = Plan->makeScratch();
-    if (Specialize)
-      Spec = Plan->specialize(Facts);
+    Spec = Plan->specialize(Facts);
   }
 
   // Enumerate the candidates ONCE; fan each one out to every model over
@@ -255,7 +232,7 @@ void evaluateRequest(const CheckRequest &R, CheckResponse &Resp,
       Arena->reset(C.X);
     bool Satisfies = C.O.satisfies(*P);
     if (Plan)
-      Plan->evaluate(*Arena, Scratch, Spec ? &*Spec : nullptr);
+      Plan->evaluate(*Arena, Scratch, &Spec);
     std::optional<uint32_t> OutcomeId;
     for (size_t M = 0; M < Models.size(); ++M) {
       ModelVerdict &V = Resp.Verdicts[M];
@@ -318,13 +295,13 @@ BatchRun::BatchRun(std::span<const CheckRequest> Requests,
     : Requests(Requests), Opts(Opts), OnResult(std::move(OnResult)),
       Results(Requests.size()), Done(Requests.size(), 0),
       Loads(NumWorkers), T0(std::chrono::steady_clock::now()) {
-  // Without a resident cache the batch owns one that keeps models and
-  // plans but no parses: a batch names each source once.
+  // Without a resident cache the batch owns one that keeps spec sets but
+  // no parses: a batch names each source once.
   if (!this->Opts.Cache)
     this->Opts.Cache = &OwnCache.emplace(0);
 }
 
-bool BatchRun::runOne(size_t I, unsigned Worker,
+void BatchRun::runOne(size_t I, unsigned Worker,
                       std::optional<ExecutionAnalysis> &Arena, bool Stolen,
                       bool Skip) {
   TimePoint S0 = std::chrono::steady_clock::now();
@@ -333,23 +310,19 @@ bool BatchRun::runOne(size_t I, unsigned Worker,
   if (!Skip) {
     CheckResponse &Resp = Results[I];
     evaluateRequest(Requests[I], Resp, Arena, *Opts.Cache, Opts.Strategy,
-                    Opts.Store, Opts.Specialize);
+                    Opts.Store);
     Resp.Seconds = secondsSince(S0);
     Loads[Worker].BasesVisited += Resp.Candidates;
   }
   Loads[Worker].BusySeconds += secondsSince(S0);
-  // Stream in request order: emit response i only after 0..i-1. Exactly
-  // one call advances NextToEmit to the end — the batch-completion
-  // signal for external schedulers.
+  // Stream in request order: emit response i only after 0..i-1.
   std::lock_guard<std::mutex> Lock(EmitMu);
   Done[I] = 1;
-  bool WasComplete = NextToEmit == Results.size();
   while (NextToEmit < Results.size() && Done[NextToEmit]) {
     if (OnResult)
       OnResult(Results[NextToEmit]);
     ++NextToEmit;
   }
-  return !WasComplete && NextToEmit == Results.size();
 }
 
 std::vector<CheckResponse> BatchRun::take(BatchTelemetry &T) {

@@ -58,26 +58,22 @@ enum class EvalStrategy : uint8_t {
 struct BatchOptions {
   /// Worker threads for `run`/`runAll` (1 = evaluate inline, no threads).
   unsigned Jobs = 1;
-  /// The resident caches (parsed programs, interned model specs,
-  /// compiled evaluation plans) every evaluation resolves through.
-  /// nullptr = a cache for this batch alone (`SessionCache(0)`) that keeps
-  /// models and plans, not parses: each distinct spec is resolved and
-  /// printed once per batch, each distinct spec set compiled once, and
-  /// every source parsed afresh. Caching never changes a verdict — a
-  /// cached program/model/plan is identical to a recomputed one — so
-  /// resident and per-batch caches produce byte-identical response JSON.
+  /// The resident caches (parsed programs and spec sets: each distinct
+  /// spec list's models, canonical spellings and compiled evaluation
+  /// plan) every evaluation resolves through. nullptr = a cache for this
+  /// batch alone (`SessionCache(0)`) that keeps spec sets, not parses:
+  /// each distinct spec list is resolved, printed and compiled once per
+  /// batch, and every source parsed afresh. Caching never changes a
+  /// verdict — a cached program or spec set is identical to a rebuilt
+  /// one — so resident and per-batch caches produce byte-identical
+  /// response JSON.
   SessionCache *Cache = nullptr;
   /// Candidate evaluation strategy (Planned and Independent produce
-  /// byte-identical canonical JSON; only the telemetry differs).
+  /// byte-identical canonical JSON; only the telemetry differs). Planned
+  /// always specializes each request's plan to the program's static
+  /// vocabulary facts (lint/Lint.h), pre-discharging footprint-disjoint
+  /// obligations once per program.
   EvalStrategy Strategy = EvalStrategy::Planned;
-  /// Planned strategy only: specialize each request's plan to the
-  /// program's static vocabulary facts (lint/Lint.h), pre-discharging
-  /// footprint-disjoint obligations once per program instead of
-  /// evaluating them per candidate. Verdict-neutral by the audited
-  /// footprint contract — on and off produce byte-identical canonical
-  /// JSON (pinned by tests and the CI corpus cmp); only `Discharged`
-  /// telemetry differs. Default on.
-  bool Specialize = true;
   /// Optional persistent verdict store (store/VerdictStore.h) — the
   /// second, cross-process caching tier below the in-memory caches: a
   /// request whose exact content key (program source, canonical specs,
@@ -95,7 +91,7 @@ struct BatchOptions {
 /// resident query server (server/QueryServer.h) interleaves
 /// `(batch, request-index)` tasks of many batches over one persistent
 /// pool. Request evaluation is the same code either way, and every request
-/// resolves its models, program and plan through one `SessionCache` (the
+/// resolves its spec set and program through one `SessionCache` (the
 /// resident `Opts.Cache` or the batch's own), so verdict bytes cannot
 /// depend on which owner — or how many rival batches — scheduled them.
 /// Responses stream to the optional callback in request order, whatever
@@ -116,11 +112,8 @@ public:
   /// across batches). \p Stolen only feeds the load telemetry. \p Skip
   /// marks the index done without evaluating — the cancellation path for
   /// a disconnected client's batch: bookkeeping still completes, the
-  /// response stays empty and is discarded by the owner. Returns true for
-  /// exactly the call that completed the batch (every response emitted
-  /// in order) — after that call returns, no other `runOne` for this
-  /// batch is in flight.
-  bool runOne(size_t I, unsigned Worker,
+  /// response stays empty and is discarded by the owner.
+  void runOne(size_t I, unsigned Worker,
               std::optional<ExecutionAnalysis> &Arena, bool Stolen = false,
               bool Skip = false);
 

@@ -4,24 +4,11 @@
 
 #include "query/Json.h"
 
-#include <cinttypes>
 #include <cstdio>
 
 using namespace tmw;
 
 namespace {
-
-void appendUint(std::string &Out, uint64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%" PRIu64, V);
-  Out += Buf;
-}
-
-void appendInt(std::string &Out, int64_t V) {
-  char Buf[24];
-  std::snprintf(Buf, sizeof(Buf), "%" PRId64, V);
-  Out += Buf;
-}
 
 void appendSeconds(std::string &Out, double V) {
   char Buf[32];
@@ -37,11 +24,11 @@ void appendOutcome(std::string &Out, const Outcome &O) {
       Out += ", ";
     First = false;
     Out += '[';
-    appendUint(Out, T);
+    jsonAppendUint(Out, T);
     Out += ", ";
-    appendUint(Out, L);
+    jsonAppendUint(Out, L);
     Out += ", ";
-    appendInt(Out, V);
+    jsonAppendInt(Out, V);
     Out += ']';
   }
   Out += "], \"mem\": [";
@@ -50,7 +37,7 @@ void appendOutcome(std::string &Out, const Outcome &O) {
     if (!First)
       Out += ", ";
     First = false;
-    appendInt(Out, V);
+    jsonAppendInt(Out, V);
   }
   Out += "]}";
 }
@@ -61,9 +48,9 @@ void appendVerdict(std::string &Out, const ModelVerdict &V) {
   Out += ", \"allowed\": ";
   Out += V.Allowed ? "true" : "false";
   Out += ", \"consistent\": ";
-  appendUint(Out, V.Consistent);
+  jsonAppendUint(Out, V.Consistent);
   Out += ", \"first_forbidden\": ";
-  appendInt(Out, V.FirstForbidden);
+  jsonAppendInt(Out, V.FirstForbidden);
   Out += ", \"failed_axioms\": [";
   bool First = true;
   for (const FailedAxiomInfo &F : V.FailedAxioms) {
@@ -78,7 +65,7 @@ void appendVerdict(std::string &Out, const ModelVerdict &V) {
       if (!FirstW)
         Out += ", ";
       FirstW = false;
-      appendUint(Out, E);
+      jsonAppendUint(Out, E);
     }
     Out += "]}";
   }
@@ -218,7 +205,7 @@ std::string tmw::toJson(const CheckRequest &R) {
   Out += ", \"outcomes\": ";
   Out += R.WantOutcomes ? "true" : "false";
   Out += ", \"candidate_cap\": ";
-  appendUint(Out, R.CandidateCap);
+  jsonAppendUint(Out, R.CandidateCap);
   Out += '}';
   return Out;
 }
@@ -229,9 +216,9 @@ std::string tmw::toJson(const CheckResponse &R, bool IncludeTiming) {
   Out += ", \"error\": ";
   jsonAppendString(Out, R.Error);
   Out += ", \"error_line\": ";
-  appendUint(Out, R.ErrorLine);
+  jsonAppendUint(Out, R.ErrorLine);
   Out += ", \"candidates\": ";
-  appendUint(Out, R.Candidates);
+  jsonAppendUint(Out, R.Candidates);
   Out += ", \"truncated\": ";
   Out += R.Truncated ? "true" : "false";
   Out += ", \"verdicts\": [";
@@ -298,38 +285,38 @@ std::string tmw::responsesToJson(std::span<const CheckResponse> Responses,
     Out += ",\n \"telemetry\": {\"seconds\": ";
     appendSeconds(Out, Telemetry->Seconds);
     Out += ", \"programs\": ";
-    appendUint(Out, Telemetry->Programs);
+    jsonAppendUint(Out, Telemetry->Programs);
     Out += ", \"candidates\": ";
-    appendUint(Out, Telemetry->Candidates);
+    jsonAppendUint(Out, Telemetry->Candidates);
     Out += ", \"checks\": ";
-    appendUint(Out, Telemetry->Checks);
+    jsonAppendUint(Out, Telemetry->Checks);
     // Cross-spec plan accounting (zeros under independent evaluation);
     // telemetry-only, so the canonical responses stay byte-identical
     // across strategies.
     Out += ", \"plan\": {\"term_evals\": ";
-    appendUint(Out, Telemetry->Plan.TermEvals);
+    jsonAppendUint(Out, Telemetry->Plan.TermEvals);
     Out += ", \"term_hits\": ";
-    appendUint(Out, Telemetry->Plan.TermHits);
+    jsonAppendUint(Out, Telemetry->Plan.TermHits);
     Out += ", \"spec_evals\": ";
-    appendUint(Out, Telemetry->Plan.SpecEvals);
+    jsonAppendUint(Out, Telemetry->Plan.SpecEvals);
     Out += ", \"spec_short_circuits\": ";
-    appendUint(Out, Telemetry->Plan.SpecShortCircuits);
+    jsonAppendUint(Out, Telemetry->Plan.SpecShortCircuits);
     Out += ", \"discharged\": ";
-    appendUint(Out, Telemetry->Plan.Discharged);
+    jsonAppendUint(Out, Telemetry->Plan.Discharged);
     Out += ", \"compiles\": ";
-    appendUint(Out, Telemetry->Plan.Compiles);
+    jsonAppendUint(Out, Telemetry->Plan.Compiles);
     Out += ", \"cache_hits\": ";
-    appendUint(Out, Telemetry->Plan.CacheHits);
+    jsonAppendUint(Out, Telemetry->Plan.CacheHits);
     Out += '}';
     // Persistent verdict-store traffic (zeros without a --store); like
     // the plan block, telemetry-only so the canonical responses stay
     // byte-identical with and without a store.
     Out += ", \"store\": {\"lookups\": ";
-    appendUint(Out, Telemetry->Store.Lookups);
+    jsonAppendUint(Out, Telemetry->Store.Lookups);
     Out += ", \"hits\": ";
-    appendUint(Out, Telemetry->Store.Hits);
+    jsonAppendUint(Out, Telemetry->Store.Hits);
     Out += ", \"appends\": ";
-    appendUint(Out, Telemetry->Store.Appends);
+    jsonAppendUint(Out, Telemetry->Store.Appends);
     Out += '}';
     Out += ", \"workers\": [";
     bool First = true;
@@ -340,11 +327,11 @@ std::string tmw::responsesToJson(std::span<const CheckResponse> Responses,
       Out += "{\"busy_seconds\": ";
       appendSeconds(Out, L.BusySeconds);
       Out += ", \"tasks\": ";
-      appendUint(Out, L.Tasks);
+      jsonAppendUint(Out, L.Tasks);
       Out += ", \"steals\": ";
-      appendUint(Out, L.Steals);
+      jsonAppendUint(Out, L.Steals);
       Out += ", \"candidates\": ";
-      appendUint(Out, L.BasesVisited);
+      jsonAppendUint(Out, L.BasesVisited);
       Out += '}';
     }
     Out += "]}";

@@ -78,55 +78,48 @@ std::shared_ptr<const ParseResult> SessionCache::program(
   return Inserted ? Parsed : It->second.Parse;
 }
 
-std::shared_ptr<const MemoryModel> SessionCache::model(
-    const std::string &Spec, std::string *Error, std::string *Canonical) {
+std::shared_ptr<const SpecSet>
+SessionCache::specs(const std::vector<std::string> &Specs, std::string *Error,
+                    bool *Hit) {
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Models.find(Spec);
-    if (It != Models.end()) {
-      ++S.ModelHits;
-      if (Canonical)
-        *Canonical = It->second.Canonical;
-      return It->second.Model;
-    }
-    ++S.ModelMisses;
-  }
-  // Resolve and print outside the lock, once per distinct spec string.
-  ModelEntry E{ModelRegistry::parse(Spec, Error), {}};
-  if (!E.Model)
-    return nullptr;
-  E.Canonical = ModelRegistry::print(*E.Model);
-  std::lock_guard<std::mutex> Lock(Mu);
-  auto It = Models.emplace(Spec, std::move(E)).first;
-  S.ModelsCached = Models.size();
-  if (Canonical)
-    *Canonical = It->second.Canonical;
-  return It->second.Model;
-}
-
-std::shared_ptr<const EvalPlan>
-SessionCache::plan(const std::string &Key,
-                   std::span<const MemoryModel *const> Models, bool *Hit) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Plans.find(Key);
-    if (It != Plans.end()) {
-      ++S.PlanHits;
+    auto It = Sets.find(Specs);
+    if (It != Sets.end()) {
+      ++S.SpecSetHits;
       if (Hit)
         *Hit = true;
       return It->second;
     }
-    ++S.PlanMisses;
+    ++S.SpecSetMisses;
     if (Hit)
       *Hit = false;
   }
-  // Compile outside the lock; racing workers produce identical plans
-  // (compilation is deterministic), so either insert may land.
-  auto P = std::make_shared<const EvalPlan>(EvalPlan::compile(Models));
+  // Resolve, print and compile outside the lock, once per distinct list
+  // (per racing worker at worst: building is deterministic, so either
+  // insert may land).
+  std::vector<std::string> Names = Specs;
+  if (Names.empty())
+    for (Arch A : ModelRegistry::allArchs())
+      Names.push_back(ModelRegistry::archSpecName(A));
+  auto Set = std::make_shared<SpecSet>();
+  std::vector<const MemoryModel *> Raw;
+  for (const std::string &Name : Names) {
+    std::string Why;
+    std::unique_ptr<const MemoryModel> M = ModelRegistry::parse(Name, &Why);
+    if (!M) {
+      if (Error)
+        *Error = "model spec '" + Name + "': " + Why;
+      return nullptr;
+    }
+    Set->Canonical.push_back(ModelRegistry::print(*M));
+    Raw.push_back(M.get());
+    Set->Models.push_back(std::move(M));
+  }
+  Set->Plan = EvalPlan::compile(Raw);
   std::lock_guard<std::mutex> Lock(Mu);
-  auto [It, Inserted] = Plans.emplace(Key, P);
-  S.PlansCached = Plans.size();
-  return Inserted ? P : It->second;
+  auto It = Sets.emplace(Specs, std::move(Set)).first;
+  S.SpecSetsCached = Sets.size();
+  return It->second;
 }
 
 SessionCache::Stats SessionCache::stats() const {
@@ -137,7 +130,6 @@ SessionCache::Stats SessionCache::stats() const {
 void SessionCache::clear() {
   std::lock_guard<std::mutex> Lock(Mu);
   Programs.clear();
-  Models.clear();
-  Plans.clear();
-  S.ProgramsCached = S.ModelsCached = S.PlansCached = 0;
+  Sets.clear();
+  S.ProgramsCached = S.SpecSetsCached = 0;
 }

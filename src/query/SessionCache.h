@@ -5,10 +5,10 @@
 /// repeated queries stop paying per-batch setup: parsed `Program`s keyed
 /// by their full DSL source (content-addressed through the map's string
 /// hash — identical source always hits, and an entry can never go stale),
-/// and resolved model-registry specs interned by spec string, each with
-/// its canonical printed spelling (models are immutable after
-/// configuration, so one instance is shared freely across worker threads
-/// and batches).
+/// and resolved spec lists keyed by the list as written, each with its
+/// models, their canonical printed spellings and the cross-spec
+/// evaluation plan compiled over them (models and plans are immutable,
+/// so one set is shared freely across worker threads and batches).
 ///
 /// Ownership contract: lookups hand out `shared_ptr`s, so an entry stays
 /// alive for as long as any in-flight request references it — eviction
@@ -28,8 +28,8 @@
 /// A bound of 0 keeps no parses at all: `program` parses and scans every
 /// source afresh and never evicts. That is the cache a one-shot batch
 /// owns (query/QueryEngine.h): its sources arrive once each, so a kept
-/// parse would never be hit. The model and plan caches are tiny (spec
-/// strings, spec sets) and unbounded.
+/// parse would never be hit. The spec-set cache is tiny (sessions check a
+/// handful of spec lists) and unbounded.
 ///
 /// Thread-safe: one mutex guards the maps; lookups are cheap next to
 /// enumeration, so the lock is uncontended in practice.
@@ -45,13 +45,24 @@
 #include "models/MemoryModel.h"
 
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <string_view>
 #include <unordered_map>
+#include <vector>
 
 namespace tmw {
+
+/// One resolved spec list: model i, its canonical spelling
+/// (`ModelRegistry::print`) and spec i of the plan all answer entry i of
+/// the list. Immutable once built; shared freely across threads.
+struct SpecSet {
+  std::vector<std::unique_ptr<const MemoryModel>> Models;
+  std::vector<std::string> Canonical;
+  EvalPlan Plan;
+};
 
 /// Resident caches of one query session (see file comment).
 class SessionCache {
@@ -59,10 +70,9 @@ public:
   /// Hit/miss accounting, for observability and the cache tests.
   struct Stats {
     uint64_t ProgramHits = 0, ProgramMisses = 0;
-    uint64_t ModelHits = 0, ModelMisses = 0;
-    uint64_t PlanHits = 0, PlanMisses = 0;
+    uint64_t SpecSetHits = 0, SpecSetMisses = 0;
     /// Entries currently resident.
-    uint64_t ProgramsCached = 0, ModelsCached = 0, PlansCached = 0;
+    uint64_t ProgramsCached = 0, SpecSetsCached = 0;
     /// Times the bounded program map overflowed (one half-eviction each)
     /// and total entries dropped across those evictions.
     uint64_t ProgramEvictions = 0, ProgramsEvicted = 0;
@@ -81,27 +91,19 @@ public:
   std::shared_ptr<const ParseResult> program(std::string_view Source,
                                              ProgramFacts *Facts = nullptr);
 
-  /// Resolve-or-fetch the registry spec \p Spec. Returns nullptr (and
-  /// sets \p Error) for an unresolvable spec; failures are not cached.
-  /// \p Canonical, when non-null, receives the model's canonical spelling
-  /// (`ModelRegistry::print`), printed once when the spec is first
-  /// resolved and served with every hit.
-  std::shared_ptr<const MemoryModel> model(const std::string &Spec,
-                                           std::string *Error = nullptr,
-                                           std::string *Canonical = nullptr);
-
-  /// Compile-or-fetch the cross-spec evaluation plan for \p Models,
-  /// keyed by \p Key — the request's *canonical* printed specs joined by
-  /// newlines, so every way of writing the same resolved spec list hits
-  /// one plan. Compilation is deterministic over the resolved models, so
-  /// a cached plan is identical to a fresh one. It runs outside the lock:
-  /// threads racing the first lookups of one key may each compile a copy
-  /// (so a spec set compiles at most once per racing thread), one copy
-  /// becomes resident, and every later lookup hits it. \p Hit, when set,
-  /// reports whether this lookup was served resident.
-  std::shared_ptr<const EvalPlan>
-  plan(const std::string &Key, std::span<const MemoryModel *const> Models,
-       bool *Hit = nullptr);
+  /// Resolve-or-fetch the spec list \p Specs (empty = the six default
+  /// architectures): its models, canonical spellings and compiled plan.
+  /// Keyed by the list as written, so two spellings of one set build two
+  /// identical sets. Built outside the lock: threads racing the first
+  /// lookups of one list may each build a copy, one copy becomes
+  /// resident, and every later lookup hits it. Returns nullptr for a list
+  /// with an unresolvable spec, setting \p Error to
+  /// `model spec '<spec>': <registry error>` for the first one; failures
+  /// are not cached. \p Hit, when set, reports whether this lookup was
+  /// served resident.
+  std::shared_ptr<const SpecSet> specs(const std::vector<std::string> &Specs,
+                                       std::string *Error = nullptr,
+                                       bool *Hit = nullptr);
 
   Stats stats() const;
 
@@ -124,15 +126,7 @@ private:
   mutable std::mutex Mu;
   std::unordered_map<std::string, ProgramEntry> Programs;
   uint64_t NextGen = 0;
-  /// One interned resolution: the model and its canonical spelling.
-  struct ModelEntry {
-    std::shared_ptr<const MemoryModel> Model;
-    std::string Canonical;
-  };
-  std::unordered_map<std::string, ModelEntry> Models;
-  /// Compiled evaluation plans keyed by canonical spec-set (tiny, like
-  /// the model cache: sessions check a handful of spec sets).
-  std::unordered_map<std::string, std::shared_ptr<const EvalPlan>> Plans;
+  std::map<std::vector<std::string>, std::shared_ptr<const SpecSet>> Sets;
   Stats S;
 };
 

@@ -56,6 +56,8 @@
 #ifndef TMW_SERVER_MULTIPLEXER_H
 #define TMW_SERVER_MULTIPLEXER_H
 
+#include "server/QueryServer.h"
+
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -64,9 +66,6 @@
 #include <vector>
 
 namespace tmw {
-
-class QueryServer;
-
 namespace server {
 
 /// Multiplexer tuning knobs.
@@ -87,9 +86,9 @@ struct MuxOptions {
   /// one connection. A client streaming bytes with no newline past this
   /// is answered with an error document and its read side torn down
   /// (framing cannot resync) instead of growing the input buffer without
-  /// bound. Complete lines up to this length are served normally, so the
-  /// default stays far above any real corpus batch.
-  size_t MaxLineBytes = 64u << 20;
+  /// bound. Complete lines up to this length are served normally; the
+  /// default is the stdio loop's bound.
+  size_t MaxLineBytes = kMaxBatchLineBytes;
 };
 
 /// Lifetime counters of one connection (reported by `stats()`).

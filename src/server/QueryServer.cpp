@@ -12,6 +12,30 @@
 
 using namespace tmw;
 
+namespace {
+
+enum class LineRead { Line, Eof, TooLong };
+
+/// Read one '\n'-terminated line of \p In into \p Line (terminator
+/// dropped; an unterminated last line still counts), refusing to buffer
+/// more than `kMaxBatchLineBytes` of it.
+LineRead readLine(std::istream &In, std::string &Line) {
+  Line.clear();
+  std::streambuf &Buf = *In.rdbuf();
+  for (;;) {
+    int C = Buf.sbumpc();
+    if (C == std::char_traits<char>::eof())
+      return Line.empty() ? LineRead::Eof : LineRead::Line;
+    if (C == '\n')
+      return LineRead::Line;
+    if (Line.size() == kMaxBatchLineBytes)
+      return LineRead::TooLong;
+    Line.push_back(static_cast<char>(C));
+  }
+}
+
+} // namespace
+
 /// One concurrently-scheduled batch over the resident pool. Owned by
 /// `QueryServer::Active` while in flight; the worker that retires the
 /// last task erases it (after firing OnDone). All cross-worker state is
@@ -211,7 +235,18 @@ std::string QueryServer::serveLine(std::string_view Line) {
 
 void QueryServer::serveStream(std::istream &In, std::ostream &Out) {
   std::string Line;
-  while (std::getline(In, Line)) {
+  for (;;) {
+    LineRead R = readLine(In, Line);
+    if (R == LineRead::Eof)
+      return;
+    if (R == LineRead::TooLong) {
+      // Like the multiplexer: answer, then stop reading, since framing
+      // cannot resync inside a line whose end was never seen.
+      recordBadBatch();
+      Out << batchErrorToJson("batch line exceeds maximum length");
+      Out.flush();
+      return;
+    }
     // Skip blank keep-alive lines rather than answering them with a
     // parse-error document.
     if (Line.find_first_not_of(" \t\r") == std::string::npos)

@@ -11,8 +11,8 @@
 ///  * the shared litmus corpus (`litmus/Library.h`, one parse per
 ///    process);
 ///  * a `SessionCache` of parsed DSL programs (content-addressed by
-///    source text — entries can never go stale) and interned
-///    model-registry resolutions;
+///    source text — entries can never go stale) and resolved spec sets
+///    (models, canonical spellings and compiled plan per spec list);
 ///  * the worker pool: `Jobs` persistent worker threads over one
 ///    *persistent-mode* `WorkQueue` (workers park on the empty pool and
 ///    wake when a batch's tasks are submitted), plus one
@@ -60,6 +60,12 @@
 #include <unordered_map>
 
 namespace tmw {
+
+/// The longest batch line either transport buffers. Past it the stdio
+/// loop and the multiplexer answer `batch line exceeds maximum length`
+/// and stop reading (framing cannot resync), so a newline-free stream
+/// cannot grow the server without bound. Far above any real corpus batch.
+inline constexpr size_t kMaxBatchLineBytes = 64u << 20;
 
 /// Server configuration.
 struct ServerOptions {
@@ -132,7 +138,9 @@ public:
   std::string serveLine(std::string_view Line);
 
   /// The NDJSON loop: one batch per input line (blank lines skipped), one
-  /// verdicts document written — and flushed — per batch. Returns at EOF.
+  /// verdicts document written — and flushed — per batch. Returns at EOF,
+  /// or after answering a line longer than `kMaxBatchLineBytes` with an
+  /// error document.
   void serveStream(std::istream &In, std::ostream &Out);
 
   /// Completion callback of a concurrently submitted batch: the

@@ -337,13 +337,13 @@ TEST(EvalPlan_, SessionCacheCompilesOncePerSpecSet) {
   QueryEngine Engine({.Jobs = 4, .Cache = &Cache});
   std::vector<CheckRequest> Requests = corpusRequests();
 
-  // Cold batch: `SessionCache::plan` compiles outside its lock, so each
+  // Cold batch: `SessionCache::specs` builds outside its lock, so each
   // worker racing the first lookups may compile its own identical copy.
-  // One plan becomes resident; every request either compiled or hit.
+  // One set becomes resident; every request either compiled or hit.
   BatchTelemetry T1;
   std::vector<CheckResponse> First = Engine.runAll(Requests, &T1);
   SessionCache::Stats S1 = Cache.stats();
-  EXPECT_EQ(S1.PlansCached, 1u);
+  EXPECT_EQ(S1.SpecSetsCached, 1u);
   EXPECT_EQ(T1.Plan.Compiles + T1.Plan.CacheHits, Requests.size());
   EXPECT_GE(T1.Plan.Compiles, 1u);
   EXPECT_LE(T1.Plan.Compiles, 4u); // at most once per worker
@@ -354,7 +354,7 @@ TEST(EvalPlan_, SessionCacheCompilesOncePerSpecSet) {
   BatchTelemetry T2;
   std::vector<CheckResponse> Second = Engine.runAll(Requests, &T2);
   SessionCache::Stats S2 = Cache.stats();
-  EXPECT_EQ(S2.PlansCached, 1u);
+  EXPECT_EQ(S2.SpecSetsCached, 1u);
   EXPECT_EQ(T2.Plan.Compiles, 0u);
   EXPECT_EQ(T2.Plan.CacheHits, Requests.size());
   EXPECT_EQ(responsesToJson(First, nullptr),
@@ -365,10 +365,10 @@ TEST(EvalPlan_, SessionCacheCompilesOncePerSpecSet) {
   R.Corpus = standardCorpus().front().Name;
   R.ModelSpecs = {"sc", "tsc"};
   Engine.evaluate(R);
-  EXPECT_EQ(Cache.stats().PlansCached, 2u);
+  EXPECT_EQ(Cache.stats().SpecSetsCached, 2u);
 
   Cache.clear();
-  EXPECT_EQ(Cache.stats().PlansCached, 0u);
+  EXPECT_EQ(Cache.stats().SpecSetsCached, 0u);
 }
 
 } // namespace

@@ -13,11 +13,12 @@
 ///    enumerated candidate of a program speaks a subset of the program's
 ///    vocabulary);
 ///
-///  * specialization — `EvalPlan::specialize` is verdict-neutral (planned
-///    runs with specialization on and off are byte-identical across jobs
-///    counts) while actually discharging obligations on txn-free
-///    programs, and per-execution specializations match direct model
-///    evaluation over an enumerated sweep.
+///  * specialization — `EvalPlan::specialize` is verdict-neutral (the
+///    engine's specialized planned runs are byte-identical to the
+///    independent reference path across jobs counts) while actually
+///    discharging obligations on txn-free programs, and per-execution
+///    specializations match direct model evaluation over an enumerated
+///    sweep.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -553,6 +554,38 @@ TEST(LintIO_, JsonIsCanonicalAndParses) {
   EXPECT_GE(V->getUint("warnings"), 1u);
 }
 
+TEST(LintIO_, ParseFailureIsAnErrorFinding) {
+  // A file that never parsed must not read as a clean, empty report.
+  const char *Src = "name Bad\nthread 0\n  flurble x\n";
+  std::vector<LintedProgram> Batch = {lintSource(Src, "bad.litmus")};
+  ParseResult Parsed = parseProgram(Src);
+  ASSERT_FALSE(static_cast<bool>(Parsed));
+  ASSERT_EQ(Batch[0].Report.Findings.size(), 1u);
+  const LintFinding &F = Batch[0].Report.Findings[0];
+  EXPECT_EQ(F.Severity, LintSeverity::Error);
+  EXPECT_EQ(F.Code, "parse-error");
+  EXPECT_EQ(F.Message, Parsed.Error);
+  EXPECT_EQ(F.Line, 3u);
+  EXPECT_EQ(lintFindingsToText(Batch[0]),
+            "bad.litmus:3: error: " + Parsed.Error + " [parse-error]\n");
+
+  std::string Json = lintReportToJson(Batch);
+  EXPECT_NE(Json.find("{\"name\": \"bad.litmus\", \"errors\": 1, "
+                      "\"warnings\": 0, "),
+            std::string::npos)
+      << Json;
+  EXPECT_NE(Json.find("{\"severity\": \"error\", \"code\": "
+                      "\"parse-error\", \"message\": " +
+                      jsonQuote(Parsed.Error) +
+                      ", \"thread\": -1, \"instruction\": -1, "
+                      "\"line\": 3}"),
+            std::string::npos)
+      << Json;
+  EXPECT_TRUE(Json.ends_with("\"errors\": 1, \"warnings\": 0, "
+                             "\"clean\": false}\n"))
+      << Json;
+}
+
 // ---------------------------------------------------------------------------
 // Specialization: verdict-neutral, and actually discharging.
 // ---------------------------------------------------------------------------
@@ -623,7 +656,7 @@ TEST(Specialize_, PerExecutionSpecializationMatchesDirectEvaluation) {
   EXPECT_GT(Scratch.counters().Discharged, 0u);
 }
 
-TEST(Specialize_, EngineRunsAreByteIdenticalOnAndOff) {
+TEST(Specialize_, EngineRunsMatchIndependentBytes) {
   std::vector<CheckRequest> Requests;
   for (const CorpusEntry &E : standardCorpus()) {
     CheckRequest R;
@@ -633,22 +666,15 @@ TEST(Specialize_, EngineRunsAreByteIdenticalOnAndOff) {
     R.WantOutcomes = true;
     Requests.push_back(std::move(R));
   }
-  std::string Reference;
+  std::string Reference = responsesToJson(
+      QueryEngine({.Strategy = EvalStrategy::Independent}).runAll(Requests),
+      nullptr);
   for (unsigned Jobs : {1u, 4u}) {
-    BatchTelemetry TOn, TOff;
-    std::string On = responsesToJson(
-        QueryEngine({.Jobs = Jobs, .Specialize = true}).runAll(Requests, &TOn),
-        nullptr);
-    std::string Off = responsesToJson(
-        QueryEngine({.Jobs = Jobs, .Specialize = false})
-            .runAll(Requests, &TOff),
-        nullptr);
-    EXPECT_EQ(On, Off) << "Jobs=" << Jobs;
-    EXPECT_GT(TOn.Plan.Discharged, 0u) << "Jobs=" << Jobs;
-    EXPECT_EQ(TOff.Plan.Discharged, 0u) << "Jobs=" << Jobs;
-    if (Reference.empty())
-      Reference = On;
-    EXPECT_EQ(On, Reference) << "Jobs=" << Jobs;
+    BatchTelemetry T;
+    std::string Planned = responsesToJson(
+        QueryEngine({.Jobs = Jobs}).runAll(Requests, &T), nullptr);
+    EXPECT_EQ(Planned, Reference) << "Jobs=" << Jobs;
+    EXPECT_GT(T.Plan.Discharged, 0u) << "Jobs=" << Jobs;
   }
 }
 

@@ -278,7 +278,9 @@ TEST(QueryEngine_, RequestErrors) {
   BadSpec.ModelSpecs = {"z80"};
   CheckResponse R1 = Engine.evaluate(BadSpec);
   EXPECT_FALSE(static_cast<bool>(R1));
-  EXPECT_NE(R1.Error.find("z80"), std::string::npos);
+  std::string RegistryError;
+  ASSERT_EQ(ModelRegistry::parse("z80", &RegistryError), nullptr);
+  EXPECT_EQ(R1.Error, "model spec 'z80': " + RegistryError);
   EXPECT_TRUE(R1.Verdicts.empty());
 
   CheckRequest BadCorpus;

@@ -90,22 +90,25 @@ TEST(QueryServer, SessionCacheHitsOnRepeatedWork) {
 
   S.serveLine(Line);
   ServerStats After1 = S.stats();
-  // First batch: the inline source parses once (miss), specs resolve
-  // once each (misses), nothing can hit yet.
+  // First batch: the inline source parses once (miss), and each of the
+  // two spec lists (three specs; the empty default list) is built once
+  // (misses), nothing can hit yet.
   EXPECT_EQ(After1.Cache.ProgramMisses, 1u);
   EXPECT_EQ(After1.Cache.ProgramHits, 0u);
   EXPECT_EQ(After1.Cache.ProgramsCached, 1u);
-  EXPECT_GE(After1.Cache.ModelMisses, 3u); // x86, power/-TxnOrder, power8 (+ defaults for MP)
-  uint64_t Misses1 = After1.Cache.ModelMisses;
+  EXPECT_EQ(After1.Cache.SpecSetMisses, 2u);
+  EXPECT_EQ(After1.Cache.SpecSetHits, 0u);
+  EXPECT_EQ(After1.Cache.SpecSetsCached, 2u);
 
   S.serveLine(Line);
   ServerStats After2 = S.stats();
   // Second batch: same source → program cache hit, no new parse; same
-  // specs → interned models, no new resolution.
+  // spec lists → resident sets, nothing resolved or compiled again.
   EXPECT_EQ(After2.Cache.ProgramMisses, 1u);
   EXPECT_EQ(After2.Cache.ProgramHits, 1u);
-  EXPECT_EQ(After2.Cache.ModelMisses, Misses1);
-  EXPECT_GT(After2.Cache.ModelHits, After1.Cache.ModelHits);
+  EXPECT_EQ(After2.Cache.SpecSetMisses, 2u);
+  EXPECT_EQ(After2.Cache.SpecSetHits, 2u);
+  EXPECT_EQ(After2.Cache.SpecSetsCached, 2u);
   EXPECT_EQ(After2.Batches, 2u);
   EXPECT_EQ(After2.Requests, 4u);
 }
@@ -138,6 +141,51 @@ TEST(QueryServer, MalformedBatchAnswersWithoutDying) {
                        batchErrorToJson("batch parse error: " + ParseError) +
                        Reference;
   EXPECT_EQ(Out.str(), Expect);
+}
+
+/// Serves a list of byte ranges in order without copying them, so a test
+/// can stream a line past the transport bound from one small chunk.
+class PiecesBuf : public std::streambuf {
+public:
+  void add(std::string_view Piece) { Pieces.push_back(Piece); }
+
+protected:
+  int_type underflow() override {
+    if (Next == Pieces.size())
+      return traits_type::eof();
+    std::string_view P = Pieces[Next++];
+    char *B = const_cast<char *>(P.data());
+    setg(B, B, B + P.size());
+    return traits_type::to_int_type(*B);
+  }
+
+private:
+  std::vector<std::string_view> Pieces;
+  size_t Next = 0;
+};
+
+TEST(QueryServer, StdioLineOverMaximumAnswersAndStops) {
+  // Like the multiplexer, the stream loop buffers at most
+  // kMaxBatchLineBytes of one line: past that it answers one error
+  // document and stops reading, since framing cannot resync. The line
+  // before is served; the one after is never read.
+  QueryServer S({1});
+  std::string Good = requestsToJsonLine(sampleBatch()) + "\n";
+  std::string Filler(1 << 16, 'x');
+  PiecesBuf Buf;
+  Buf.add(Good);
+  for (size_t N = 0; N <= kMaxBatchLineBytes; N += Filler.size())
+    Buf.add(Filler);
+  Buf.add("\n");
+  Buf.add(Good);
+  std::istream In(&Buf);
+  std::ostringstream Out;
+  S.serveStream(In, Out);
+  EXPECT_EQ(Out.str(),
+            oneShot(sampleBatch()) +
+                batchErrorToJson("batch line exceeds maximum length"));
+  EXPECT_EQ(S.stats().Batches, 1u);
+  EXPECT_EQ(S.stats().BadBatches, 1u);
 }
 
 TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
@@ -435,22 +483,44 @@ TEST(SessionCache, ContentAddressedAndFailureCaching) {
   EXPECT_TRUE(static_cast<bool>(*A));
   EXPECT_EQ(A->Prog.Threads.size(), 1u);
 
-  // Model interning: same spec → same instance; bad specs error cleanly.
-  auto M1 = C.model("power/-TxnOrder");
-  auto M2 = C.model("power/-TxnOrder");
-  ASSERT_TRUE(M1);
-  EXPECT_EQ(M1.get(), M2.get());
-  // Any spelling reports the canonical one, on a miss and on a hit.
+  // Spec sets: one list → one resident set, whose entry i holds the
+  // model, canonical spelling and plan spec of the list's entry i.
+  const std::vector<std::string> Specs = {"x86", "POWER/-txnorder"};
+  bool Hit = true;
+  auto S1 = C.specs(Specs, nullptr, &Hit);
+  ASSERT_TRUE(S1);
+  EXPECT_FALSE(Hit);
+  auto S2 = C.specs(Specs, nullptr, &Hit);
+  EXPECT_TRUE(Hit);
+  EXPECT_EQ(S1.get(), S2.get());
+  EXPECT_EQ(S1->Canonical,
+            (std::vector<std::string>{"x86", "power/-TxnOrder"}));
+  ASSERT_EQ(S1->Models.size(), 2u);
+  EXPECT_EQ(S1->Plan.numSpecs(), 2u);
+  for (size_t I = 0; I < 2; ++I)
+    EXPECT_EQ(S1->Canonical[I], ModelRegistry::print(*S1->Models[I]));
+
+  // The empty list is the six default architectures.
+  auto Defaults = C.specs({});
+  ASSERT_TRUE(Defaults);
+  ASSERT_EQ(Defaults->Canonical.size(), ModelRegistry::allArchs().size());
+  for (size_t I = 0; I < Defaults->Canonical.size(); ++I)
+    EXPECT_EQ(Defaults->Canonical[I],
+              ModelRegistry::archSpecName(ModelRegistry::allArchs()[I]));
+
+  // The first bad spec fails the list, with the registry's message; the
+  // failure is not cached.
+  std::string RegistryError;
+  ASSERT_EQ(ModelRegistry::parse("warp9", &RegistryError), nullptr);
   for (int Lookup = 0; Lookup < 2; ++Lookup) {
-    std::string Canonical;
-    auto M3 = C.model("POWER/-txnorder", nullptr, &Canonical);
-    ASSERT_TRUE(M3);
-    EXPECT_EQ(Canonical, "power/-TxnOrder");
-    EXPECT_EQ(Canonical, ModelRegistry::print(*M3));
+    std::string Error;
+    EXPECT_EQ(C.specs({"x86", "warp9", "z80"}, &Error), nullptr);
+    EXPECT_EQ(Error, "model spec 'warp9': " + RegistryError);
   }
-  std::string Error;
-  EXPECT_EQ(C.model("warp9", &Error), nullptr);
-  EXPECT_FALSE(Error.empty());
+  St = C.stats();
+  EXPECT_EQ(St.SpecSetHits, 1u);
+  EXPECT_EQ(St.SpecSetMisses, 4u);
+  EXPECT_EQ(St.SpecSetsCached, 2u);
 }
 
 TEST(SessionCache, OverflowEvictsOnlyLeastRecentHalf) {
@@ -503,7 +573,7 @@ TEST(QueryEngine, CachedRunsMatchUncachedBytes) {
               Reference)
         << "jobs " << Jobs;
   }
-  EXPECT_GT(Cache.stats().ProgramHits + Cache.stats().ModelHits, 0u);
+  EXPECT_GT(Cache.stats().ProgramHits + Cache.stats().SpecSetHits, 0u);
 }
 
 } // namespace
