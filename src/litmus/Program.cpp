@@ -37,12 +37,6 @@ bool Program::hasTransactions() const {
   return false;
 }
 
-bool Outcome::operator<(const Outcome &O) const {
-  if (RegValues != O.RegValues)
-    return RegValues < O.RegValues;
-  return MemValues < O.MemValues;
-}
-
 bool Outcome::satisfies(const Program &P) const {
   for (const RegAssertion &A : P.RegPost) {
     bool Found = false;

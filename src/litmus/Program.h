@@ -18,8 +18,13 @@
 
 #include "execution/Event.h"
 
+#include <algorithm>
+#include <compare>
+#include <cstdint>
+#include <initializer_list>
 #include <string>
-#include <tuple>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 namespace tmw {
@@ -104,16 +109,123 @@ struct Program {
   bool hasTransactions() const;
 };
 
+/// A sequence of trivially copyable \p T that keeps up to \p N elements
+/// inside the object and moves to one heap block only past them, so
+/// copying or destroying a short sequence never touches the allocator.
+/// Compares lexicographically, like `std::vector`.
+template <class T, unsigned N> class InlineVector {
+  static_assert(std::is_trivially_copyable_v<T>);
+
+public:
+  InlineVector() = default;
+  InlineVector(std::initializer_list<T> L) { append(L.begin(), L.size()); }
+  InlineVector(const InlineVector &O) { append(O.data(), O.Size); }
+  InlineVector(InlineVector &&O) noexcept { take(O); }
+  InlineVector &operator=(const InlineVector &O) {
+    if (this != &O) {
+      Size = 0;
+      append(O.data(), O.Size);
+    }
+    return *this;
+  }
+  InlineVector &operator=(InlineVector &&O) noexcept {
+    if (this != &O) {
+      delete[] Heap;
+      take(O);
+    }
+    return *this;
+  }
+  ~InlineVector() { delete[] Heap; }
+
+  T *begin() { return data(); }
+  T *end() { return data() + Size; }
+  const T *begin() const { return data(); }
+  const T *end() const { return data() + Size; }
+  size_t size() const { return Size; }
+  bool empty() const { return Size == 0; }
+  T &operator[](size_t I) { return data()[I]; }
+  const T &operator[](size_t I) const { return data()[I]; }
+
+  void clear() { Size = 0; }
+  void push_back(T V) { append(&V, 1); }
+  /// Replace the contents with \p Count copies of \p V.
+  void assign(size_t Count, T V) {
+    Size = 0;
+    reserve(Count);
+    std::fill_n(data(), Count, V);
+    Size = static_cast<uint32_t>(Count);
+  }
+
+  bool operator==(const InlineVector &O) const {
+    return std::equal(begin(), end(), O.begin(), O.end());
+  }
+  auto operator<=>(const InlineVector &O) const {
+    return std::lexicographical_compare_three_way(begin(), end(), O.begin(),
+                                                  O.end());
+  }
+
+private:
+  T *data() { return Heap ? Heap : Inline; }
+  const T *data() const { return Heap ? Heap : Inline; }
+  void reserve(size_t Want) {
+    if (Want <= Cap)
+      return;
+    size_t NewCap = std::max<size_t>(Want, 2 * size_t(Cap));
+    T *Block = new T[NewCap];
+    std::copy_n(data(), Size, Block);
+    delete[] Heap;
+    Heap = Block;
+    Cap = static_cast<uint32_t>(NewCap);
+  }
+  void append(const T *Src, size_t Count) {
+    reserve(Size + Count);
+    std::copy_n(Src, Count, data() + Size);
+    Size += static_cast<uint32_t>(Count);
+  }
+  /// Take \p O's elements, leaving it empty and inline.
+  void take(InlineVector &O) {
+    std::copy_n(O.Inline, N, Inline);
+    Heap = std::exchange(O.Heap, nullptr);
+    Size = std::exchange(O.Size, 0);
+    Cap = std::exchange(O.Cap, N);
+  }
+
+  T Inline[N] = {};
+  /// The elements once they outgrow `Inline`; null until then.
+  T *Heap = nullptr;
+  uint32_t Size = 0, Cap = N;
+};
+
+/// One register of an outcome: load \p Load of \p Thread read \p Value.
+/// Orders by (Thread, Load, Value).
+struct RegValue {
+  unsigned Thread;
+  unsigned Load;
+  int Value;
+
+  auto operator<=>(const RegValue &) const = default;
+};
+
+/// Registers and locations an `Outcome` holds without a heap block. Every
+/// outcome of the built-in corpus and of the benchmark's program pool has
+/// at most 4 registers and 3 locations, so copying an outcome into a
+/// model's list, or freeing one, costs no allocation there; a larger
+/// program still gets its answer through the heap path.
+inline constexpr unsigned kOutcomeInline = 4;
+
 /// A concrete outcome of running a litmus test: the values of every
-/// asserted register and the final value of every location.
+/// asserted register and the final value of every location. A flat
+/// value: both sequences sit inside the object up to `kOutcomeInline`
+/// elements each.
 struct Outcome {
   /// (thread, load index, value) triples, sorted.
-  std::vector<std::tuple<unsigned, unsigned, int>> RegValues;
+  InlineVector<RegValue, kOutcomeInline> RegValues;
   /// Final value per location id.
-  std::vector<int> MemValues;
+  InlineVector<int, kOutcomeInline> MemValues;
 
   bool operator==(const Outcome &O) const = default;
-  bool operator<(const Outcome &O) const;
+  /// Registers first, then final memory, each lexicographically.
+  auto operator<=>(const Outcome &O) const = default;
   /// True when this outcome satisfies the program's postcondition.
   bool satisfies(const Program &P) const;
   /// Render as "r0=1; x=2; ...".

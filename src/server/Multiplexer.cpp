@@ -276,8 +276,9 @@ struct ConnectionMultiplexer::Impl {
   /// peel lines. Bounded per event so one firehose client cannot starve
   /// the loop.
   void onReadable(Conn &C) {
+    constexpr int kRounds = 16;
     char Chunk[65536];
-    for (int Rounds = 0; Rounds < 16; ++Rounds) {
+    for (int Rounds = 0; Rounds < kRounds; ++Rounds) {
       ssize_t N = ::read(C.Fd, Chunk, sizeof(Chunk));
       if (N < 0) {
         if (errno == EINTR)
@@ -291,6 +292,11 @@ struct ConnectionMultiplexer::Impl {
         C.ReadClosed = true;
         break;
       }
+      // Past kLineReserveBytes, reserve the line bound plus one event's
+      // reads in one step: the buffer then never doubles past the bound
+      // before the check below refuses the line.
+      if (C.InBuf.size() + static_cast<size_t>(N) > kLineReserveBytes)
+        C.InBuf.reserve(Opts.MaxLineBytes + kRounds * sizeof(Chunk));
       C.InBuf.append(Chunk, static_cast<size_t>(N));
       C.Stats.BytesIn += static_cast<uint64_t>(N);
       if (static_cast<size_t>(N) < sizeof(Chunk))

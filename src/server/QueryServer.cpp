@@ -30,6 +30,8 @@ LineRead readLine(std::istream &In, std::string &Line) {
       return LineRead::Line;
     if (Line.size() == kMaxBatchLineBytes)
       return LineRead::TooLong;
+    if (Line.size() == kLineReserveBytes)
+      Line.reserve(kMaxBatchLineBytes);
     Line.push_back(static_cast<char>(C));
   }
 }

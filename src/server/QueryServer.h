@@ -67,6 +67,12 @@ namespace tmw {
 /// cannot grow the server without bound. Far above any real corpus batch.
 inline constexpr size_t kMaxBatchLineBytes = 64u << 20;
 
+/// Once a buffered line outgrows this, both transports reserve its whole
+/// bound in one step: growing it by doubling would copy about half the
+/// bound into a block twice its size, so a refused line would peak near
+/// twice the bound.
+inline constexpr size_t kLineReserveBytes = 1u << 20;
+
 /// Server configuration.
 struct ServerOptions {
   /// Resident pool workers (always at least one worker thread; the

@@ -7,6 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <climits>
+#include <random>
+#include <tuple>
+#include <type_traits>
+#include <vector>
+
 using namespace tmw;
 
 namespace {
@@ -204,6 +211,129 @@ TEST(OutcomeTest, SatisfactionAndFormatting) {
   Outcome Empty;
   Empty.MemValues = {1};
   EXPECT_FALSE(Empty.satisfies(P));
+}
+
+/// An outcome with \p Regs registers and \p Locs locations, its values
+/// offset by \p Seed.
+Outcome makeOutcome(unsigned Regs, unsigned Locs, int Seed) {
+  Outcome O;
+  for (unsigned R = 0; R < Regs; ++R)
+    O.RegValues.push_back({R % 2, R, Seed + static_cast<int>(R)});
+  O.MemValues.assign(Locs, Seed);
+  for (unsigned L = 0; L < Locs; ++L)
+    O.MemValues[L] -= static_cast<int>(L);
+  return O;
+}
+
+TEST(OutcomeTest, CopyMoveAndAssignAcrossInlineAndHeap) {
+  static_assert(std::is_nothrow_move_constructible_v<Outcome>);
+  static_assert(std::is_nothrow_move_assignable_v<Outcome>);
+  const Outcome Small = makeOutcome(kOutcomeInline, 2, 1);
+  const Outcome Big = makeOutcome(kOutcomeInline + 3, kOutcomeInline + 2, 7);
+  ASSERT_GT(Big.RegValues.size(), kOutcomeInline);
+  ASSERT_GT(Big.MemValues.size(), kOutcomeInline);
+  ASSERT_NE(Small, Big);
+
+  // Copies are equal and independent, on both paths.
+  for (const Outcome *Src : {&Small, &Big}) {
+    Outcome Copy = *Src;
+    EXPECT_EQ(Copy, *Src);
+    Copy.MemValues[1] += 100;
+    EXPECT_NE(Copy, *Src);
+  }
+
+  // Copy assignment in every direction between the two paths.
+  for (const Outcome *From : {&Small, &Big})
+    for (const Outcome *To : {&Small, &Big}) {
+      Outcome Dst = *To;
+      Dst = *From;
+      EXPECT_EQ(Dst, *From);
+    }
+  Outcome Self = Big;
+  const Outcome &Alias = Self;
+  Self = Alias;
+  EXPECT_EQ(Self, Big);
+
+  // Moves carry the elements and leave the source empty and reusable.
+  for (const Outcome *Src : {&Small, &Big}) {
+    Outcome From = *Src;
+    Outcome To(std::move(From));
+    EXPECT_EQ(To, *Src);
+    EXPECT_TRUE(From.RegValues.empty());
+    EXPECT_TRUE(From.MemValues.empty());
+    From = *Src;
+    EXPECT_EQ(From, *Src);
+  }
+  for (const Outcome *From : {&Small, &Big})
+    for (const Outcome *To : {&Small, &Big}) {
+      Outcome Src = *From, Dst = *To;
+      Dst = std::move(Src);
+      EXPECT_EQ(Dst, *From);
+      EXPECT_TRUE(Src.RegValues.empty());
+    }
+
+  // Growing past the inline capacity keeps what was there.
+  Outcome Grown = makeOutcome(kOutcomeInline, kOutcomeInline, 7);
+  for (unsigned R = kOutcomeInline; R < Big.RegValues.size(); ++R)
+    Grown.RegValues.push_back(Big.RegValues[R]);
+  Grown.MemValues = Big.MemValues;
+  EXPECT_EQ(Grown, Big);
+}
+
+TEST(OutcomeTest, OrderMatchesVectorOfTuples) {
+  // The order the wire lists and the outcome map rest on: registers
+  // first, then final memory, each lexicographically, as when they were
+  // a std::vector of (thread, load, value) tuples and a std::vector<int>.
+  using OldRegs = std::vector<std::tuple<unsigned, unsigned, int>>;
+  auto OldLess = [](const Outcome &A, const Outcome &B) {
+    OldRegs RA, RB;
+    for (const auto &[T, L, V] : A.RegValues)
+      RA.emplace_back(T, L, V);
+    for (const auto &[T, L, V] : B.RegValues)
+      RB.emplace_back(T, L, V);
+    std::vector<int> MA(A.MemValues.begin(), A.MemValues.end());
+    std::vector<int> MB(B.MemValues.begin(), B.MemValues.end());
+    if (RA != RB)
+      return RA < RB;
+    return MA < MB;
+  };
+
+  // A mixed set: inline and heap sizes, shared prefixes, duplicates, and
+  // values where signed and unsigned comparison disagree.
+  const unsigned Threads[] = {0, 1, 0x80000000u};
+  const int Values[] = {INT_MIN, -1, 0, 1, INT_MAX};
+  std::mt19937 Rng(2018);
+  auto Pick = [&Rng](auto &Pool) {
+    return Pool[Rng() % std::size(Pool)];
+  };
+  std::vector<Outcome> Set;
+  for (unsigned I = 0; I < 300; ++I) {
+    Outcome O;
+    unsigned Regs = Rng() % (kOutcomeInline + 3);
+    unsigned Locs = Rng() % (kOutcomeInline + 3);
+    for (unsigned R = 0; R < Regs; ++R)
+      O.RegValues.push_back(
+          {Pick(Threads), static_cast<unsigned>(Rng() % 3), Pick(Values)});
+    for (unsigned L = 0; L < Locs; ++L)
+      O.MemValues.push_back(Pick(Values));
+    Set.push_back(O);
+    if (I % 7 == 0)
+      Set.push_back(O);
+    if (I % 5 == 0 && Locs > 0) {
+      O.MemValues[Locs - 1] = Pick(Values);
+      Set.push_back(O);
+    }
+  }
+
+  for (const Outcome &A : Set)
+    for (const Outcome &B : Set) {
+      ASSERT_EQ(A < B, OldLess(A, B));
+      ASSERT_EQ(A == B, !OldLess(A, B) && !OldLess(B, A));
+    }
+  std::vector<Outcome> Sorted = Set, OldSorted = Set;
+  std::sort(Sorted.begin(), Sorted.end());
+  std::sort(OldSorted.begin(), OldSorted.end(), OldLess);
+  EXPECT_EQ(Sorted, OldSorted);
 }
 
 } // namespace

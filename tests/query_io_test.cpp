@@ -44,6 +44,12 @@ CheckResponse sampleResponse() {
   O.RegValues = {{0, 1, 0}, {1, 1, -1}};
   O.MemValues = {1, 0};
   V.AllowedOutcomes.push_back(O);
+  // Five registers and five locations: past the inline capacity, so it
+  // is written and parsed back through the heap path.
+  Outcome Wide;
+  Wide.RegValues = {{1, 0, 1}, {1, 1, 1}, {1, 2, 0}, {1, 3, 0}, {1, 4, 0}};
+  Wide.MemValues = {1, 1, 1, 1, 1};
+  V.AllowedOutcomes.push_back(Wide);
   Resp.Verdicts.push_back(std::move(V));
   Resp.Seconds = 0.25; // excluded from the canonical form
   return Resp;
@@ -69,7 +75,9 @@ TEST(QueryIO, ResponseGolden) {
       "\"failed_axioms\": [{\"axiom\": \"TxnOrder\", "
       "\"witness\": [0, 2, 3]}], "
       "\"outcomes\": [{\"regs\": [[0, 1, 0], [1, 1, -1]], "
-      "\"mem\": [1, 0]}]}]}");
+      "\"mem\": [1, 0]}, "
+      "{\"regs\": [[1, 0, 1], [1, 1, 1], [1, 2, 0], [1, 3, 0], [1, 4, 0]], "
+      "\"mem\": [1, 1, 1, 1, 1]}]}]}");
   // Timing is an opt-in appendix, excluded from the canonical form.
   std::string Timed = toJson(sampleResponse(), /*IncludeTiming=*/true);
   EXPECT_NE(Timed.find("\"seconds\": 0.250000"), std::string::npos);

@@ -1,8 +1,9 @@
 //===- query_test.cpp - Batch query engine tests ------------------------------==//
 ///
 /// The request/response facade (query/QueryEngine.h) checked differentially
-/// against the direct per-model loops it replaced: for the litmus corpus ×
-/// a matrix of registry specs (including ablations and hardware-substitute
+/// against the direct per-model loops it replaced: for the litmus corpus
+/// (plus one program whose outcomes outgrow their inline storage) × a
+/// matrix of registry specs (including ablations and hardware-substitute
 /// wrappers), the engine's enumerate-once/check-many verdicts — allowed,
 /// consistent counts, first-forbidden index, failed-axiom names, allowed
 /// outcome sets — must equal a fresh enumeration per model with throwaway
@@ -91,18 +92,40 @@ DirectVerdict directCheck(const Program &P, const MemoryModel &M,
   return Out;
 }
 
+/// A request against the differential spec matrix, naming no program yet.
+CheckRequest matrixRequest(bool Explain, bool Outcomes) {
+  CheckRequest R;
+  R.ModelSpecs = kSpecMatrix;
+  R.Explain = Explain;
+  R.WantOutcomes = Outcomes;
+  return R;
+}
+
 std::vector<CheckRequest> corpusRequests(bool Explain, bool Outcomes) {
   std::vector<CheckRequest> Requests;
-  for (const CorpusEntry &E : standardCorpus()) {
-    CheckRequest R;
-    R.Corpus = E.Name;
-    R.ModelSpecs = kSpecMatrix;
-    R.Explain = Explain;
-    R.WantOutcomes = Outcomes;
-    Requests.push_back(std::move(R));
-  }
+  for (const CorpusEntry &E : standardCorpus())
+    Requests.emplace_back(matrixRequest(Explain, Outcomes)).Corpus = E.Name;
   return Requests;
 }
+
+/// Message passing over five locations: every outcome has five registers
+/// and five final values, past `kOutcomeInline`, so each one the engine
+/// collects, copies and frees takes the heap path.
+const char *const kWideSource = "name Wide5\n"
+                                "thread 0\n"
+                                "  store a 1\n"
+                                "  store b 1\n"
+                                "  store c 1\n"
+                                "  store d 1\n"
+                                "  store e 1\n"
+                                "thread 1\n"
+                                "  load e\n"
+                                "  load d\n"
+                                "  load c\n"
+                                "  load b\n"
+                                "  load a\n"
+                                "post reg 1 r0 1\n"
+                                "post reg 1 r4 0\n";
 
 /// \p Got against the direct loop's \p Want, for a request that asked
 /// for explanations (\p Explain) and outcomes (\p Outcomes) or not: what
@@ -132,8 +155,19 @@ void expectVerdict(const ModelVerdict &Got, const DirectVerdict &Want,
 }
 
 TEST(QueryEngine_, DifferentialAgainstDirectLoops) {
-  // Every collection mode, under both evaluation strategies.
+  // Every collection mode, under both evaluation strategies, over the
+  // corpus plus one inline program whose outcomes outgrow the inline
+  // capacity.
   std::vector<CorpusEntry> Corpus = standardCorpus();
+  ParseResult Wide = parseProgram(kWideSource);
+  ASSERT_TRUE(Wide) << Wide.Error;
+  for (const Candidate &C : enumerateCandidates(Wide.Prog)) {
+    ASSERT_GT(C.O.RegValues.size(), kOutcomeInline);
+    ASSERT_GT(C.O.MemValues.size(), kOutcomeInline);
+  }
+  CorpusEntry &WideEntry = Corpus.emplace_back();
+  WideEntry.Name = "Wide5";
+  WideEntry.Prog = Wide.Prog;
   std::vector<std::vector<DirectVerdict>> Direct(Corpus.size());
   for (size_t E = 0; E < Corpus.size(); ++E)
     for (const std::string &Spec : kSpecMatrix) {
@@ -146,9 +180,11 @@ TEST(QueryEngine_, DifferentialAgainstDirectLoops) {
     for (bool Outcomes : {false, true})
       for (EvalStrategy Strategy :
            {EvalStrategy::Planned, EvalStrategy::Independent}) {
+        std::vector<CheckRequest> Requests = corpusRequests(Explain, Outcomes);
+        Requests.emplace_back(matrixRequest(Explain, Outcomes)).Source =
+            kWideSource;
         std::vector<CheckResponse> Responses =
-            QueryEngine({.Strategy = Strategy})
-                .runAll(corpusRequests(Explain, Outcomes));
+            QueryEngine({.Strategy = Strategy}).runAll(Requests);
         ASSERT_EQ(Responses.size(), Corpus.size());
         for (size_t E = 0; E < Corpus.size(); ++E) {
           const CheckResponse &Resp = Responses[E];

@@ -168,9 +168,11 @@ TEST(QueryServer, StdioLineOverMaximumAnswersAndStops) {
   // Like the multiplexer, the stream loop buffers at most
   // kMaxBatchLineBytes of one line: past that it answers one error
   // document and stops reading, since framing cannot resync. The line
-  // before is served; the one after is never read.
+  // before, padded past kLineReserveBytes, is served; the one after is
+  // never read.
   QueryServer S({1});
-  std::string Good = requestsToJsonLine(sampleBatch()) + "\n";
+  std::string Good = requestsToJsonLine(sampleBatch()) +
+                     std::string(kLineReserveBytes, ' ') + "\n";
   std::string Filler(1 << 16, 'x');
   PiecesBuf Buf;
   Buf.add(Good);
@@ -396,11 +398,13 @@ std::string socketRoundTrip(QueryServer &S, const std::string &Payload,
 
 TEST(QueryServer, UnixSocketRoundTrip) {
   // Two batches on one connection, read back to EOF as the concatenated
-  // one-shot documents.
+  // one-shot documents. The second is padded past kLineReserveBytes, so
+  // it is read into a buffer that reserved the line bound.
   QueryServer S({2});
   std::string Line = requestsToJsonLine(sampleBatch());
   std::string Reference = oneShot(sampleBatch());
-  EXPECT_EQ(socketRoundTrip(S, Line + "\n" + Line + "\n",
+  std::string Padded = Line + std::string(kLineReserveBytes, ' ');
+  EXPECT_EQ(socketRoundTrip(S, Line + "\n" + Padded + "\n",
                             "tmw_server_test.sock"),
             Reference + Reference);
   EXPECT_EQ(S.stats().Batches, 2u);
