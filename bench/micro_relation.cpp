@@ -27,46 +27,59 @@ using namespace tmw;
 
 namespace {
 
-Execution iriwLike() {
+/// IRIW with two transactional writers, \p Copies times over (each copy
+/// on its own two locations and four threads): 6 events per copy. One
+/// copy takes the packed relation layout (at most 8 events), two (12
+/// events) the row layout.
+Execution iriwLike(unsigned Copies = 1) {
   ExecutionBuilder B;
-  EventId Wx = B.write(0, 0, MemOrder::NonAtomic, 1);
-  EventId Rx = B.read(1, 0);
-  EventId Ry = B.read(1, 1);
-  EventId Ry2 = B.read(2, 1);
-  EventId Rx2 = B.read(2, 0);
-  EventId Wy = B.write(3, 1, MemOrder::NonAtomic, 1);
-  B.rf(Wx, Rx);
-  B.rf(Wy, Ry2);
-  B.addr(Rx, Ry);
-  B.addr(Ry2, Rx2);
-  B.txn({Wx});
-  B.txn({Wy});
+  for (unsigned C = 0; C < Copies; ++C) {
+    unsigned T = 4 * C;
+    LocId X = 2 * C, Y = 2 * C + 1;
+    EventId Wx = B.write(T, X, MemOrder::NonAtomic, 1);
+    EventId Rx = B.read(T + 1, X);
+    EventId Ry = B.read(T + 1, Y);
+    EventId Ry2 = B.read(T + 2, Y);
+    EventId Rx2 = B.read(T + 2, X);
+    EventId Wy = B.write(T + 3, Y, MemOrder::NonAtomic, 1);
+    B.rf(Wx, Rx);
+    B.rf(Wy, Ry2);
+    B.addr(Rx, Ry);
+    B.addr(Ry2, Rx2);
+    B.txn({Wx});
+    B.txn({Wy});
+  }
   return B.build();
 }
 
-void BM_RelationCompose(benchmark::State &State) {
-  Execution X = iriwLike();
+// The relation kernels at 6 events (packed layout) and 12 (row layout).
+template <unsigned Copies> void BM_RelationCompose(benchmark::State &State) {
+  Execution X = iriwLike(Copies);
   Relation A = X.Po, B = X.com();
   for (auto _ : State)
     benchmark::DoNotOptimize(A.compose(B));
 }
-BENCHMARK(BM_RelationCompose);
+BENCHMARK(BM_RelationCompose<1>)->Name("BM_RelationCompose");
+BENCHMARK(BM_RelationCompose<2>)->Name("BM_RelationCompose/12events");
 
+template <unsigned Copies>
 void BM_TransitiveClosure(benchmark::State &State) {
-  Execution X = iriwLike();
+  Execution X = iriwLike(Copies);
   Relation A = X.Po | X.com();
   for (auto _ : State)
     benchmark::DoNotOptimize(A.transitiveClosure());
 }
-BENCHMARK(BM_TransitiveClosure);
+BENCHMARK(BM_TransitiveClosure<1>)->Name("BM_TransitiveClosure");
+BENCHMARK(BM_TransitiveClosure<2>)->Name("BM_TransitiveClosure/12events");
 
-void BM_AcyclicityCheck(benchmark::State &State) {
-  Execution X = iriwLike();
+template <unsigned Copies> void BM_AcyclicityCheck(benchmark::State &State) {
+  Execution X = iriwLike(Copies);
   Relation A = X.Po | X.com();
   for (auto _ : State)
     benchmark::DoNotOptimize(A.isAcyclic());
 }
-BENCHMARK(BM_AcyclicityCheck);
+BENCHMARK(BM_AcyclicityCheck<1>)->Name("BM_AcyclicityCheck");
+BENCHMARK(BM_AcyclicityCheck<2>)->Name("BM_AcyclicityCheck/12events");
 
 void BM_DerivedFr(benchmark::State &State) {
   Execution X = iriwLike();

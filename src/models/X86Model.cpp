@@ -10,18 +10,17 @@ namespace {
 enum : unsigned { kCoherence, kRMWIsol, kTfence, kOrder, kStrongIsol,
                   kTxnOrder };
 
-/// memoTerm tags (unique static addresses) and the mask bits each term
-/// actually reads (the memoization salt, so configurations differing only
-/// in irrelevant axioms share one cached term).
-constexpr char HbTag = 0;
+/// memoTerm tag (a unique static address) and the mask bits the
+/// hb-derived terms read (the axiom salt, so configurations differing
+/// only in irrelevant axioms share one cached term).
+constexpr char HbBaseTag = 0;
 constexpr uint32_t kHbSalt = 1u << kTfence;
 
-/// hb (Fig. 5) = mfence u ppo u implied u rfe u fr u co, with the implicit
-/// transaction fences folded into `implied` when the tfence axiom is on.
-Relation hb(const ExecutionAnalysis &A, AxiomMask M) {
-  bool Tfence = M.test(kTfence);
-  return A.memoTerm(&HbTag, M.bits() & kHbSalt, /*TxnDependent=*/Tfence,
-                    [&] {
+/// The transaction-free part of hb (Fig. 5): mfence u ppo u implied u
+/// rfe u fr u co. Transaction-independent, so one computation serves
+/// every placement over a base execution.
+const Relation &hbBase(const ExecutionAnalysis &A) {
+  return A.memoTerm(&HbBaseTag, 0, /*TxnDependent=*/false, [&] {
     unsigned N = A.size();
     EventSet R = A.reads(), W = A.writes();
 
@@ -30,16 +29,23 @@ Relation hb(const ExecutionAnalysis &A, AxiomMask M) {
                     Relation::cross(R, R, N)) &
                    A.po();
 
-    // implied = [L] ; po  u  po ; [L]  u  tfence, L the locked RMW events.
+    // implied = [L] ; po  u  po ; [L], L the locked RMW events.
     EventSet Locked = A.rmw().domain() | A.rmw().range();
     Relation LockedId = Relation::identityOn(Locked, N);
     Relation Implied = LockedId.compose(A.po()) | A.po().compose(LockedId);
-    if (Tfence)
-      Implied |= A.tfence();
 
     return A.fenceRel(FenceKind::MFence) | Ppo | Implied | A.rfe() |
            A.fr() | A.co();
   });
+}
+
+/// hb = hbBase u tfence: the implicit transaction fences join `implied`
+/// when the tfence axiom is on.
+Relation hb(const ExecutionAnalysis &A, AxiomMask M) {
+  Relation Hb = hbBase(A);
+  if (M.test(kTfence))
+    Hb |= A.tfence();
+  return Hb;
 }
 
 Relation txnOrder(const ExecutionAnalysis &A, AxiomMask M) {
@@ -47,7 +53,8 @@ Relation txnOrder(const ExecutionAnalysis &A, AxiomMask M) {
 }
 
 // Axiom salts (Axiom.h): only the hb-derived terms read the mask, and
-// only its tfence bit — the same footprint `kHbSalt` hands to memoTerm.
+// only its tfence bit (`kHbSalt`); their memoized part, `hbBase`, reads
+// none of it.
 //
 // Vocabulary footprints (Axiom.h, audited by tmw_audit's footprint pass):
 // `tfence` is empty without transactions and `rmwIsolation` without RMW

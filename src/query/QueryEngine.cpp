@@ -15,7 +15,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <thread>
 
 using namespace tmw;
@@ -31,39 +30,96 @@ double secondsSince(TimePoint Start) {
 }
 
 /// A request's allowed outcomes, collected without a copy per model: each
-/// distinct outcome is interned once, in `Outcome::operator<` order, and
-/// each model records which outcome ids its consistent candidates reach.
+/// distinct outcome is interned once, in a flat vector found through a
+/// small open-addressing table, and each model records which outcome ids
+/// its consistent candidates reach.
 class OutcomeSets {
 public:
   explicit OutcomeSets(size_t NumModels) : NumModels(NumModels) {}
 
   /// The id of \p O, interning a copy on first sight.
   uint32_t intern(const Outcome &O) {
-    auto [It, New] = Ids.try_emplace(O, static_cast<uint32_t>(Ids.size()));
-    if (New)
+    // Keep the table at most half full, so probe runs stay short.
+    if (2 * (Distinct.size() + 1) > Slots.size())
+      grow();
+    uint32_t *Slot = find(O);
+    if (*Slot == kEmpty) {
+      *Slot = static_cast<uint32_t>(Distinct.size());
+      Distinct.push_back(O);
       Reached.resize(Reached.size() + NumModels);
-    return It->second;
+    }
+    return *Slot;
   }
 
   /// Model \p M reached outcome \p Id.
   void add(size_t M, uint32_t Id) { Reached[Id * NumModels + M] = 1; }
 
-  /// Model \p M's outcomes, sorted and deduplicated, sized exactly.
-  std::vector<Outcome> list(size_t M) const {
-    size_t N = 0;
-    for (const auto &[O, Id] : Ids)
-      N += Reached[Id * NumModels + M];
-    std::vector<Outcome> Out;
-    Out.reserve(N);
-    for (const auto &[O, Id] : Ids)
-      if (Reached[Id * NumModels + M])
-        Out.push_back(O);
-    return Out;
+  /// Every model's outcomes into its verdict's `AllowedOutcomes`, each
+  /// list in `Outcome` order and sized exactly. The ids are sorted once
+  /// for all the lists, in the probe table's storage, so no `intern` may
+  /// follow.
+  void emit(std::vector<ModelVerdict> &Verdicts) {
+    std::vector<uint32_t> Order = std::move(Slots);
+    Order.resize(Distinct.size());
+    for (uint32_t Id = 0; Id < Order.size(); ++Id)
+      Order[Id] = Id;
+    std::sort(Order.begin(), Order.end(), [this](uint32_t A, uint32_t B) {
+      return Distinct[A] < Distinct[B];
+    });
+    for (size_t M = 0; M < NumModels; ++M) {
+      size_t N = 0;
+      for (uint32_t Id : Order)
+        N += Reached[Id * NumModels + M];
+      std::vector<Outcome> &Out = Verdicts[M].AllowedOutcomes;
+      Out.reserve(N);
+      for (uint32_t Id : Order)
+        if (Reached[Id * NumModels + M])
+          Out.push_back(Distinct[Id]);
+    }
   }
 
 private:
+  static constexpr uint32_t kEmpty = ~uint32_t(0);
+
+  static uint64_t hashOf(const Outcome &O) {
+    uint64_t H = 1469598103934665603ull;
+    auto Mix = [&H](uint64_t V) { H = (H ^ V) * 1099511628211ull; };
+    for (const RegValue &R : O.RegValues) {
+      Mix(R.Thread);
+      Mix(R.Load);
+      Mix(static_cast<uint32_t>(R.Value));
+    }
+    Mix(O.RegValues.size());
+    for (int V : O.MemValues)
+      Mix(static_cast<uint32_t>(V));
+    // FNV's low bits see only the inputs' low bits; fold the high ones
+    // down before the table masks them off.
+    return H ^ (H >> 29) ^ (H >> 47);
+  }
+
+  /// The slot holding \p O, or the empty slot where it belongs.
+  uint32_t *find(const Outcome &O) {
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = hashOf(O) & Mask;; I = (I + 1) & Mask)
+      if (Slots[I] == kEmpty || Distinct[Slots[I]] == O)
+        return &Slots[I];
+  }
+
+  /// Double the table (16 slots at first) and reserve the outcome rows it
+  /// admits, so neither vector reallocates per outcome.
+  void grow() {
+    Slots.assign(Slots.empty() ? 16 : 2 * Slots.size(), kEmpty);
+    Distinct.reserve(Slots.size() / 2);
+    Reached.reserve(Slots.size() / 2 * NumModels);
+    for (uint32_t Id = 0; Id < Distinct.size(); ++Id)
+      *find(Distinct[Id]) = Id;
+  }
+
   size_t NumModels;
-  std::map<Outcome, uint32_t> Ids;
+  /// The distinct outcomes, indexed by id (first-sight order).
+  std::vector<Outcome> Distinct;
+  /// Open-addressing table of ids into `Distinct` (`kEmpty` when free).
+  std::vector<uint32_t> Slots;
   /// Row `Id`, column `M`: model M reached outcome Id.
   std::vector<char> Reached;
 };
@@ -276,8 +332,7 @@ void evaluateRequest(const CheckRequest &R, CheckResponse &Resp,
   }
 
   if (Outcomes)
-    for (size_t M = 0; M < Models.size(); ++M)
-      Resp.Verdicts[M].AllowedOutcomes = Outcomes->list(M);
+    Outcomes->emit(Resp.Verdicts);
 
   // Persist the cold answer (append + fsync). Error responses are not
   // stored: they can depend on mutable context (the corpus set, registry

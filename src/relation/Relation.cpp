@@ -1,7 +1,9 @@
 //===- Relation.cpp - Binary relations over events ------------------------==//
 ///
 /// \file
-/// Implementation of the bit-matrix relational algebra.
+/// Implementation of the bit-matrix relational algebra. Each operation
+/// with a layout-specific kernel tests `packed()` once; the word
+/// operations loop over the live words and serve both layouts.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -9,8 +11,59 @@
 
 using namespace tmw;
 
+namespace {
+
+// Packed-layout masks: row A of the matrix is byte A of the word.
+
+/// Bit 0 of every byte (column 0 of every row).
+constexpr uint64_t kLowBits = 0x0101010101010101;
+/// Bit A of byte A (the diagonal).
+constexpr uint64_t kDiag = 0x8040201008040201;
+
+/// The 8-bit row \p Bits copied into every byte.
+uint64_t broadcast(uint64_t Bits) { return (Bits & 0xFF) * kLowBits; }
+
+/// 0xFF in byte A for each A in \p Bits (events below 8), else 0.
+uint64_t rowBytes(uint64_t Bits) {
+  // Bit A of byte A, then +0x7F carries it (never past the byte) into
+  // bit 7; shifted down to bit 0, times 0xFF fills the byte.
+  uint64_t OnDiag = broadcast(Bits) & kDiag;
+  uint64_t High = (OnDiag + 0x7F7F7F7F7F7F7F7F) & 0x8080808080808080;
+  return (High >> 7) * 0xFF;
+}
+
+/// The rows of packed \p W whose column \p B is set, as whole bytes.
+uint64_t rowsWithColumn(uint64_t W, unsigned B) {
+  return ((W >> B) & kLowBits) * 0xFF;
+}
+
+/// Row \p A of packed \p W copied into every byte.
+uint64_t broadcastRow(uint64_t W, unsigned A) {
+  return broadcast(W >> 8 * A);
+}
+
+/// Every pair over \p N <= 8 events, packed.
+uint64_t packedAll(unsigned N) {
+  return rowBytes(EventSet::universe(N).bits()) &
+         broadcast(EventSet::universe(N).bits());
+}
+
+/// Warshall over packed \p W, a relation over \p N events: when row A
+/// holds column Mid, row A gains row Mid.
+uint64_t packedClosure(uint64_t W, unsigned N) {
+  for (unsigned Mid = 0; Mid < N; ++Mid)
+    W |= rowsWithColumn(W, Mid) & broadcastRow(W, Mid);
+  return W;
+}
+
+} // namespace
+
 Relation Relation::identityOn(EventSet S, unsigned N) {
   Relation R(N);
+  if (R.packed()) {
+    R.Rows[0] = broadcast((S & EventSet::universe(N)).bits()) & kDiag;
+    return R;
+  }
   for (EventId E : S)
     if (E < N)
       R.insert(E, E);
@@ -20,6 +73,11 @@ Relation Relation::identityOn(EventSet S, unsigned N) {
 Relation Relation::cross(EventSet A, EventSet B, unsigned N) {
   Relation R(N);
   uint64_t RangeBits = (B & EventSet::universe(N)).bits();
+  if (R.packed()) {
+    R.Rows[0] = rowBytes((A & EventSet::universe(N)).bits()) &
+                broadcast(RangeBits);
+    return R;
+  }
   for (EventId E : A)
     if (E < N)
       R.Rows[E] = RangeBits;
@@ -27,13 +85,15 @@ Relation Relation::cross(EventSet A, EventSet B, unsigned N) {
 }
 
 bool Relation::isEmpty() const {
-  for (unsigned A = 0; A < Size; ++A)
-    if (Rows[A] != 0)
+  for (unsigned W = 0; W < liveWords(); ++W)
+    if (Rows[W] != 0)
       return false;
   return true;
 }
 
 bool Relation::isIrreflexive() const {
+  if (packed())
+    return (Rows[0] & kDiag) == 0;
   for (unsigned A = 0; A < Size; ++A)
     if ((Rows[A] >> A) & 1)
       return false;
@@ -42,13 +102,15 @@ bool Relation::isIrreflexive() const {
 
 bool Relation::isAcyclic() const {
   // A relation is acyclic iff its transitive closure is irreflexive.
+  if (packed())
+    return (packedClosure(Rows[0], Size) & kDiag) == 0;
   return transitiveClosure().isIrreflexive();
 }
 
 unsigned Relation::numPairs() const {
   unsigned N = 0;
-  for (unsigned A = 0; A < Size; ++A)
-    N += __builtin_popcountll(Rows[A]);
+  for (unsigned W = 0; W < liveWords(); ++W)
+    N += __builtin_popcountll(Rows[W]);
   return N;
 }
 
@@ -94,7 +156,7 @@ EventSet Relation::findCycle() const {
 EventSet Relation::reflexivePoints() const {
   EventSet S;
   for (EventId A = 0; A < Size; ++A)
-    if ((Rows[A] >> A) & 1)
+    if (contains(A, A))
       S.insert(A);
   return S;
 }
@@ -102,16 +164,16 @@ EventSet Relation::reflexivePoints() const {
 bool Relation::operator==(const Relation &O) const {
   if (Size != O.Size)
     return false;
-  for (unsigned A = 0; A < Size; ++A)
-    if (Rows[A] != O.Rows[A])
+  for (unsigned W = 0; W < liveWords(); ++W)
+    if (Rows[W] != O.Rows[W])
       return false;
   return true;
 }
 
 bool Relation::subsetOf(const Relation &O) const {
   assert(Size == O.Size && "size mismatch");
-  for (unsigned A = 0; A < Size; ++A)
-    if (Rows[A] & ~O.Rows[A])
+  for (unsigned W = 0; W < liveWords(); ++W)
+    if (Rows[W] & ~O.Rows[W])
       return false;
   return true;
 }
@@ -136,28 +198,37 @@ Relation Relation::operator-(const Relation &O) const {
 
 Relation &Relation::operator|=(const Relation &O) {
   assert(Size == O.Size && "size mismatch");
-  for (unsigned A = 0; A < Size; ++A)
-    Rows[A] |= O.Rows[A];
+  for (unsigned W = 0; W < liveWords(); ++W)
+    Rows[W] |= O.Rows[W];
   return *this;
 }
 
 Relation &Relation::operator&=(const Relation &O) {
   assert(Size == O.Size && "size mismatch");
-  for (unsigned A = 0; A < Size; ++A)
-    Rows[A] &= O.Rows[A];
+  for (unsigned W = 0; W < liveWords(); ++W)
+    Rows[W] &= O.Rows[W];
   return *this;
 }
 
 Relation &Relation::operator-=(const Relation &O) {
   assert(Size == O.Size && "size mismatch");
-  for (unsigned A = 0; A < Size; ++A)
-    Rows[A] &= ~O.Rows[A];
+  for (unsigned W = 0; W < liveWords(); ++W)
+    Rows[W] &= ~O.Rows[W];
   return *this;
 }
 
 Relation Relation::compose(const Relation &O) const {
   assert(Size == O.Size && "size mismatch");
   Relation R(Size);
+  if (packed()) {
+    // Row A gains row Mid of O for each Mid in row A: per column Mid,
+    // the rows holding it take O's row Mid broadcast to every byte.
+    uint64_t Out = 0;
+    for (unsigned Mid = 0; Mid < Size; ++Mid)
+      Out |= rowsWithColumn(Rows[0], Mid) & broadcastRow(O.Rows[0], Mid);
+    R.Rows[0] = Out;
+    return R;
+  }
   for (unsigned A = 0; A < Size; ++A) {
     uint64_t Out = 0;
     for (EventId Mid : EventSet(Rows[A]))
@@ -169,6 +240,19 @@ Relation Relation::compose(const Relation &O) const {
 
 Relation Relation::inverse() const {
   Relation R(Size);
+  if (packed()) {
+    // 8x8 bit transpose (Hacker's Delight, transpose8): swap the
+    // off-diagonal halves of the 2x2, then 4x4, then 8x8 blocks.
+    uint64_t W = Rows[0];
+    uint64_t T = (W ^ (W >> 7)) & 0x00AA00AA00AA00AA;
+    W ^= T ^ (T << 7);
+    T = (W ^ (W >> 14)) & 0x0000CCCC0000CCCC;
+    W ^= T ^ (T << 14);
+    T = (W ^ (W >> 28)) & 0x00000000F0F0F0F0;
+    W ^= T ^ (T << 28);
+    R.Rows[0] = W;
+    return R;
+  }
   for (unsigned A = 0; A < Size; ++A)
     for (EventId B : EventSet(Rows[A]))
       R.Rows[B] |= uint64_t(1) << A;
@@ -177,6 +261,10 @@ Relation Relation::inverse() const {
 
 Relation Relation::complement() const {
   Relation R(Size);
+  if (packed()) {
+    R.Rows[0] = packedAll(Size) & ~Rows[0];
+    return R;
+  }
   uint64_t All = EventSet::universe(Size).bits();
   for (unsigned A = 0; A < Size; ++A)
     R.Rows[A] = All & ~Rows[A];
@@ -185,15 +273,23 @@ Relation Relation::complement() const {
 
 Relation Relation::optional() const {
   Relation R = *this;
+  if (packed()) {
+    R.Rows[0] |= packedAll(Size) & kDiag;
+    return R;
+  }
   for (unsigned A = 0; A < Size; ++A)
     R.Rows[A] |= uint64_t(1) << A;
   return R;
 }
 
 Relation Relation::transitiveClosure() const {
+  Relation R = *this;
+  if (packed()) {
+    R.Rows[0] = packedClosure(Rows[0], Size);
+    return R;
+  }
   // Column-sweep variant of Warshall's algorithm: when Mid is reachable
   // from A, everything reachable from Mid becomes reachable from A.
-  Relation R = *this;
   for (unsigned Mid = 0; Mid < Size; ++Mid) {
     uint64_t MidRow = R.Rows[Mid];
     if (MidRow == 0)
@@ -211,6 +307,10 @@ Relation Relation::reflexiveTransitiveClosure() const {
 
 Relation Relation::restrictDomain(EventSet S) const {
   Relation R(Size);
+  if (packed()) {
+    R.Rows[0] = Rows[0] & rowBytes(S.bits());
+    return R;
+  }
   for (EventId A : S & EventSet::universe(Size))
     R.Rows[A] = Rows[A];
   return R;
@@ -218,6 +318,10 @@ Relation Relation::restrictDomain(EventSet S) const {
 
 Relation Relation::restrictRange(EventSet S) const {
   Relation R = *this;
+  if (packed()) {
+    R.Rows[0] &= broadcast(S.bits());
+    return R;
+  }
   uint64_t Mask = (S & EventSet::universe(Size)).bits();
   for (unsigned A = 0; A < Size; ++A)
     R.Rows[A] &= Mask;
@@ -226,13 +330,20 @@ Relation Relation::restrictRange(EventSet S) const {
 
 EventSet Relation::domain() const {
   EventSet S;
-  for (unsigned A = 0; A < Size; ++A)
-    if (Rows[A] != 0)
+  for (EventId A = 0; A < Size; ++A)
+    if (!successors(A).empty())
       S.insert(A);
   return S;
 }
 
 EventSet Relation::range() const {
+  if (packed()) {
+    uint64_t W = Rows[0];
+    W |= W >> 32;
+    W |= W >> 16;
+    W |= W >> 8;
+    return EventSet(W & 0xFF);
+  }
   uint64_t Bits = 0;
   for (unsigned A = 0; A < Size; ++A)
     Bits |= Rows[A];

@@ -13,11 +13,19 @@
 /// which keeps the exhaustive enumerator (millions of consistency checks)
 /// fast.
 ///
-/// Storage contract: every relation owns `kMaxEvents` rows, but only the
-/// live rows `[0, size())` are ever written or read. Construction, copies
-/// and every operation touch those rows alone, so the work scales with the
-/// events an execution really has (a handful in the synthesis search),
-/// not with the cap.
+/// Two row layouts, chosen from `size()` alone:
+/// - *Packed* (at most 8 events, the size of the synthesis search's
+///   executions and of litmus-test candidates): the whole matrix is one
+///   word, row `A` in byte `A`. Union is one instruction; composition and
+///   closure are a few shifts and masks per column; inverse is an 8x8 bit
+///   transpose.
+/// - *Rows* (9 to 64 events): one word per row, row `A` in word `A`.
+///
+/// Storage contract: every relation owns `kMaxEvents` words, but only its
+/// live words — the first one when packed, `[0, size())` otherwise — are
+/// ever written or read. Construction, copies and every operation touch
+/// those words alone, so the work scales with the events an execution
+/// really has (a handful in the synthesis search), not with the cap.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,24 +44,26 @@ namespace tmw {
 
 /// A binary relation over events {0, ..., Size-1}.
 ///
-/// Rows at or above `size()` are indeterminate and never read: the sized
-/// constructor zeroes only the live rows, `Relation()` (size 0) touches
-/// none, and a copy carries only the source's live rows. Every column bit
-/// of a live row is below `size()`.
+/// Storage words past the live ones are indeterminate and never read: the
+/// sized constructor zeroes only the live words, `Relation()` (size 0,
+/// packed) zeroes its one word, and a copy carries only the source's live
+/// words.
+/// Every pair held lies in {0, ..., Size-1}^2; every other bit of a live
+/// word is zero, so the word operations need no mask.
 class Relation {
 public:
-  Relation() : Size(0) {}
+  Relation() : Size(0) { Rows[0] = 0; }
   explicit Relation(unsigned Size) : Size(Size) {
     assert(Size <= kMaxEvents && "execution too large");
-    std::fill_n(Rows.begin(), Size, 0);
+    std::fill_n(Rows.begin(), liveWords(), 0);
   }
   Relation(const Relation &O) : Size(O.Size) {
-    std::copy_n(O.Rows.begin(), Size, Rows.begin());
+    std::copy_n(O.Rows.begin(), liveWords(), Rows.begin());
   }
   /// memmove tolerates `&O == this`, so self-assignment needs no branch.
   Relation &operator=(const Relation &O) {
     Size = O.Size;
-    std::memmove(Rows.data(), O.Rows.data(), Size * sizeof(uint64_t));
+    std::memmove(Rows.data(), O.Rows.data(), liveWords() * sizeof(uint64_t));
     return *this;
   }
 
@@ -70,21 +80,21 @@ public:
 
   bool contains(EventId A, EventId B) const {
     assert(A < Size && B < Size);
-    return (Rows[A] >> B) & 1;
+    return (Rows[wordOf(A)] >> bitOf(A, B)) & 1;
   }
   void insert(EventId A, EventId B) {
     assert(A < Size && B < Size);
-    Rows[A] |= uint64_t(1) << B;
+    Rows[wordOf(A)] |= uint64_t(1) << bitOf(A, B);
   }
   void erase(EventId A, EventId B) {
     assert(A < Size && B < Size);
-    Rows[A] &= ~(uint64_t(1) << B);
+    Rows[wordOf(A)] &= ~(uint64_t(1) << bitOf(A, B));
   }
 
   /// Successors of \p A.
   EventSet successors(EventId A) const {
     assert(A < Size);
-    return EventSet(Rows[A]);
+    return EventSet(packed() ? (Rows[0] >> 8 * A) & 0xFF : Rows[A]);
   }
 
   bool isEmpty() const;
@@ -144,11 +154,23 @@ public:
   /// Apply to every pair (A, B) in ascending order of (A, B).
   template <typename Fn> void forEachPair(Fn &&F) const {
     for (EventId A = 0; A < Size; ++A)
-      for (EventId B : EventSet(Rows[A]))
+      for (EventId B : successors(A))
         F(A, B);
   }
 
 private:
+  /// Relations over at most this many events use the packed layout.
+  static constexpr unsigned kPackedEvents = 8;
+
+  bool packed() const { return Size <= kPackedEvents; }
+  /// Words holding live rows: the one packed word, or one per row.
+  unsigned liveWords() const { return packed() ? 1 : Size; }
+  /// The word and the bit within it of pair (A, B).
+  unsigned wordOf(EventId A) const { return packed() ? 0 : A; }
+  unsigned bitOf(EventId A, EventId B) const {
+    return packed() ? 8 * A + B : B;
+  }
+
   unsigned Size;
   std::array<uint64_t, kMaxEvents> Rows;
 };

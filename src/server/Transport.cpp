@@ -134,6 +134,14 @@ int server::runClient(const std::string &Path, std::istream &In,
             continue;
           if (errno == EAGAIN || errno == EWOULDBLOCK)
             break;
+          if (errno == EPIPE || errno == ECONNRESET) {
+            // The server stopped taking our input (it refused an
+            // over-long line, say): send nothing more, but read on —
+            // its answers, the refusal included, may still be queued.
+            Off = Pending.size();
+            InEof = SentEof = true;
+            break;
+          }
           ::close(Fd);
           return failSys("send", Path);
         }
@@ -146,6 +154,10 @@ int server::runClient(const std::string &Path, std::istream &In,
       if (N < 0) {
         if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
           continue;
+        // A reset comes only after every byte the server sent was read:
+        // it closed with our input unread, as it does on a refusal.
+        if (errno == ECONNRESET)
+          break;
         ::close(Fd);
         return failSys("read", Path);
       }

@@ -2,6 +2,7 @@
 
 #include "synth/Conformance.h"
 
+#include "enumerate/Relaxation.h"
 #include "hw/ImplModel.h"
 #include "hw/LitmusRunner.h"
 #include "hw/TsoMachine.h"
@@ -12,6 +13,11 @@
 #include "models/X86Model.h"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace tmw;
 
@@ -51,23 +57,69 @@ TEST(ForbidTest, X86ThreeEventsNonEmpty) {
   }
 }
 
-TEST(ForbidTest, X86SuiteSizesPinned) {
-  // Forbid and Allow suite sizes of the x86 search at |E| = 2, 3 and 4
-  // (the |E| = 4 pair is also perfbench's synth_x86 reference). A
-  // refactor of the search, the relaxation order or the relation layer
-  // that drops or adds a test fails here.
-  Vocabulary V = Vocabulary::forArch(Arch::X86);
-  struct Sizes {
-    unsigned Events;
-    size_t Forbid, Allow;
-  };
-  for (Sizes Want : {Sizes{2, 0, 0}, Sizes{3, 4, 17}, Sizes{4, 39, 184}}) {
-    ForbidSuite S = x86Suite(Want.Events);
+/// FNV-1a 64 over the sorted canonical hashes of \p Tests (each hash's
+/// eight bytes, low byte first): a suite's identity, independent of the
+/// order the search found its tests in.
+uint64_t suiteDigest(const std::vector<Execution> &Tests) {
+  std::vector<uint64_t> Hashes;
+  for (const Execution &X : Tests)
+    Hashes.push_back(canonicalHash(X));
+  std::sort(Hashes.begin(), Hashes.end());
+  uint64_t D = 1469598103934665603ull;
+  for (uint64_t H : Hashes)
+    for (unsigned Byte = 0; Byte < 8; ++Byte) {
+      D ^= (H >> (8 * Byte)) & 0xFF;
+      D *= 1099511628211ull;
+    }
+  return D;
+}
+
+/// One pinned search: the Forbid and Allow suite sizes at one |E|, and
+/// the digests of both suites.
+struct SuitePin {
+  unsigned Events;
+  size_t Forbid, Allow;
+  uint64_t ForbidDigest, AllowDigest;
+};
+
+void expectPinned(const char *Tm, Arch A,
+                  std::initializer_list<SuitePin> Pins) {
+  std::unique_ptr<MemoryModel> Model = ModelRegistry::parse(Tm);
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse(std::string(Tm) + "/+baseline");
+  Vocabulary V = Vocabulary::forArch(A);
+  for (const SuitePin &Want : Pins) {
+    SCOPED_TRACE(std::string(Tm) + " |E| = " + std::to_string(Want.Events));
+    ForbidSuite S = synthesizeForbid(*Model, *Baseline, V, Want.Events, 300.0);
     ASSERT_TRUE(S.Complete);
-    EXPECT_EQ(S.Tests.size(), Want.Forbid) << "|E| = " << Want.Events;
-    EXPECT_EQ(relaxationsOf(S.Tests, V).size(), Want.Allow)
-        << "|E| = " << Want.Events;
+    std::vector<Execution> Allow = relaxationsOf(S.Tests, V);
+    EXPECT_EQ(S.Tests.size(), Want.Forbid);
+    EXPECT_EQ(Allow.size(), Want.Allow);
+    EXPECT_EQ(suiteDigest(S.Tests), Want.ForbidDigest);
+    EXPECT_EQ(suiteDigest(Allow), Want.AllowDigest);
   }
+}
+
+TEST(ForbidTest, X86SuiteSizesPinned) {
+  // Forbid and Allow suites of the x86 search at |E| = 2 to 5 (the
+  // |E| = 4 pair is also perfbench's synth_x86 reference). A refactor of
+  // the search, the relaxation order or the relation layer that drops,
+  // adds or swaps a test fails here: the digests name the tests.
+  expectPinned("x86", Arch::X86,
+               {{2, 0, 0, 0x14650fb0739d0383, 0x14650fb0739d0383},
+                {3, 4, 17, 0x419a32e25ac3808a, 0xde2e72da9908b179},
+                {4, 39, 184, 0x5bec854e1c3bccf6, 0x77e32f437972ac7c},
+                {5, 60, 350, 0x87df420186f7dede, 0x3cd560dded18b100}});
+}
+
+TEST(ForbidTest, PowerAndArmv8SuiteSizesPinned) {
+  // The Power and ARMv8 searches at |E| = 2 and 3. At these sizes both
+  // find the same minimal tests (and so the x86 ones at |E| = 3).
+  for (auto [Tm, A] : {std::pair{"power", Arch::Power},
+                       std::pair{"armv8", Arch::Armv8}})
+    expectPinned(Tm, A,
+                 {{2, 2, 7, 0x2ef305228b252dc8, 0xba1e4f9c3cce23c8},
+                  {3, 4, 17, 0x419a32e25ac3808a, 0xde2e72da9908b179}});
 }
 
 TEST(ForbidTest, FoundTimesMonotoneAndBounded) {

@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
+#include <utility>
+#include <vector>
 
 using namespace tmw;
 
@@ -261,7 +264,7 @@ protected:
 
 TEST_P(RandomRelationTest, AlgebraicLaws) {
   std::mt19937 Rng(GetParam());
-  unsigned N = 2 + GetParam() % 7;
+  unsigned N = 2 + GetParam() % 11;
   Relation R = randomRelation(Rng, N, 0.3);
   Relation S = randomRelation(Rng, N, 0.3);
   Relation T = randomRelation(Rng, N, 0.3);
@@ -271,7 +274,7 @@ TEST_P(RandomRelationTest, AlgebraicLaws) {
 
 TEST_P(RandomRelationTest, ClosureLaws) {
   std::mt19937 Rng(GetParam() * 7919 + 1);
-  unsigned N = 2 + GetParam() % 7;
+  unsigned N = 2 + GetParam() % 11;
   expectClosureLaws(randomRelation(Rng, N, 0.25));
   expectLawsOnReusedStorage(
       Rng, 0.25, [](const Relation &R, const Relation &S, const Relation &T) {
@@ -283,7 +286,7 @@ TEST_P(RandomRelationTest, ClosureLaws) {
 
 TEST_P(RandomRelationTest, LiftDefinitions) {
   std::mt19937 Rng(GetParam() * 104729 + 3);
-  unsigned N = 3 + GetParam() % 5;
+  unsigned N = 3 + GetParam() % 10;
   Relation R = randomRelation(Rng, N, 0.3);
   // Build a partial equivalence: a random block of events.
   Relation T(N);
@@ -305,5 +308,353 @@ TEST_P(RandomRelationTest, LiftDefinitions) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomRelationTest,
                          ::testing::Range(0u, 24u));
+
+//===----------------------------------------------------------------------===
+// Every public operation against a naive set-of-pairs reference, at sizes
+// on both sides of the packed/row boundary (8/9 events) and at the cap.
+//===----------------------------------------------------------------------===
+
+/// The reference: an N x N matrix of flags, each operation written from
+/// its definition over pairs.
+struct RefRel {
+  unsigned N;
+  std::vector<char> M;
+
+  explicit RefRel(unsigned N) : N(N), M(size_t(N) * N, 0) {}
+  bool has(unsigned A, unsigned B) const { return M[size_t(A) * N + B]; }
+  void set(unsigned A, unsigned B, bool V = true) {
+    M[size_t(A) * N + B] = V;
+  }
+
+  template <typename Fn> static RefRel build(unsigned N, Fn &&Holds) {
+    RefRel R(N);
+    for (unsigned A = 0; A < N; ++A)
+      for (unsigned B = 0; B < N; ++B)
+        R.set(A, B, Holds(A, B));
+    return R;
+  }
+  RefRel compose(const RefRel &O) const {
+    return build(N, [&](unsigned A, unsigned B) {
+      for (unsigned Mid = 0; Mid < N; ++Mid)
+        if (has(A, Mid) && O.has(Mid, B))
+          return true;
+      return false;
+    });
+  }
+  RefRel closure() const {
+    RefRel R = *this;
+    for (unsigned K = 0; K < N; ++K)
+      for (unsigned A = 0; A < N; ++A)
+        for (unsigned B = 0; B < N; ++B)
+          if (R.has(A, K) && R.has(K, B))
+            R.set(A, B);
+    return R;
+  }
+  RefRel optional() const {
+    return build(N,
+                 [&](unsigned A, unsigned B) { return has(A, B) || A == B; });
+  }
+  RefRel minus(const RefRel &O) const {
+    return build(N, [&](unsigned A, unsigned B) {
+      return has(A, B) && !O.has(A, B);
+    });
+  }
+  bool irreflexive() const {
+    for (unsigned A = 0; A < N; ++A)
+      if (has(A, A))
+        return false;
+    return true;
+  }
+};
+
+/// "" when \p R holds exactly \p Ref's pairs — read through `contains`,
+/// `successors`, `forEachPair` (and its order), `numPairs`, `isEmpty`,
+/// `domain`, `range`, `field` and `reflexivePoints` — else the first
+/// difference.
+std::string differs(const Relation &R, const RefRel &Ref) {
+  if (R.size() != Ref.N)
+    return "size " + std::to_string(R.size());
+  std::vector<std::pair<EventId, EventId>> Want, Got;
+  EventSet Dom, Ran, Refl;
+  for (unsigned A = 0; A < Ref.N; ++A) {
+    uint64_t Row = 0;
+    for (unsigned B = 0; B < Ref.N; ++B) {
+      if (R.contains(A, B) != Ref.has(A, B))
+        return "pair (" + std::to_string(A) + ", " + std::to_string(B) + ")";
+      if (!Ref.has(A, B))
+        continue;
+      Want.push_back({A, B});
+      Row |= uint64_t(1) << B;
+      Dom.insert(A);
+      Ran.insert(B);
+      if (A == B)
+        Refl.insert(A);
+    }
+    if (R.successors(A).bits() != Row)
+      return "successors of " + std::to_string(A);
+  }
+  R.forEachPair([&Got](EventId A, EventId B) { Got.push_back({A, B}); });
+  if (Got != Want)
+    return "forEachPair";
+  if (R.numPairs() != Want.size())
+    return "numPairs";
+  if (R.isEmpty() != Want.empty())
+    return "isEmpty";
+  if (R.domain() != Dom || R.range() != Ran || R.field() != (Dom | Ran))
+    return "domain/range/field";
+  if (R.reflexivePoints() != Refl)
+    return "reflexivePoints";
+  return "";
+}
+
+/// Checks `findCycle` against \p Ref: empty iff acyclic, else a cycle
+/// through the lowest event on any cycle, as short as any cycle through
+/// it, whose events reach one another inside the witness.
+std::string badCycle(const Relation &R, const RefRel &Ref) {
+  RefRel TC = Ref.closure();
+  EventSet Got = R.findCycle();
+  unsigned Lowest = 0;
+  while (Lowest < Ref.N && !TC.has(Lowest, Lowest))
+    ++Lowest;
+  if (Lowest == Ref.N)
+    return Got.empty() ? "" : "cycle in an acyclic relation";
+  if (!Got.contains(Lowest))
+    return "cycle misses the lowest cyclic event";
+  // Shortest cycle length through Lowest, by BFS over the reference.
+  std::vector<unsigned> Dist(Ref.N, ~0u);
+  std::vector<unsigned> Queue = {Lowest};
+  Dist[Lowest] = 0;
+  unsigned Shortest = ~0u;
+  for (size_t I = 0; I < Queue.size() && Shortest == ~0u; ++I)
+    for (unsigned B = 0; B < Ref.N; ++B) {
+      if (!Ref.has(Queue[I], B))
+        continue;
+      if (B == Lowest) {
+        Shortest = Dist[Queue[I]] + 1;
+        break;
+      }
+      if (Dist[B] == ~0u) {
+        Dist[B] = Dist[Queue[I]] + 1;
+        Queue.push_back(B);
+      }
+    }
+  if (Got.size() != Shortest)
+    return "cycle of " + std::to_string(Got.size()) + " events, shortest " +
+           std::to_string(Shortest);
+  // Every witness event reaches every other through witness edges.
+  RefRel Inside = RefRel::build(Ref.N, [&](unsigned A, unsigned B) {
+    return Got.contains(A) && Got.contains(B) && Ref.has(A, B);
+  }).closure();
+  for (EventId A : Got)
+    for (EventId B : Got)
+      if (!Inside.has(A, B))
+        return "witness events not on one cycle";
+  return "";
+}
+
+std::pair<Relation, RefRel> randomPair(std::mt19937_64 &Rng, unsigned N,
+                                       double Density) {
+  Relation R(N);
+  RefRel Ref(N);
+  std::bernoulli_distribution Flip(Density);
+  for (unsigned A = 0; A < N; ++A)
+    for (unsigned B = 0; B < N; ++B)
+      if (Flip(Rng)) {
+        R.insert(A, B);
+        Ref.set(A, B);
+      }
+  return {R, Ref};
+}
+
+/// A random set that may hold members at or above N (up to event 63).
+EventSet randomSet(std::mt19937_64 &Rng) { return EventSet(Rng() & Rng()); }
+
+const unsigned OracleSizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9,
+                                10, 11, 12, 31, 63, 64};
+const double OracleDensities[] = {0.0, 0.1, 0.35, 0.7, 1.0};
+
+TEST(RelationOracleTest, EveryOperationMatchesPairSets) {
+  std::mt19937_64 Rng(0x5eed);
+  for (unsigned N : OracleSizes)
+    for (double D : OracleDensities) {
+      SCOPED_TRACE("N = " + std::to_string(N) +
+                   ", density = " + std::to_string(D));
+      auto [R, RefR] = randomPair(Rng, N, D);
+      // A sparser second operand, so compose and closure meet both
+      // empty and full columns.
+      auto [S, RefS] = randomPair(Rng, N, D / 2);
+      ASSERT_EQ(differs(R, RefR), "");
+      ASSERT_EQ(differs(S, RefS), "");
+      ASSERT_EQ(differs(Relation::empty(N), RefRel(N)), "");
+
+      auto Pairwise = [&](auto Op) {
+        return RefRel::build(N, [&](unsigned A, unsigned B) {
+          return Op(RefR.has(A, B), RefS.has(A, B));
+        });
+      };
+      RefRel Union = Pairwise([](bool X, bool Y) { return X || Y; });
+      RefRel Inter = Pairwise([](bool X, bool Y) { return X && Y; });
+      RefRel Diff = RefR.minus(RefS);
+      EXPECT_EQ(differs(R | S, Union), "") << "|";
+      EXPECT_EQ(differs(R & S, Inter), "") << "&";
+      EXPECT_EQ(differs(R - S, Diff), "") << "-";
+      Relation InPlace = R;
+      EXPECT_EQ(differs(InPlace |= S, Union), "") << "|=";
+      InPlace = R;
+      EXPECT_EQ(differs(InPlace &= S, Inter), "") << "&=";
+      InPlace = R;
+      EXPECT_EQ(differs(InPlace -= S, Diff), "") << "-=";
+
+      EXPECT_EQ(differs(R.compose(S), RefR.compose(RefS)), "") << "compose";
+      EXPECT_EQ(differs(S.compose(R), RefS.compose(RefR)), "") << "compose";
+      EXPECT_EQ(differs(R.inverse(), RefRel::build(N, [&](unsigned A,
+                                                          unsigned B) {
+                          return RefR.has(B, A);
+                        })),
+                "")
+          << "inverse";
+      EXPECT_EQ(differs(R.complement(), RefRel::build(N, [&](unsigned A,
+                                                             unsigned B) {
+                          return !RefR.has(A, B);
+                        })),
+                "")
+          << "complement";
+      EXPECT_EQ(differs(R.optional(), RefR.optional()), "") << "optional";
+      EXPECT_EQ(differs(S.transitiveClosure(), RefS.closure()), "")
+          << "transitiveClosure";
+      EXPECT_EQ(differs(R.transitiveClosure(), RefR.closure()), "")
+          << "transitiveClosure";
+      EXPECT_EQ(differs(S.reflexiveTransitiveClosure(),
+                        RefS.closure().optional()),
+                "")
+          << "reflexiveTransitiveClosure";
+
+      EventSet Dom = randomSet(Rng), Ran = randomSet(Rng);
+      EXPECT_EQ(differs(R.restrictDomain(Dom),
+                        RefRel::build(N, [&](unsigned A, unsigned B) {
+                          return RefR.has(A, B) && Dom.contains(A);
+                        })),
+                "")
+          << "restrictDomain";
+      EXPECT_EQ(differs(R.restrictRange(Ran),
+                        RefRel::build(N, [&](unsigned A, unsigned B) {
+                          return RefR.has(A, B) && Ran.contains(B);
+                        })),
+                "")
+          << "restrictRange";
+      EXPECT_EQ(differs(Relation::identityOn(Dom, N),
+                        RefRel::build(N, [&](unsigned A, unsigned B) {
+                          return A == B && Dom.contains(A);
+                        })),
+                "")
+          << "identityOn";
+      EXPECT_EQ(differs(Relation::cross(Dom, Ran, N),
+                        RefRel::build(N, [&](unsigned A, unsigned B) {
+                          return Dom.contains(A) && Ran.contains(B);
+                        })),
+                "")
+          << "cross";
+
+      EXPECT_EQ(R.isIrreflexive(), RefR.irreflexive());
+      EXPECT_EQ(R.isAcyclic(), RefR.closure().irreflexive());
+      EXPECT_EQ(S.isAcyclic(), RefS.closure().irreflexive());
+      EXPECT_EQ(badCycle(R, RefR), "");
+      EXPECT_EQ(badCycle(S, RefS), "");
+      EXPECT_EQ(R == S, RefR.M == RefS.M);
+      EXPECT_TRUE(R == Relation(R));
+      EXPECT_TRUE((R & S).subsetOf(R));
+      EXPECT_EQ(R.subsetOf(S), Diff.M == RefRel(N).M);
+      EXPECT_EQ(differs(weakLift(R, S), RefS.compose(Diff).compose(RefS)),
+                "")
+          << "weakLift";
+      EXPECT_EQ(differs(strongLift(R, S), RefS.optional()
+                                             .compose(Diff)
+                                             .compose(RefS.optional())),
+                "")
+          << "strongLift";
+    }
+}
+
+TEST(RelationOracleTest, CyclesAtEveryLength) {
+  // A ring over every event with a chord or two: findCycle's witness
+  // must be the shortest cycle through event 0 whatever the layout.
+  for (unsigned N : OracleSizes) {
+    if (N < 2)
+      continue;
+    SCOPED_TRACE("N = " + std::to_string(N));
+    Relation R(N);
+    RefRel Ref(N);
+    for (unsigned A = 0; A < N; ++A) {
+      R.insert(A, (A + 1) % N);
+      Ref.set(A, (A + 1) % N);
+    }
+    EXPECT_EQ(R.findCycle(), EventSet::universe(N));
+    EXPECT_EQ(badCycle(R, Ref), "");
+    R.insert(N - 1, N / 2);
+    Ref.set(N - 1, N / 2);
+    R.insert(N / 2, 0);
+    Ref.set(N / 2, 0);
+    EXPECT_EQ(badCycle(R, Ref), "");
+    R.erase(N / 2, 0);
+    Ref.set(N / 2, 0, false);
+    R.insert(N - 1, N - 1);
+    Ref.set(N - 1, N - 1);
+    EXPECT_EQ(badCycle(R, Ref), "");
+  }
+}
+
+TEST(RelationOracleTest, UniverseEdges) {
+  // complement and optional at the edge of each layout's word: the packed
+  // word full at 8 events, a row word full at 64.
+  for (unsigned N : {7u, 8u, 9u, 63u, 64u}) {
+    SCOPED_TRACE("N = " + std::to_string(N));
+    Relation Empty(N);
+    Relation Full = Empty.complement();
+    EXPECT_EQ(Full.numPairs(), N * N);
+    EXPECT_EQ(Full, Relation::cross(EventSet(~uint64_t(0)),
+                                    EventSet(~uint64_t(0)), N));
+    EXPECT_TRUE(Full.complement().isEmpty());
+    EXPECT_EQ(Empty.optional(),
+              Relation::identityOn(EventSet(~uint64_t(0)), N));
+    EXPECT_EQ(Empty.optional().numPairs(), N);
+    EXPECT_EQ(Full.optional(), Full);
+    EXPECT_EQ(Full.inverse(), Full);
+    EXPECT_EQ(Full.transitiveClosure(), Full);
+    EXPECT_FALSE(Full.isAcyclic());
+    EXPECT_EQ(Full.reflexivePoints(), EventSet::universe(N));
+    EXPECT_EQ(Full.restrictRange(EventSet::singleton(N - 1)).numPairs(), N);
+    EXPECT_EQ(Full.restrictDomain(EventSet::singleton(N - 1)).numPairs(), N);
+  }
+}
+
+TEST(RelationOracleTest, ReuseAcrossThePackedBoundary) {
+  // Storage reused across layouts: an 8-event (packed) relation assigned
+  // over a populated 9-event one and back, over 64 and back, and each
+  // result still read and operated on exactly.
+  std::mt19937_64 Rng(0xb0a7);
+  const unsigned Pairs[][2] = {{9, 8}, {8, 9}, {64, 8}, {8, 64},
+                               {12, 3}, {2, 12}, {9, 9}, {8, 8}};
+  for (const auto &[From, To] : Pairs) {
+    SCOPED_TRACE("assign " + std::to_string(To) + " events over " +
+                 std::to_string(From));
+    auto [Old, RefOld] = randomPair(Rng, From, 0.9);
+    auto [New, RefNew] = randomPair(Rng, To, 0.3);
+    Relation Slot = Old;
+    ASSERT_EQ(differs(Slot, RefOld), "");
+    Slot = New;
+    EXPECT_EQ(differs(Slot, RefNew), "");
+    EXPECT_EQ(Slot, New);
+    EXPECT_EQ(differs(Slot.compose(Slot), RefNew.compose(RefNew)), "");
+    EXPECT_EQ(differs(Slot.transitiveClosure(), RefNew.closure()), "");
+    // Filled in place after the assignment, pair by pair.
+    Slot = Old;
+    Slot = Relation(To);
+    New.forEachPair([&Slot](EventId A, EventId B) { Slot.insert(A, B); });
+    EXPECT_EQ(differs(Slot, RefNew), "");
+    Relation Copy(Slot);
+    EXPECT_EQ(differs(Copy, RefNew), "");
+    EXPECT_EQ(Relation(From) == Relation(To), From == To);
+  }
+}
 
 } // namespace

@@ -36,6 +36,7 @@
 #include <vector>
 
 #include <pthread.h>
+#include <sys/ioctl.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -319,6 +320,80 @@ TEST(Transport, UnterminatedGiantLineRejectedNotBuffered) {
   ASSERT_EQ(H.Mux.stats().Connections.size(), 1u);
   EXPECT_EQ(H.Mux.stats().Connections[0].BadBatches, 1u);
   EXPECT_FALSE(H.Mux.stats().Connections[0].Aborted);
+}
+
+/// A peer that refuses the way the multiplexer does, at a chosen moment:
+/// it reads \p Head bytes, waits until the rest of the client's \p Total
+/// bytes sit unread in its socket, then answers the refusal and closes
+/// with them unread. The client has nothing left to send by then, so it
+/// meets ECONNRESET on the read after the refusal.
+void refuseOnceAllQueued(int ListenFd, size_t Head, size_t Total) {
+  int Fd = ::accept(ListenFd, nullptr, nullptr);
+  ASSERT_GE(Fd, 0);
+  ASSERT_EQ(recvExactly(Fd, Head).size(), Head);
+  int Queued = 0;
+  while (::ioctl(Fd, FIONREAD, &Queued) == 0 &&
+         static_cast<size_t>(Queued) < Total - Head)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_TRUE(
+      sendAll(Fd, batchErrorToJson("batch line exceeds maximum length")));
+  ::close(Fd);
+}
+
+TEST(Transport, ClientExitsCleanlyWhenServerRefusesOverLongLine) {
+  // `tmw_serve --connect` fed an over-long line: the server answers the
+  // refusal and closes with our input unread. Both ways the client can
+  // learn it, EPIPE on a send and ECONNRESET on a read, mean the server
+  // stopped taking input, as a read of 0 does: each run must keep the
+  // refusal, send nothing more and exit 0. Even runs go to a multiplexer
+  // with a line longer than one readable event's reads (16 x 64 KiB), so
+  // it refuses before the newline can arrive, while the client is still
+  // sending (a 64 KiB line arrives whole and is framed as a malformed
+  // batch instead). Odd runs send a 64 KiB line that fits the socket
+  // buffers whole, to a peer that refuses only once all of it is queued.
+  constexpr unsigned Runs = 20;
+  server::MuxOptions Opts;
+  Opts.AcceptLimit = Runs / 2;
+  Opts.MaxLineBytes = 4096;
+  MuxHarness H(2, Opts, "tmw_client_refused.sock");
+
+  std::string Peer = testing::TempDir() + "tmw_client_reset.sock";
+  sockaddr_un Addr{};
+  Addr.sun_family = AF_UNIX;
+  ASSERT_LT(Peer.size(), sizeof(Addr.sun_path));
+  std::memcpy(Addr.sun_path, Peer.c_str(), Peer.size() + 1);
+  ::unlink(Peer.c_str());
+  int ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(ListenFd, 0);
+  ASSERT_EQ(::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
+                   sizeof(Addr)),
+            0);
+  ASSERT_EQ(::listen(ListenFd, 1), 0);
+
+  std::string Batch = requestsToJsonLine(tinyBatch()) + "\n";
+  std::string Long = std::string(2 << 20, 'x') + "\n" + Batch;
+  std::string Short = std::string(64 * 1024, 'x') + "\n" + Batch;
+  for (unsigned Run = 0; Run < Runs; ++Run) {
+    bool ToMux = Run % 2 == 0;
+    std::thread Refuser;
+    if (!ToMux)
+      Refuser = std::thread(refuseOnceAllQueued, ListenFd, size_t(4096),
+                            Short.size());
+    std::istringstream In(ToMux ? Long : Short);
+    std::ostringstream Got;
+    EXPECT_EQ(server::runClient(ToMux ? H.Path : Peer, In, Got), 0)
+        << "run " << Run;
+    EXPECT_EQ(Got.str(),
+              batchErrorToJson("batch line exceeds maximum length"))
+        << "run " << Run;
+    if (Refuser.joinable())
+      Refuser.join();
+  }
+  ::close(ListenFd);
+  ::unlink(Peer.c_str());
+  H.finish();
+  EXPECT_EQ(H.Exit, 0);
+  EXPECT_EQ(H.Server.stats().BadBatches, Runs / 2);
 }
 
 TEST(Transport, ClientInterleavesSendsWithResponseDrain) {
