@@ -10,7 +10,12 @@
 /// one `tmw-query-verdicts-v1` document per batch on stdout, byte-for-byte
 /// identical to a one-shot `litmus_tool --json` run of the same requests
 /// and jobs count. A malformed line answers with an error document and
-/// the server lives on.
+/// the server lives on. One loop serves every transport: the poll
+/// multiplexer (server/Multiplexer.h), with stdin/stdout as its one
+/// connection by default. Each answer is written as soon as it is ready,
+/// in input order; up to 4 batches of a connection run at once. A line
+/// over 64 MiB answers `batch line exceeds maximum length` and ends that
+/// connection's input; a dead stdout ends the session.
 ///
 /// Usage:   ./tmw_serve [options]              # serve stdin -> stdout
 /// Example: ./tmw_serve --print-corpus-batch | ./tmw_serve --jobs 4
@@ -31,8 +36,9 @@
 ///   --accept-limit N      exit after serving N connections (0 = run
 ///                         until killed; bounded CI runs use this).
 ///   --connect <path>      client mode: send stdin's batch lines to the
-///                         server at <path>, print its verdict documents
-///                         to stdout (the CI fan-out client).
+///                         server at <path>, print each verdict document
+///                         to stdout as it arrives (the CI fan-out
+///                         client).
 ///   --store <path>        persistent verdict store shared by every batch
 ///                         of every connection: repeat queries answer at
 ///                         I/O speed across restarts, byte-identical to
@@ -45,7 +51,7 @@
 ///                         one-shot runs).
 ///   --stats               print session counters (batches, cache hits,
 ///                         evictions, resident spec sets — plus
-///                         per-connection traffic under the multiplexer)
+///                         per-connection traffic under --listen)
 ///                         to stderr at exit.
 ///   --print-corpus-batch  emit the built-in corpus as one batch line —
 ///                         the requests `litmus_tool --corpus --json`
@@ -66,10 +72,12 @@
 
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
-#include <iostream>
 #include <memory>
 #include <string>
+
+#include <unistd.h>
 
 using namespace tmw;
 
@@ -215,7 +223,7 @@ int main(int Argc, char **Argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   if (!ConnectPath.empty())
-    return server::runClient(ConnectPath, std::cin, std::cout);
+    return server::runClient(ConnectPath, STDIN_FILENO, STDOUT_FILENO);
 
   // Refuse to start on a store that cannot be opened: a resident server
   // silently running cache-less would defeat the whole warm-start story.
@@ -237,7 +245,7 @@ int main(int Argc, char **Argv) {
   QueryServer Server(SrvOpts);
   int Exit;
   if (ListenPath.empty()) {
-    Exit = server::serveStdio(Server);
+    Exit = server::serveStdio(Server, STDIN_FILENO, STDOUT_FILENO);
   } else {
     server::ConnectionMultiplexer M(Server, Mux);
     Exit = M.serve(ListenPath);

@@ -2,7 +2,6 @@
 
 #include "server/Multiplexer.h"
 
-#include "query/QueryIO.h"
 #include "server/QueryServer.h"
 
 #include <cerrno>
@@ -29,9 +28,8 @@ using namespace tmw::server;
 
 namespace {
 
-int failSys(const char *What, const std::string &Path) {
-  std::fprintf(stderr, "error: %s %s: %s\n", What, Path.c_str(),
-               std::strerror(errno));
+int failSys(const std::string &What) {
+  std::fprintf(stderr, "error: %s: %s\n", What.c_str(), std::strerror(errno));
   return 1;
 }
 
@@ -119,6 +117,7 @@ struct ConnectionMultiplexer::Impl {
   QueryServer &Server;
   const MuxOptions &Opts;
 
+  /// -1 when serving one already-connected socket.
   int ListenFd = -1;
   std::string Path;
   std::shared_ptr<Mailbox> Mail;
@@ -136,7 +135,7 @@ struct ConnectionMultiplexer::Impl {
     return Owner.StopRequested.load(std::memory_order_relaxed);
   }
   bool acceptingDone() const {
-    return stopping() ||
+    return ListenFd < 0 || stopping() ||
            (Opts.AcceptLimit != 0 && Accepted >= Opts.AcceptLimit);
   }
 
@@ -200,37 +199,35 @@ struct ConnectionMultiplexer::Impl {
 
   // --- input -------------------------------------------------------------
 
-  /// One complete NDJSON line: blank → skip, malformed → error document
-  /// (byte-identical to `serveLine`'s), otherwise submit one tagged
-  /// batch on the shared pool.
+  /// One complete NDJSON line: blank → skip, malformed → the server's
+  /// error document, otherwise submit one tagged batch on the shared pool.
   void handleLine(Conn &C, std::string_view Line) {
     if (Line.find_first_not_of(" \t\r") == std::string_view::npos)
       return;
     uint64_t Seq = C.NextSeq++;
     std::vector<CheckRequest> Requests;
-    std::string Error;
-    if (!requestsFromJson(std::string(Line), Requests, &Error)) {
-      Server.recordBadBatch();
+    std::string ErrorDoc;
+    if (!Server.parseBatch(Line, Requests, ErrorDoc)) {
       ++C.Stats.BadBatches;
-      deliver(C, Seq, batchErrorToJson("batch parse error: " + Error));
+      deliver(C, Seq, std::move(ErrorDoc));
       return;
     }
     ++C.Stats.Batches;
     C.Stats.Requests += Requests.size();
     ++Outstanding;
-    bool Telemetry = Server.telemetry();
     std::shared_ptr<Mailbox> MB = Mail;
     uint64_t ConnId = C.Id;
     // The completion runs on a pool worker: serialise there (keeps the
     // loop thread byte-moving only) and post the document home. At most
     // jobs() requests of the batch sit in the pool at once, so rival
-    // connections' batches interleave with it.
+    // connections' batches interleave with it. The server outlives every
+    // batch it runs.
+    QueryServer *Srv = &Server;
     uint64_t BatchId = Server.submitBatch(
         std::move(Requests),
-        [MB, ConnId, Seq, Telemetry](std::vector<CheckResponse> &&Responses,
-                                     BatchTelemetry &&Tele) {
-          MB->post({ConnId, Seq,
-                    responsesToJson(Responses, Telemetry ? &Tele : nullptr)});
+        [MB, ConnId, Seq, Srv](std::vector<CheckResponse> &&Responses,
+                               BatchTelemetry &&Tele) {
+          MB->post({ConnId, Seq, Srv->verdictsDocument(Responses, Tele)});
         },
         Server.jobs());
     // Empty batches (id 0) completed inline — their doc is already in
@@ -241,7 +238,8 @@ struct ConnectionMultiplexer::Impl {
 
   /// Peel complete lines off the input buffer, respecting the two pause
   /// conditions (backpressure high-water, per-connection batch window).
-  /// Leftover bytes wait in InBuf for the next drain/completion.
+  /// Leftover bytes wait in InBuf for the next drain/completion. A line
+  /// longer than MaxLineBytes, complete or not, is refused unparsed.
   void processInput(Conn &C) {
     size_t Pos = 0;
     while (true) {
@@ -255,19 +253,24 @@ struct ConnectionMultiplexer::Impl {
         break;
       }
       size_t Nl = C.InBuf.find('\n', Pos);
-      std::string_view Line;
-      if (Nl != std::string::npos) {
-        Line = std::string_view(C.InBuf).substr(Pos, Nl - Pos);
-        Pos = Nl + 1;
-      } else if (C.ReadClosed && Pos < C.InBuf.size()) {
-        // The trailing-line rule: an unterminated final line still
-        // answers at EOF.
-        Line = std::string_view(C.InBuf).substr(Pos);
-        Pos = C.InBuf.size();
-      } else {
-        break;
+      size_t End = Nl == std::string::npos ? C.InBuf.size() : Nl;
+      if (End - Pos > Opts.MaxLineBytes) {
+        // Answer and stop reading: framing cannot resync inside a line
+        // whose end may never come, and the buffer must stay bounded.
+        ++C.Stats.BadBatches;
+        deliver(C, C.NextSeq++,
+                Server.refuseBatch("batch line exceeds maximum length"));
+        C.InBuf.clear();
+        C.InBuf.shrink_to_fit();
+        C.ReadClosed = true;
+        return;
       }
-      handleLine(C, Line);
+      // An unterminated line waits for its newline, but the
+      // trailing-line rule answers an unterminated final line at EOF.
+      if (Nl == std::string::npos && (!C.ReadClosed || Pos == End))
+        break;
+      handleLine(C, std::string_view(C.InBuf).substr(Pos, End - Pos));
+      Pos = Nl == std::string::npos ? End : Nl + 1;
     }
     C.InBuf.erase(0, Pos);
   }
@@ -294,7 +297,7 @@ struct ConnectionMultiplexer::Impl {
       }
       // Past kLineReserveBytes, reserve the line bound plus one event's
       // reads in one step: the buffer then never doubles past the bound
-      // before the check below refuses the line.
+      // before processInput refuses the line.
       if (C.InBuf.size() + static_cast<size_t>(N) > kLineReserveBytes)
         C.InBuf.reserve(Opts.MaxLineBytes + kRounds * sizeof(Chunk));
       C.InBuf.append(Chunk, static_cast<size_t>(N));
@@ -303,24 +306,6 @@ struct ConnectionMultiplexer::Impl {
         break;
     }
     processInput(C);
-    // Input high-water: if line peeling is not paused yet the buffer
-    // still exceeds the mark, the leftover is one unterminated line a
-    // misbehaving client is streaming with no newline. Answer with an
-    // error document and stop reading — framing cannot resync, and the
-    // buffer must not grow without bound. (When peeling *is* paused the
-    // buffer may legitimately hold complete lines, but then POLLIN is
-    // off and the buffer cannot grow either.)
-    if (!C.ReadClosed && !C.PausedBP &&
-        C.Live.size() < Opts.MaxBatchesInFlight &&
-        C.InBuf.size() > Opts.MaxLineBytes) {
-      Server.recordBadBatch();
-      ++C.Stats.BadBatches;
-      deliver(C, C.NextSeq++,
-              batchErrorToJson("batch line exceeds maximum length"));
-      C.InBuf.clear();
-      C.InBuf.shrink_to_fit();
-      C.ReadClosed = true;
-    }
   }
 
   // --- lifecycle ---------------------------------------------------------
@@ -360,6 +345,20 @@ struct ConnectionMultiplexer::Impl {
       closeConn(C);
   }
 
+  /// Serve the connected socket \p Fd (closed with the connection).
+  bool addConn(int Fd) {
+    if (!setNonBlocking(Fd))
+      return false;
+    uint64_t Id = ++NextConnId;
+    Conn &C = Conns[Id];
+    C.Fd = Fd;
+    C.Id = Id;
+    C.Stats.Id = Id;
+    ++Accepted;
+    ++Owner.Stats.Accepted;
+    return true;
+  }
+
   void onAccept() {
     while (Conns.size() < Opts.MaxClients && !acceptingDone()) {
       int Fd = ::accept(ListenFd, nullptr, nullptr);
@@ -371,17 +370,8 @@ struct ConnectionMultiplexer::Impl {
                        std::strerror(errno));
         break;
       }
-      if (!setNonBlocking(Fd)) {
+      if (!addConn(Fd))
         ::close(Fd);
-        continue;
-      }
-      uint64_t Id = ++NextConnId;
-      Conn &C = Conns[Id];
-      C.Fd = Fd;
-      C.Id = Id;
-      C.Stats.Id = Id;
-      ++Accepted;
-      ++Owner.Stats.Accepted;
     }
   }
 
@@ -404,7 +394,8 @@ struct ConnectionMultiplexer::Impl {
     }
   }
 
-  int run(const std::string &SocketPath) {
+  /// Bind a listening Unix-domain socket at \p SocketPath.
+  int listenOn(const std::string &SocketPath) {
     Path = SocketPath;
     sockaddr_un Addr{};
     Addr.sun_family = AF_UNIX;
@@ -417,17 +408,23 @@ struct ConnectionMultiplexer::Impl {
 
     ListenFd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (ListenFd < 0)
-      return failSys("socket", Path);
+      return failSys("socket " + Path);
     ::unlink(Path.c_str()); // replace a stale socket file
     if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr),
                sizeof(Addr)) < 0 ||
         ::listen(ListenFd, /*backlog=*/64) < 0 ||
         !setNonBlocking(ListenFd)) {
-      int E = failSys("bind/listen", Path);
+      int E = failSys("bind/listen " + Path);
       ::close(ListenFd);
       return E;
     }
+    return 0;
+  }
 
+  /// The event loop: returns once no connection can come any more (the
+  /// accept limit, a stop, or no listen socket) and every connection is
+  /// closed and drained.
+  void loop() {
     Mail = std::make_shared<Mailbox>();
     Mail->WakeWr = Owner.WakePipe[1];
 
@@ -512,9 +509,10 @@ struct ConnectionMultiplexer::Impl {
     // and every post precedes its drain), but retire the wake end under
     // the mailbox lock anyway so a stray post can never hit a dead fd.
     Mail->retireWake();
-    ::close(ListenFd);
-    ::unlink(Path.c_str());
-    return 0;
+    if (ListenFd >= 0) {
+      ::close(ListenFd);
+      ::unlink(Path.c_str());
+    }
   }
 };
 
@@ -537,9 +535,23 @@ ConnectionMultiplexer::~ConnectionMultiplexer() {
 
 int ConnectionMultiplexer::serve(const std::string &Path) {
   if (WakePipe[0] < 0)
-    return failSys("pipe", Path);
+    return failSys("pipe " + Path);
   Impl Loop(*this);
-  return Loop.run(Path);
+  if (int E = Loop.listenOn(Path))
+    return E;
+  Loop.loop();
+  return 0;
+}
+
+int ConnectionMultiplexer::serve(int Fd) {
+  Impl Loop(*this);
+  if (WakePipe[0] < 0 || !Loop.addConn(Fd)) {
+    int E = failSys("serve connection");
+    ::close(Fd);
+    return E;
+  }
+  Loop.loop();
+  return 0;
 }
 
 void ConnectionMultiplexer::requestStop() {

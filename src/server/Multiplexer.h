@@ -1,12 +1,14 @@
 //===- Multiplexer.h - Poll-based concurrent connection multiplexer -*- C++ -*-==//
 ///
 /// \file
-/// The concurrent transport of the query server: one `poll()` event loop
+/// The one server loop of the query server: one `poll()` event loop
 /// multiplexing N Unix-socket connections over the one resident worker
 /// pool and shared `SessionCache` (server/QueryServer.h's concurrent
 /// `submitBatch` API) — so one `tmw_serve` process can feed many CI lanes
 /// at once, the deployment shape the herd7 lineage assumes for large
-/// litmus campaigns.
+/// litmus campaigns. `serve(Path)` listens for connections;
+/// `serve(Fd)` serves one already-connected socket, which is how
+/// `tmw_serve` serves stdin/stdout (server/Transport.h).
 ///
 /// Design (the classic nonblocking accept loop + per-connection state
 /// machine):
@@ -16,7 +18,8 @@
 ///    coalesced into one read) and is only acted on once its '\n'
 ///    arrives — plus the trailing-line rule: an unterminated final line
 ///    still answers at EOF. Blank lines are skipped, malformed lines
-///    answer with the same error document `serveLine` produces.
+///    answer with `QueryServer::parseBatch`'s error document, the one
+///    `serveLine` returns.
 ///
 ///  * **Concurrency without intermixing.** Each complete line becomes one
 ///    tagged batch on the shared pool; requests of rival connections
@@ -34,11 +37,11 @@
 ///    the socket drains. A slow reader whose pending output exceeds
 ///    `OutputHighWater` stops being *read* (and stops being parsed —
 ///    buffered input waits too) until its writes drain below half the
-///    mark; other connections are unaffected. Input is bounded too: an
-///    unterminated line longer than `MaxLineBytes` answers with an
-///    error document and tears the connection down (framing cannot
-///    resync), so a newline-free firehose cannot grow the input buffer
-///    without bound.
+///    mark; other connections are unaffected. Input is bounded too: a
+///    line longer than `MaxLineBytes`, complete or not, is never parsed;
+///    it answers with an error document and ends the connection's input
+///    (framing cannot resync), so a newline-free firehose cannot grow
+///    the input buffer without bound.
 ///
 ///  * **Disconnects.** A vanished client's in-flight batches are
 ///    cancelled (remaining requests skipped) and its pending output
@@ -68,6 +71,18 @@
 namespace tmw {
 namespace server {
 
+/// The longest batch line the multiplexer buffers. Past it, it answers
+/// `batch line exceeds maximum length` and stops reading the connection
+/// (framing cannot resync), so a newline-free stream cannot grow the
+/// server without bound. Far above any real corpus batch.
+inline constexpr size_t kMaxBatchLineBytes = 64u << 20;
+
+/// Once a connection's buffered input outgrows this, its buffer reserves
+/// the whole line bound in one step: growing it by doubling would copy
+/// about half the bound into a block twice its size, so a refused line
+/// would peak near twice the bound.
+inline constexpr size_t kLineReserveBytes = 1u << 20;
+
 /// Multiplexer tuning knobs.
 struct MuxOptions {
   /// Concurrent connections served at once; the listen socket stops
@@ -82,12 +97,9 @@ struct MuxOptions {
   /// Max batches of one connection in flight on the pool at once;
   /// further complete lines wait in the input buffer.
   unsigned MaxBatchesInFlight = 4;
-  /// Input high-water mark: the longest unterminated line buffered for
-  /// one connection. A client streaming bytes with no newline past this
-  /// is answered with an error document and its read side torn down
-  /// (framing cannot resync) instead of growing the input buffer without
-  /// bound. Complete lines up to this length are served normally; the
-  /// default is the stdio loop's bound.
+  /// The longest line served. A longer one, complete or not, is
+  /// answered with an error document and the connection's input ends
+  /// there (framing cannot resync), so the input buffer stays bounded.
   size_t MaxLineBytes = kMaxBatchLineBytes;
 };
 
@@ -113,8 +125,9 @@ struct MuxStats {
 };
 
 /// The poll loop. Construct over a resident server, then `serve` (blocks
-/// on the calling thread until AcceptLimit is reached and drained, or
-/// `requestStop` is called from another thread).
+/// on the calling thread until AcceptLimit is reached and drained, the
+/// one connection of `serve(Fd)` is closed and drained, or `requestStop`
+/// is called from another thread).
 class ConnectionMultiplexer {
 public:
   ConnectionMultiplexer(QueryServer &S, MuxOptions Opts = {});
@@ -129,6 +142,12 @@ public:
   /// before returning — even on `requestStop` with clients still
   /// connected (their batches are cancelled, their connections closed).
   int serve(const std::string &Path);
+
+  /// Serve the one connected stream socket \p Fd (made nonblocking,
+  /// closed with the connection) with no listen socket, as `serve(Path)`
+  /// serves each connection; returns once it is closed and drained.
+  /// Call at most once per multiplexer, and not beside `serve(Path)`.
+  int serve(int Fd);
 
   /// Thread-safe: wake the loop, stop accepting, cancel every in-flight
   /// batch, close all connections, drain, and make `serve` return.

@@ -7,36 +7,8 @@
 
 #include <atomic>
 #include <condition_variable>
-#include <istream>
-#include <ostream>
 
 using namespace tmw;
-
-namespace {
-
-enum class LineRead { Line, Eof, TooLong };
-
-/// Read one '\n'-terminated line of \p In into \p Line (terminator
-/// dropped; an unterminated last line still counts), refusing to buffer
-/// more than `kMaxBatchLineBytes` of it.
-LineRead readLine(std::istream &In, std::string &Line) {
-  Line.clear();
-  std::streambuf &Buf = *In.rdbuf();
-  for (;;) {
-    int C = Buf.sbumpc();
-    if (C == std::char_traits<char>::eof())
-      return Line.empty() ? LineRead::Eof : LineRead::Line;
-    if (C == '\n')
-      return LineRead::Line;
-    if (Line.size() == kMaxBatchLineBytes)
-      return LineRead::TooLong;
-    if (Line.size() == kLineReserveBytes)
-      Line.reserve(kMaxBatchLineBytes);
-    Line.push_back(static_cast<char>(C));
-  }
-}
-
-} // namespace
 
 /// One concurrently-scheduled batch over the resident pool. Owned by
 /// `QueryServer::Active` while in flight; the worker that retires the
@@ -84,8 +56,7 @@ QueryServer::QueryServer(ServerOptions Opts)
   (void)sharedCorpus();
   // Workers are born once and live until destruction, parked on the
   // empty pool between batches. Even Jobs == 1 gets a worker thread: the
-  // transport threads (stdio loop, poll multiplexer) must never block on
-  // evaluation themselves.
+  // multiplexer's loop thread must never block on evaluation itself.
   Threads.reserve(this->Opts.Jobs);
   for (unsigned W = 0; W < this->Opts.Jobs; ++W)
     Threads.emplace_back(&QueryServer::workerMain, this, W);
@@ -181,11 +152,6 @@ void QueryServer::cancelBatch(uint64_t BatchId) {
   ++S.CancelledBatches;
 }
 
-void QueryServer::recordBadBatch() {
-  std::lock_guard<std::mutex> Lock(Mu);
-  ++S.BadBatches;
-}
-
 std::vector<CheckResponse>
 QueryServer::runBatch(std::span<const CheckRequest> Requests,
                       BatchTelemetry *Telemetry) {
@@ -221,46 +187,40 @@ QueryServer::runBatch(std::span<const CheckRequest> Requests,
   return Out;
 }
 
-std::string QueryServer::serveLine(std::string_view Line) {
-  std::vector<CheckRequest> Requests;
+bool QueryServer::parseBatch(std::string_view Line,
+                             std::vector<CheckRequest> &Requests,
+                             std::string &ErrorDoc) {
   std::string Error;
-  if (!requestsFromJson(std::string(Line), Requests, &Error)) {
-    // Hardening contract: a malformed batch answers with an error
-    // document; the session (caches, pool, later batches) lives on.
-    recordBadBatch();
-    return batchErrorToJson("batch parse error: " + Error);
-  }
-  BatchTelemetry T;
-  std::vector<CheckResponse> Responses = runBatch(Requests, &T);
-  return responsesToJson(Responses, Opts.Telemetry ? &T : nullptr);
+  if (requestsFromJson(std::string(Line), Requests, &Error))
+    return true;
+  // Hardening contract: a malformed batch answers with an error
+  // document; the session (caches, pool, later batches) lives on.
+  ErrorDoc = refuseBatch("batch parse error: " + Error);
+  return false;
 }
 
-void QueryServer::serveStream(std::istream &In, std::ostream &Out) {
-  std::string Line;
-  for (;;) {
-    LineRead R = readLine(In, Line);
-    if (R == LineRead::Eof)
-      return;
-    if (R == LineRead::TooLong) {
-      // Like the multiplexer: answer, then stop reading, since framing
-      // cannot resync inside a line whose end was never seen.
-      recordBadBatch();
-      Out << batchErrorToJson("batch line exceeds maximum length");
-      Out.flush();
-      return;
-    }
-    // Skip blank keep-alive lines rather than answering them with a
-    // parse-error document.
-    if (Line.find_first_not_of(" \t\r") == std::string::npos)
-      continue;
-    Out << serveLine(Line);
-    Out.flush();
-    // A dead sink (client closed its read end) ends the session: keep
-    // evaluating corpus-scale batches nobody receives and the server
-    // burns CPU until stdin EOF.
-    if (!Out)
-      break;
+std::string QueryServer::refuseBatch(const std::string &Reason) {
+  {
+    std::lock_guard<std::mutex> Lock(Mu);
+    ++S.BadBatches;
   }
+  return batchErrorToJson(Reason);
+}
+
+std::string
+QueryServer::verdictsDocument(std::span<const CheckResponse> Responses,
+                              const BatchTelemetry &Telemetry) const {
+  return responsesToJson(Responses, Opts.Telemetry ? &Telemetry : nullptr);
+}
+
+std::string QueryServer::serveLine(std::string_view Line) {
+  std::vector<CheckRequest> Requests;
+  std::string Doc;
+  if (!parseBatch(Line, Requests, Doc))
+    return Doc;
+  BatchTelemetry T;
+  std::vector<CheckResponse> Responses = runBatch(Requests, &T);
+  return verdictsDocument(Responses, T);
 }
 
 ServerStats QueryServer::stats() const {

@@ -19,15 +19,16 @@
 ///    `ExecutionAnalysis` arena per worker.
 ///
 /// Two entry layers share that pool:
-///  * the *blocking* API (`runBatch`/`serveLine`/`serveStream`) — one
-///    batch submitted and awaited per call, the stdio transport's shape;
+///  * the *blocking* API (`runBatch`/`serveLine`) — one batch submitted
+///    and awaited per call, for in-process callers (tests, benches);
 ///  * the *concurrent* API (`submitBatch`/`cancelBatch`) — many batches
 ///    in flight at once, each tagged with an owner-chosen id; tasks of
 ///    rival batches interleave freely on the pool, but every response
 ///    belongs to exactly one batch and batches complete independently.
 ///    This is what the poll-based connection multiplexer
-///    (server/Multiplexer.h) drives: one batch stream per client, all
-///    multiplexed over this one pool and cache.
+///    (server/Multiplexer.h), the one server loop, drives: one batch
+///    stream per connection, all multiplexed over this one pool and
+///    cache.
 ///
 /// Wire form: each batch is one `tmw-query-batch-v1` document on a single
 /// line (NDJSON framing; `requestsToJsonLine` emits it); each answer is
@@ -39,10 +40,11 @@
 /// malformed batch line yields an error document (`batchErrorToJson`),
 /// never process death.
 ///
-/// Transports (the stdin/stdout loop, the poll multiplexer over a
-/// Unix-domain socket) live in server/Transport.h and
-/// server/Multiplexer.h; this class is transport-free and driven
-/// in-process by the tests.
+/// `serveLine` and the multiplexer take a batch line's parse-error
+/// document and a batch's verdicts document from `parseBatch` and
+/// `verdictsDocument`, so the two cannot drift apart. Framing, the line bound and every transport live
+/// in server/Multiplexer.h and server/Transport.h; this class is
+/// transport-free and driven in-process by the tests.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,25 +55,12 @@
 #include "query/SessionCache.h"
 #include "store/VerdictStore.h"
 
-#include <iosfwd>
 #include <memory>
 #include <string_view>
 #include <thread>
 #include <unordered_map>
 
 namespace tmw {
-
-/// The longest batch line either transport buffers. Past it the stdio
-/// loop and the multiplexer answer `batch line exceeds maximum length`
-/// and stop reading (framing cannot resync), so a newline-free stream
-/// cannot grow the server without bound. Far above any real corpus batch.
-inline constexpr size_t kMaxBatchLineBytes = 64u << 20;
-
-/// Once a buffered line outgrows this, both transports reserve its whole
-/// bound in one step: growing it by doubling would copy about half the
-/// bound into a block twice its size, so a refused line would peak near
-/// twice the bound.
-inline constexpr size_t kLineReserveBytes = 1u << 20;
 
 /// Server configuration.
 struct ServerOptions {
@@ -122,7 +111,7 @@ struct ServerTask {
 ///
 /// Thread-safety: `serveLine`/`runBatch`/`submitBatch`/`cancelBatch` are
 /// safe to call from any thread, concurrently — the pool interleaves all
-/// in-flight batches. `serveStream` is a convenience loop for one caller.
+/// in-flight batches.
 class QueryServer {
 public:
   explicit QueryServer(ServerOptions Opts = {});
@@ -142,12 +131,6 @@ public:
   /// document, a bare array, or a single request), evaluate, serialise.
   /// Malformed input returns an error document instead of throwing.
   std::string serveLine(std::string_view Line);
-
-  /// The NDJSON loop: one batch per input line (blank lines skipped), one
-  /// verdicts document written — and flushed — per batch. Returns at EOF,
-  /// or after answering a line longer than `kMaxBatchLineBytes` with an
-  /// error document.
-  void serveStream(std::istream &In, std::ostream &Out);
 
   /// Completion callback of a concurrently submitted batch: the
   /// responses (request order) and the batch telemetry. Runs on a pool
@@ -173,15 +156,22 @@ public:
   /// stays exact. Unknown/already-completed ids are ignored.
   void cancelBatch(uint64_t BatchId);
 
-  /// Count one malformed batch line answered with an error document
-  /// (transports that parse lines themselves report through this, so
-  /// `stats()` agrees with `serveLine`'s own accounting).
-  void recordBadBatch();
+  /// Parse one batch line (`requestsFromJson`). A malformed line returns
+  /// false with \p ErrorDoc set to its error document.
+  bool parseBatch(std::string_view Line, std::vector<CheckRequest> &Requests,
+                  std::string &ErrorDoc);
+
+  /// The error document answering a batch line that is not evaluated
+  /// (malformed, or over a transport's line bound), counted in `stats()`.
+  std::string refuseBatch(const std::string &Reason);
+
+  /// The verdicts document of a completed batch, with the telemetry
+  /// appendix when the server was configured for it.
+  std::string verdictsDocument(std::span<const CheckResponse> Responses,
+                               const BatchTelemetry &Telemetry) const;
 
   ServerStats stats() const;
-  SessionCache &cache() { return Cache; }
   unsigned jobs() const { return Opts.Jobs; }
-  bool telemetry() const { return Opts.Telemetry; }
 
 private:
   void workerMain(unsigned Worker);

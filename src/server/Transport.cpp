@@ -2,17 +2,15 @@
 
 #include "server/Transport.h"
 
-#include "server/QueryServer.h"
+#include "server/Multiplexer.h"
 
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <iostream>
 #include <string>
 #include <thread>
 
-#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
@@ -26,28 +24,126 @@
 
 using namespace tmw;
 
-int server::serveStdio(QueryServer &S) {
-  S.serveStream(std::cin, std::cout);
-  return 0;
-}
-
 namespace {
 
-int failSys(const char *What, const std::string &Path) {
-  std::fprintf(stderr, "error: %s %s: %s\n", What, Path.c_str(),
-               std::strerror(errno));
+int failSys(const std::string &What) {
+  std::fprintf(stderr, "error: %s: %s\n", What.c_str(), std::strerror(errno));
   return 1;
 }
 
-bool setNonBlocking(int Fd) {
-  int Flags = ::fcntl(Fd, F_GETFL, 0);
-  return Flags >= 0 && ::fcntl(Fd, F_SETFL, Flags | O_NONBLOCK) == 0;
+/// Move bytes between the connected stream socket \p Sock and two fds
+/// until the connection is done (see the file comment). \p Peer names
+/// the other end in diagnostics.
+int pump(int Sock, int InFd, int OutFd, const std::string &Peer) {
+  // Answers go out as they arrive, never after all input is sent: the
+  // server stops reading a connection whose answers back up
+  // (OutputHighWater), so a pump sitting on them while it still has
+  // input to push would deadlock both sides once the socket buffers fill.
+  constexpr size_t kMaxPendingInput = 1u << 20;
+  std::string Pending;
+  bool InEof = false, SentEof = false;
+  char Chunk[65536];
+  for (;;) {
+    // Half-close once the last input byte is on the wire, so the server
+    // sees EOF and finishes.
+    if (InEof && Pending.empty() && !SentEof) {
+      ::shutdown(Sock, SHUT_WR);
+      SentEof = true;
+    }
+    // The output is polled for errors only: its reader going away ends
+    // the session, which cancels the batches in flight.
+    pollfd P[3] = {{Sock, POLLIN, 0}, {OutFd, 0, 0}, {InFd, POLLIN, 0}};
+    if (!Pending.empty())
+      P[0].events |= POLLOUT;
+    bool ReadIn = !InEof && Pending.size() < kMaxPendingInput;
+    if (::poll(P, ReadIn ? 3 : 2, -1) < 0) {
+      if (errno == EINTR)
+        continue;
+      return failSys("poll " + Peer);
+    }
+    if (P[1].revents & (POLLERR | POLLHUP | POLLNVAL))
+      return 0;
+
+    if (ReadIn && P[2].revents) {
+      // A read error ends the input as EOF does.
+      ssize_t N = ::read(InFd, Chunk, sizeof(Chunk));
+      if (N > 0)
+        Pending.append(Chunk, static_cast<size_t>(N));
+      else if (N == 0 || (errno != EINTR && errno != EAGAIN))
+        InEof = true;
+    }
+    if (P[0].revents & POLLOUT) {
+      ssize_t N = ::send(Sock, Pending.data(), Pending.size(),
+                         MSG_NOSIGNAL | MSG_DONTWAIT);
+      if (N >= 0) {
+        Pending.erase(0, static_cast<size_t>(N));
+      } else if (errno == EPIPE || errno == ECONNRESET) {
+        // The server stopped taking our input (it refused an over-long
+        // line, say): send nothing more, but read on — its answers, the
+        // refusal included, may still be queued.
+        Pending.clear();
+        InEof = SentEof = true;
+      } else if (errno != EINTR && errno != EAGAIN && errno != EWOULDBLOCK) {
+        return failSys("send " + Peer);
+      }
+    }
+    if (P[0].revents & (POLLIN | POLLERR | POLLHUP)) {
+      ssize_t N = ::read(Sock, Chunk, sizeof(Chunk));
+      if (N < 0) {
+        if (errno == EINTR)
+          continue;
+        // A reset comes only after every byte the server sent was read:
+        // it closed with our input unread, as it does on a refusal.
+        if (errno == ECONNRESET)
+          return 0;
+        return failSys("read " + Peer);
+      }
+      // EOF: the server finished (or rejected the rest of our input).
+      if (N == 0)
+        return 0;
+      for (ssize_t Off = 0; Off < N;) {
+        ssize_t W = ::write(OutFd, Chunk + Off, static_cast<size_t>(N - Off));
+        if (W < 0 && errno == EINTR)
+          continue;
+        if (W <= 0)
+          return 0; // a dead output ends the session
+        Off += W;
+      }
+    }
+  }
 }
 
 } // namespace
 
-int server::runClient(const std::string &Path, std::istream &In,
-                      std::ostream &Out) {
+int server::serveStdio(QueryServer &S, int InFd, int OutFd) {
+  // The multiplexer serves a socket, never the two fds themselves: its
+  // POLLHUP and O_NONBLOCK handling are socket rules.
+  int Sv[2];
+  if (::socketpair(AF_UNIX, SOCK_STREAM, 0, Sv) != 0)
+    return failSys("socketpair");
+  ConnectionMultiplexer Mux(S);
+  int MuxExit = 0;
+  std::thread Loop([&] { MuxExit = Mux.serve(Sv[0]); });
+  // Closing our end ends the connection, so the loop returns, on every
+  // way out of the pump; after a dead output, that is what cancels the
+  // batches still in flight.
+  struct Hangup {
+    int Fd;
+    std::thread &Loop;
+    ~Hangup() {
+      ::close(Fd);
+      Loop.join();
+    }
+  };
+  int Exit;
+  {
+    Hangup H{Sv[1], Loop};
+    Exit = pump(Sv[1], InFd, OutFd, "stdio");
+  }
+  return Exit != 0 ? Exit : MuxExit;
+}
+
+int server::runClient(const std::string &Path, int InFd, int OutFd) {
   sockaddr_un Addr{};
   Addr.sun_family = AF_UNIX;
   if (Path.size() >= sizeof(Addr.sun_path)) {
@@ -63,7 +159,7 @@ int server::runClient(const std::string &Path, std::istream &In,
   for (int Try = 0; Try < 200; ++Try) {
     Fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
     if (Fd < 0)
-      return failSys("socket", Path);
+      return failSys("socket " + Path);
     int Rc;
     do {
       Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
@@ -73,7 +169,7 @@ int server::runClient(const std::string &Path, std::istream &In,
     ::close(Fd);
     Fd = -1;
     if (errno != ENOENT && errno != ECONNREFUSED)
-      return failSys("connect", Path);
+      return failSys("connect " + Path);
     std::this_thread::sleep_for(std::chrono::milliseconds(25));
   }
   if (Fd < 0) {
@@ -81,92 +177,7 @@ int server::runClient(const std::string &Path, std::istream &In,
                  Path.c_str());
     return 1;
   }
-
-  // Send every input line as one batch and stream the verdict documents
-  // back until the server is done with us — *interleaved*, never
-  // write-everything-then-read. The server bounds a connection's pending
-  // output (the multiplexer's OutputHighWater) and stops reading until
-  // the client drains, so a client that sits on its responses while it
-  // still has input to push deadlocks both sides once the kernel socket
-  // buffers fill: the classic pipe deadlock. Polling both directions and
-  // draining responses while sending makes progress at any input size.
-  if (!setNonBlocking(Fd)) {
-    ::close(Fd);
-    return failSys("fcntl", Path);
-  }
-  std::string Pending; // input lines queued for the wire
-  std::string Line;
-  bool InEof = false, SentEof = false;
-  char Chunk[65536];
-  for (;;) {
-    // Keep a bounded slice of the input queued; half-close once the
-    // last byte is on the wire so the server sees EOF and finishes.
-    while (!InEof && Pending.size() < (1u << 20)) {
-      if (!std::getline(In, Line)) {
-        InEof = true;
-        break;
-      }
-      Pending += Line;
-      Pending += '\n';
-    }
-    if (InEof && Pending.empty() && !SentEof) {
-      ::shutdown(Fd, SHUT_WR);
-      SentEof = true;
-    }
-
-    pollfd P{Fd, POLLIN, 0};
-    if (!Pending.empty())
-      P.events |= POLLOUT;
-    if (::poll(&P, 1, -1) < 0) {
-      if (errno == EINTR)
-        continue;
-      ::close(Fd);
-      return failSys("poll", Path);
-    }
-
-    if (P.revents & POLLOUT) {
-      size_t Off = 0;
-      while (Off < Pending.size()) {
-        ssize_t N = ::send(Fd, Pending.data() + Off, Pending.size() - Off,
-                           MSG_NOSIGNAL);
-        if (N < 0) {
-          if (errno == EINTR)
-            continue;
-          if (errno == EAGAIN || errno == EWOULDBLOCK)
-            break;
-          if (errno == EPIPE || errno == ECONNRESET) {
-            // The server stopped taking our input (it refused an
-            // over-long line, say): send nothing more, but read on —
-            // its answers, the refusal included, may still be queued.
-            Off = Pending.size();
-            InEof = SentEof = true;
-            break;
-          }
-          ::close(Fd);
-          return failSys("send", Path);
-        }
-        Off += static_cast<size_t>(N);
-      }
-      Pending.erase(0, Off);
-    }
-    if (P.revents & (POLLIN | POLLERR | POLLHUP)) {
-      ssize_t N = ::read(Fd, Chunk, sizeof(Chunk));
-      if (N < 0) {
-        if (errno == EINTR || errno == EAGAIN || errno == EWOULDBLOCK)
-          continue;
-        // A reset comes only after every byte the server sent was read:
-        // it closed with our input unread, as it does on a refusal.
-        if (errno == ECONNRESET)
-          break;
-        ::close(Fd);
-        return failSys("read", Path);
-      }
-      if (N == 0)
-        break; // server finished (or rejected the rest of our input)
-      Out.write(Chunk, static_cast<std::streamsize>(N));
-    }
-  }
-  Out.flush();
+  int Exit = pump(Fd, InFd, OutFd, Path);
   ::close(Fd);
-  return 0;
+  return Exit;
 }

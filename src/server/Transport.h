@@ -1,24 +1,24 @@
 //===- Transport.h - Server transports (stdio, socket client) ---*- C++ -*-==//
 ///
 /// \file
-/// The byte-moving side of the query server outside the multiplexer: the
-/// NDJSON stdin/stdout loop (the default, pipeline-friendly:
-/// `printf '%s\n' <batch> | tmw_serve`) and the client for the Unix-domain
-/// socket that the poll multiplexer (server/Multiplexer.h) serves for
-/// callers that keep a connection open across many batches. Both speak
-/// the same frame: one `tmw-query-batch-v1` document per line in, one
-/// `tmw-query-verdicts-v1` document out per batch.
+/// The byte pump around the one server loop (server/Multiplexer.h). By
+/// default `tmw_serve` serves stdin/stdout as one multiplexer connection
+/// (`printf '%s\n' <batch> | tmw_serve`); its client (`--connect`) talks
+/// to the Unix socket the multiplexer listens on. Both speak one frame:
+/// a `tmw-query-batch-v1` document per line in, a `tmw-query-verdicts-v1`
+/// document per batch out.
 ///
-/// The client's connect/read/write/poll calls are EINTR-safe: a signal
-/// delivered to its thread restarts the call instead of dropping the
-/// connection.
+/// Both move bytes with one pump, which polls its input beside the socket
+/// and holds at most about 1 MiB of input: each answer is written as it
+/// arrives, and a newline-free input cannot grow the process. A dead
+/// output ends the session, which cancels the batches in flight. Callers
+/// ignore SIGPIPE, as `tmw_serve` does. Every call restarts on EINTR.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef TMW_SERVER_TRANSPORT_H
 #define TMW_SERVER_TRANSPORT_H
 
-#include <iosfwd>
 #include <string>
 
 namespace tmw {
@@ -27,19 +27,16 @@ class QueryServer;
 
 namespace server {
 
-/// Serve newline-delimited batches from stdin to stdout until EOF.
-/// Returns 0.
-int serveStdio(QueryServer &S);
+/// Serve the batch lines of \p InFd to \p OutFd as one multiplexer
+/// connection over a socket pair. Returns 0 once the input is answered
+/// or refused or the output is dead, 1 on socket errors.
+int serveStdio(QueryServer &S, int InFd, int OutFd);
 
-/// The client side (`tmw_serve --connect`): connect to the Unix socket
-/// at \p Path, send every line of \p In as a batch — interleaved with
-/// draining the returned verdict documents to \p Out, so an input of
-/// any size cannot pipe-deadlock against the server's write-side
-/// backpressure — half-close once the input is on the wire, then
-/// stream the remaining documents until EOF. Retries the connect
-/// briefly while a freshly-started server binds. Returns 0 on success,
-/// 1 on socket errors (one diagnostic line on stderr).
-int runClient(const std::string &Path, std::istream &In, std::ostream &Out);
+/// The client (`tmw_serve --connect`): pump \p InFd to the server at the
+/// Unix socket \p Path and its answers to \p OutFd, retrying the connect
+/// briefly while a freshly started server binds. Returns 0, or 1 on
+/// socket errors (one diagnostic line on stderr).
+int runClient(const std::string &Path, int InFd, int OutFd);
 
 } // namespace server
 } // namespace tmw

@@ -5,8 +5,8 @@
 /// re-resolutions, malformed batches answered without process death,
 /// byte-determinism of served documents against one-shot engine runs
 /// (across jobs counts and across batches on one session), pool reuse
-/// over many batches, and sessions over a one-connection multiplexer
-/// socket.
+/// over many batches, and sessions over a one-connection multiplexer:
+/// on a Unix socket, and on stdin/stdout-style fds through `serveStdio`.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,12 +19,15 @@
 #include "query/SessionCache.h"
 #include "server/Multiplexer.h"
 #include "server/QueryServer.h"
+#include "server/Transport.h"
 
 #include <gtest/gtest.h>
 
+#include <cerrno>
 #include <chrono>
+#include <csignal>
+#include <cstdio>
 #include <cstring>
-#include <sstream>
 #include <thread>
 
 #include <sys/socket.h>
@@ -66,6 +69,43 @@ std::vector<CheckRequest> sampleBatch() {
 std::string oneShot(const std::vector<CheckRequest> &Requests,
                     unsigned Jobs = 1) {
   return responsesToJson(QueryEngine({Jobs}).runAll(Requests));
+}
+
+/// Serve \p Pieces, in order, through `serveStdio`: a writer thread feeds
+/// them into a pipe as its input, and a temp file takes its output, which
+/// is returned. Pieces may repeat one buffer, so a test can stream a line
+/// past the line bound without holding it.
+std::string serveStdioFed(QueryServer &S,
+                          const std::vector<std::string_view> &Pieces) {
+  std::signal(SIGPIPE, SIG_IGN); // as tmw_serve does
+  int In[2] = {-1, -1};
+  EXPECT_EQ(::pipe(In), 0);
+  std::FILE *Out = std::tmpfile();
+  EXPECT_NE(Out, nullptr);
+  std::thread Writer([&] {
+    for (std::string_view P : Pieces)
+      while (!P.empty()) {
+        ssize_t N = ::write(In[1], P.data(), P.size());
+        if (N < 0 && errno == EINTR)
+          continue;
+        if (N < 0) { // the server stopped reading, as it may
+          ::close(In[1]);
+          return;
+        }
+        P.remove_prefix(static_cast<size_t>(N));
+      }
+    ::close(In[1]);
+  });
+  EXPECT_EQ(server::serveStdio(S, In[0], ::fileno(Out)), 0);
+  ::close(In[0]); // a writer the server stopped reading gets EPIPE
+  Writer.join();
+  std::rewind(Out);
+  std::string Got;
+  char Buf[65536];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), Out)) > 0;)
+    Got.append(Buf, N);
+  std::fclose(Out);
+  return Got;
 }
 
 TEST(QueryServer, MatchesOneShotBytesAcrossJobsAndBatches) {
@@ -129,61 +169,35 @@ TEST(QueryServer, MalformedBatchAnswersWithoutDying) {
   EXPECT_EQ(S.serveLine(Good), Reference);
   EXPECT_EQ(S.stats().BadBatches, 1u);
 
-  // Same through the stream loop: good, bad, blank, good — the bad
-  // line's document carries exactly the parser's diagnostic.
+  // Same on stdin/stdout: good, bad, blank, good — the bad line's
+  // document carries exactly the parser's diagnostic.
   std::vector<CheckRequest> Sink;
   std::string ParseError;
   ASSERT_FALSE(requestsFromJson("not json", Sink, &ParseError));
-  std::istringstream In(Good + "\nnot json\n   \n" + Good + "\n");
-  std::ostringstream Out;
-  S.serveStream(In, Out);
+  std::string Input = Good + "\nnot json\n   \n" + Good + "\n";
   std::string Expect = Reference +
                        batchErrorToJson("batch parse error: " + ParseError) +
                        Reference;
-  EXPECT_EQ(Out.str(), Expect);
+  EXPECT_EQ(serveStdioFed(S, {Input}), Expect);
+  EXPECT_EQ(S.stats().BadBatches, 2u);
 }
 
-/// Serves a list of byte ranges in order without copying them, so a test
-/// can stream a line past the transport bound from one small chunk.
-class PiecesBuf : public std::streambuf {
-public:
-  void add(std::string_view Piece) { Pieces.push_back(Piece); }
-
-protected:
-  int_type underflow() override {
-    if (Next == Pieces.size())
-      return traits_type::eof();
-    std::string_view P = Pieces[Next++];
-    char *B = const_cast<char *>(P.data());
-    setg(B, B, B + P.size());
-    return traits_type::to_int_type(*B);
-  }
-
-private:
-  std::vector<std::string_view> Pieces;
-  size_t Next = 0;
-};
-
 TEST(QueryServer, StdioLineOverMaximumAnswersAndStops) {
-  // Like the multiplexer, the stream loop buffers at most
-  // kMaxBatchLineBytes of one line: past that it answers one error
-  // document and stops reading, since framing cannot resync. The line
-  // before, padded past kLineReserveBytes, is served; the one after is
-  // never read.
+  // Stdin/stdout is one multiplexer connection at the default bound: a
+  // line past server::kMaxBatchLineBytes answers one error document and
+  // ends the input, since framing cannot resync. The line before, padded
+  // past server::kLineReserveBytes, is served; the one after is never
+  // read.
   QueryServer S({1});
   std::string Good = requestsToJsonLine(sampleBatch()) +
-                     std::string(kLineReserveBytes, ' ') + "\n";
+                     std::string(server::kLineReserveBytes, ' ') + "\n";
   std::string Filler(1 << 16, 'x');
-  PiecesBuf Buf;
-  Buf.add(Good);
-  for (size_t N = 0; N <= kMaxBatchLineBytes; N += Filler.size())
-    Buf.add(Filler);
-  Buf.add("\n");
-  Buf.add(Good);
-  std::istream In(&Buf);
-  std::ostringstream Out;
-  S.serveStream(In, Out);
-  EXPECT_EQ(Out.str(),
+  std::vector<std::string_view> Pieces = {Good};
+  for (size_t N = 0; N <= server::kMaxBatchLineBytes; N += Filler.size())
+    Pieces.push_back(Filler);
+  Pieces.push_back("\n");
+  Pieces.push_back(Good);
+  EXPECT_EQ(serveStdioFed(S, Pieces),
             oneShot(sampleBatch()) +
                 batchErrorToJson("batch line exceeds maximum length"));
   EXPECT_EQ(S.stats().Batches, 1u);
@@ -403,7 +417,7 @@ TEST(QueryServer, UnixSocketRoundTrip) {
   QueryServer S({2});
   std::string Line = requestsToJsonLine(sampleBatch());
   std::string Reference = oneShot(sampleBatch());
-  std::string Padded = Line + std::string(kLineReserveBytes, ' ');
+  std::string Padded = Line + std::string(server::kLineReserveBytes, ' ');
   EXPECT_EQ(socketRoundTrip(S, Line + "\n" + Padded + "\n",
                             "tmw_server_test.sock"),
             Reference + Reference);

@@ -8,7 +8,10 @@
 /// (server/Multiplexer.h): N client threads over one server with no
 /// intermixed verdict streams, slow readers held by backpressure without
 /// disturbing rivals, mid-batch disconnects cancelled cleanly, and
-/// shutdown with clients still connected. The EINTR test pins that the
+/// shutdown with clients still connected. The fd transports around it
+/// (server/Transport.h): `serveStdio` and the `runClient` client answer
+/// each line before the next is written, and a dead output cancels the
+/// batches in flight. The EINTR test pins that the
 /// loop restarts on signal delivery — idle in poll and mid-frame —
 /// instead of dropping a connection; the handler is installed via
 /// sigaction with no SA_RESTART, so the syscalls genuinely return EINTR.
@@ -18,6 +21,7 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "litmus/Library.h"
 #include "query/QueryEngine.h"
 #include "query/QueryIO.h"
 #include "server/Multiplexer.h"
@@ -27,14 +31,17 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
 #include <cstring>
-#include <sstream>
+#include <future>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <poll.h>
 #include <pthread.h>
 #include <sys/ioctl.h>
 #include <sys/socket.h>
@@ -123,6 +130,61 @@ std::string recvExactly(int Fd, size_t Want) {
     Got.append(Buf, static_cast<size_t>(N));
   }
   return Got;
+}
+
+/// Read from \p Fd until \p Want bytes arrived, EOF, or \p Timeout
+/// passed; whatever arrived.
+std::string recvFor(int Fd, size_t Want, std::chrono::milliseconds Timeout) {
+  auto Deadline = std::chrono::steady_clock::now() + Timeout;
+  std::string Got;
+  char Buf[65536];
+  while (Got.size() < Want) {
+    auto Left = std::chrono::duration_cast<std::chrono::milliseconds>(
+        Deadline - std::chrono::steady_clock::now());
+    pollfd P{Fd, POLLIN, 0};
+    if (Left.count() <= 0 || ::poll(&P, 1, static_cast<int>(Left.count())) == 0)
+      break;
+    ssize_t N = ::read(Fd, Buf, std::min(sizeof(Buf), Want - Got.size()));
+    if (N < 0 && errno == EINTR)
+      continue;
+    if (N <= 0)
+      break;
+    Got.append(Buf, static_cast<size_t>(N));
+  }
+  return Got;
+}
+
+/// A temp file holding \p Data, positioned at its start.
+std::FILE *tempFileWith(std::string_view Data) {
+  std::FILE *F = std::tmpfile();
+  EXPECT_NE(F, nullptr);
+  EXPECT_EQ(std::fwrite(Data.data(), 1, Data.size(), F), Data.size());
+  std::fflush(F);
+  std::rewind(F);
+  return F;
+}
+
+/// Everything in \p F, which is closed.
+std::string drainFile(std::FILE *F) {
+  std::rewind(F);
+  std::string Got;
+  char Buf[65536];
+  for (size_t N; (N = std::fread(Buf, 1, sizeof(Buf), F)) > 0;)
+    Got.append(Buf, N);
+  std::fclose(F);
+  return Got;
+}
+
+/// `runClient` from a temp file holding \p Input to a temp file, whose
+/// contents land in \p Got; the client's exit status.
+int runClientOn(const std::string &Path, std::string_view Input,
+                std::string &Got) {
+  std::FILE *In = tempFileWith(Input);
+  std::FILE *Out = std::tmpfile();
+  int Exit = server::runClient(Path, ::fileno(In), ::fileno(Out));
+  std::fclose(In);
+  Got = drainFile(Out);
+  return Exit;
 }
 
 /// One multiplexer serving on a fresh socket path, loop on its own
@@ -322,6 +384,38 @@ TEST(Transport, UnterminatedGiantLineRejectedNotBuffered) {
   EXPECT_FALSE(H.Mux.stats().Connections[0].Aborted);
 }
 
+TEST(Transport, OverLongCompleteLineRefusedUnparsed) {
+  // A line over the bound is refused even when its newline arrives in
+  // the same readable event, so it is framed complete before any bound
+  // check on the unterminated rest could see it: never parsed, and the
+  // batch after it never answered, in every run.
+  constexpr unsigned Runs = 20;
+  server::MuxOptions Opts;
+  Opts.AcceptLimit = Runs;
+  Opts.MaxLineBytes = 4096;
+  MuxHarness H(2, Opts, "tmw_overlong_complete.sock");
+  std::string Payload = std::string(64 * 1024, 'x') + "\n" +
+                        requestsToJsonLine(tinyBatch()) + "\n";
+  for (unsigned Run = 0; Run < Runs; ++Run) {
+    int Fd = connectRetry(H.Path);
+    ASSERT_GE(Fd, 0);
+    // One write. The kernel may still hand it over in two pieces, and the
+    // server may refuse on the first one and close before the rest is
+    // queued; the write then ends early, which is the guard working.
+    [[maybe_unused]] ssize_t Sent =
+        ::send(Fd, Payload.data(), Payload.size(), MSG_NOSIGNAL);
+    ::shutdown(Fd, SHUT_WR);
+    EXPECT_EQ(recvAll(Fd),
+              batchErrorToJson("batch line exceeds maximum length"))
+        << "run " << Run;
+    ::close(Fd);
+  }
+  H.finish();
+  EXPECT_EQ(H.Exit, 0);
+  EXPECT_EQ(H.Server.stats().BadBatches, Runs);
+  EXPECT_EQ(H.Server.stats().Batches, 0u);
+}
+
 /// A peer that refuses the way the multiplexer does, at a chosen moment:
 /// it reads \p Head bytes, waits until the rest of the client's \p Total
 /// bytes sit unread in its socket, then answers the refusal and closes
@@ -348,9 +442,8 @@ TEST(Transport, ClientExitsCleanlyWhenServerRefusesOverLongLine) {
   // refusal, send nothing more and exit 0. Even runs go to a multiplexer
   // with a line longer than one readable event's reads (16 x 64 KiB), so
   // it refuses before the newline can arrive, while the client is still
-  // sending (a 64 KiB line arrives whole and is framed as a malformed
-  // batch instead). Odd runs send a 64 KiB line that fits the socket
-  // buffers whole, to a peer that refuses only once all of it is queued.
+  // sending. Odd runs send a 64 KiB line that fits the socket buffers
+  // whole, to a peer that refuses only once all of it is queued.
   constexpr unsigned Runs = 20;
   server::MuxOptions Opts;
   Opts.AcceptLimit = Runs / 2;
@@ -379,12 +472,11 @@ TEST(Transport, ClientExitsCleanlyWhenServerRefusesOverLongLine) {
     if (!ToMux)
       Refuser = std::thread(refuseOnceAllQueued, ListenFd, size_t(4096),
                             Short.size());
-    std::istringstream In(ToMux ? Long : Short);
-    std::ostringstream Got;
-    EXPECT_EQ(server::runClient(ToMux ? H.Path : Peer, In, Got), 0)
+    std::string Got;
+    EXPECT_EQ(runClientOn(ToMux ? H.Path : Peer, ToMux ? Long : Short, Got),
+              0)
         << "run " << Run;
-    EXPECT_EQ(Got.str(),
-              batchErrorToJson("batch line exceeds maximum length"))
+    EXPECT_EQ(Got, batchErrorToJson("batch line exceeds maximum length"))
         << "run " << Run;
     if (Refuser.joinable())
       Refuser.join();
@@ -415,12 +507,95 @@ TEST(Transport, ClientInterleavesSendsWithResponseDrain) {
     Input += PaddedLine;
     Expect += Reference;
   }
-  std::istringstream In(Input);
-  std::ostringstream Got;
-  ASSERT_EQ(server::runClient(H.Path, In, Got), 0);
+  std::string Got;
+  ASSERT_EQ(runClientOn(H.Path, Input, Got), 0);
   H.finish();
   EXPECT_EQ(H.Exit, 0);
-  EXPECT_EQ(Got.str(), Expect);
+  EXPECT_EQ(Got, Expect);
+}
+
+TEST(Transport, StdioAndClientAnswerEachLineBeforeTheNext) {
+  // An interactive caller writes its next line only after it has read
+  // the answer to the last. Both fd transports must answer each line as
+  // it comes, not when their input grows or ends. At most 10 s per
+  // answer: a transport that waits for more input fails here, not hangs.
+  std::signal(SIGPIPE, SIG_IGN); // as tmw_serve does
+  std::string Line = requestsToJsonLine(tinyBatch()) + "\n";
+  std::string Reference = oneShot(tinyBatch());
+  server::MuxOptions Opts;
+  Opts.AcceptLimit = 1;
+  MuxHarness H(2, Opts, "tmw_interactive.sock");
+  QueryServer Stdio({2});
+  for (bool Client : {false, true}) {
+    const char *Which = Client ? "runClient" : "serveStdio";
+    int In[2] = {-1, -1}, Out[2] = {-1, -1};
+    ASSERT_EQ(::pipe(In), 0);
+    ASSERT_EQ(::pipe(Out), 0);
+    std::future<int> Exit = std::async(std::launch::async, [&] {
+      return Client ? server::runClient(H.Path, In[0], Out[1])
+                    : server::serveStdio(Stdio, In[0], Out[1]);
+    });
+    // No ASSERT until the transport has returned: it reads In[0] until
+    // the close below.
+    for (int Round = 0; Round < 3; ++Round) {
+      EXPECT_EQ(::write(In[1], Line.data(), Line.size()),
+                static_cast<ssize_t>(Line.size()));
+      std::string Got =
+          recvFor(Out[0], Reference.size(), std::chrono::seconds(10));
+      EXPECT_EQ(Got, Reference) << Which << " round " << Round;
+      if (Got != Reference)
+        break;
+    }
+    ::close(In[1]); // EOF: the transport finishes
+    EXPECT_EQ(Exit.get(), 0) << Which;
+    ::close(Out[1]);
+    EXPECT_EQ(recvAll(Out[0]), "") << Which;
+    ::close(In[0]);
+    ::close(Out[0]);
+  }
+  H.finish();
+  EXPECT_EQ(H.Exit, 0);
+}
+
+TEST(Transport, StdioDeadOutputCancelsPendingBatches) {
+  // The output's reader goes away while batches are in flight and the
+  // input stays open: `serveStdio` must return, and the batches nobody
+  // can receive must be cancelled instead of evaluated to the end.
+  std::signal(SIGPIPE, SIG_IGN); // as tmw_serve does
+  std::vector<CheckRequest> Big;
+  for (int Copy = 0; Copy < 40; ++Copy)
+    for (const CorpusEntry &E : sharedCorpus()) {
+      CheckRequest R;
+      R.Corpus = E.Name;
+      Big.push_back(R);
+    }
+  std::string Line = requestsToJsonLine(Big) + "\n";
+  std::string Input = Line + Line;
+  QueryServer S({1});
+  int In[2] = {-1, -1}, Out[2] = {-1, -1};
+  ASSERT_EQ(::pipe(In), 0);
+  ASSERT_EQ(::pipe(Out), 0);
+  std::thread Writer([&] {
+    [[maybe_unused]] ssize_t N = ::write(In[1], Input.data(), Input.size());
+  });
+  std::future<int> Exit = std::async(std::launch::async, [&] {
+    return server::serveStdio(S, In[0], Out[1]);
+  });
+  // Both batches submitted (each request goes to the pool in turn, so
+  // neither finishes for a while): now nobody will read the answers.
+  for (int Wait = 0; Wait < 10000 && S.stats().Batches < 2; ++Wait)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_EQ(S.stats().Batches, 2u);
+  ::close(Out[0]);
+  bool Returned =
+      Exit.wait_for(std::chrono::seconds(30)) == std::future_status::ready;
+  EXPECT_TRUE(Returned) << "serveStdio kept serving a dead output";
+  ::close(In[1]); // lets a still-running serveStdio reach EOF
+  ::close(In[0]);
+  EXPECT_EQ(Exit.get(), 0);
+  Writer.join();
+  ::close(Out[1]);
+  EXPECT_EQ(S.stats().CancelledBatches, 2u);
 }
 
 // --- the differential contract ---------------------------------------------
