@@ -4,41 +4,53 @@
 
 #include "relation/EventSet.h"
 
-#include <cctype>
-#include <climits>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
+#include <charconv>
 #include <vector>
 
 using namespace tmw;
 
 namespace {
 
-std::vector<std::string> tokenize(const std::string &Line) {
-  std::vector<std::string> Toks;
-  std::istringstream In(Line);
-  std::string Tok;
-  while (In >> Tok) {
-    if (Tok[0] == '#')
-      break;
-    Toks.push_back(Tok);
-  }
-  return Toks;
+/// The characters `operator>>` skips in the C locale.
+bool isSeparator(char C) {
+  return C == ' ' || C == '\t' || C == '\n' || C == '\v' || C == '\f' ||
+         C == '\r';
 }
 
-/// Parse a decimal `int`. A value outside `int` is an error, not a
-/// wrapped value (`thread 4294967296` must not read as thread 0).
-bool parseInt(const std::string &S, int &Out) {
-  char *End = nullptr;
-  long V = strtol(S.c_str(), &End, 10);
-  if (End == S.c_str() || *End != '\0' || V < INT_MIN || V > INT_MAX)
+/// Split \p Line into \p Toks: views of \p Line between runs of
+/// separators. A token that starts with `#` ends the line.
+void tokenize(std::string_view Line, std::vector<std::string_view> &Toks) {
+  Toks.clear();
+  size_t I = 0;
+  while (true) {
+    while (I < Line.size() && isSeparator(Line[I]))
+      ++I;
+    if (I == Line.size() || Line[I] == '#')
+      return;
+    size_t Start = I;
+    while (I < Line.size() && !isSeparator(Line[I]))
+      ++I;
+    Toks.push_back(Line.substr(Start, I - Start));
+  }
+}
+
+/// Parse a decimal `int` from the whole of \p S: one optional sign, then
+/// digits. A value outside `int` is an error, not a wrapped value
+/// (`thread 4294967296` must not read as thread 0), and so is anything
+/// after the digits, a NUL byte included (`1\0junk` is not 1).
+bool parseInt(std::string_view S, int &Out) {
+  // `from_chars` takes no `+`; `+-1` stays an error.
+  if (S.size() > 1 && S[0] == '+' && S[1] != '-')
+    S.remove_prefix(1);
+  int V;
+  auto [End, Ec] = std::from_chars(S.data(), S.data() + S.size(), V);
+  if (Ec != std::errc() || End != S.data() + S.size())
     return false;
-  Out = static_cast<int>(V);
+  Out = V;
   return true;
 }
 
-MemOrder parseOrder(const std::string &S, bool &Ok) {
+MemOrder parseOrder(std::string_view S, bool &Ok) {
   Ok = true;
   if (S == "na")
     return MemOrder::NonAtomic;
@@ -56,7 +68,7 @@ MemOrder parseOrder(const std::string &S, bool &Ok) {
   return MemOrder::NonAtomic;
 }
 
-FenceKind parseFence(const std::string &S, bool &Ok) {
+FenceKind parseFence(std::string_view S, bool &Ok) {
   Ok = true;
   if (S == "mfence")
     return FenceKind::MFence;
@@ -81,25 +93,24 @@ FenceKind parseFence(const std::string &S, bool &Ok) {
 }
 
 /// Parse trailing attributes (excl, addr:rN, data:rN, ctrl:rN, rmw:N).
-bool parseAttrs(const std::vector<std::string> &Toks, size_t From,
+bool parseAttrs(const std::vector<std::string_view> &Toks, size_t From,
                 Instruction &I, std::string &Err) {
   for (size_t T = From; T < Toks.size(); ++T) {
-    const std::string &A = Toks[T];
+    std::string_view A = Toks[T];
     if (A == "excl") {
       I.Exclusive = true;
       continue;
     }
-    auto ParseRef = [&](const char *Prefix,
+    auto ParseRef = [&](std::string_view Prefix,
                         std::vector<unsigned> *Deps) -> bool {
-      size_t Len = strlen(Prefix);
-      if (A.compare(0, Len, Prefix) != 0)
+      if (!A.starts_with(Prefix))
         return false;
       int V;
-      std::string Rest = A.substr(Len);
+      std::string_view Rest = A.substr(Prefix.size());
       if (!Rest.empty() && Rest[0] == 'r')
-        Rest = Rest.substr(1);
+        Rest.remove_prefix(1);
       if (!parseInt(Rest, V) || V < 0) {
-        Err = "bad dependency reference: " + A;
+        Err = "bad dependency reference: " + std::string(A);
         return true;
       }
       if (Deps)
@@ -114,7 +125,7 @@ bool parseAttrs(const std::vector<std::string> &Toks, size_t From,
         return false;
       continue;
     }
-    Err = "unknown attribute: " + A;
+    Err = "unknown attribute: " + std::string(A);
     return false;
   }
   return true;
@@ -144,7 +155,10 @@ ParseResult tmw::parseProgram(std::string_view Text) {
   // Line of each location's `loc` declaration (0: not declared), by LocId.
   std::vector<unsigned> LocLines;
 
-  std::string Line;
+  // One token vector for the whole parse: each line's tokens are views
+  // of \p Text, so a line costs no allocation of its own.
+  std::vector<std::string_view> Toks;
+  Toks.reserve(8);
   // Every caller returns the result at once, so it is moved out, not
   // copied with the partial program.
   auto Fail = [&](std::string Msg) {
@@ -154,22 +168,19 @@ ParseResult tmw::parseProgram(std::string_view Text) {
   };
 
   // Walk the lines of the view directly (no stream, no input copy): the
-  // long-lived server parses sources straight out of wire buffers, and a
-  // view keeps the parse allocation-proportional to one line.
+  // long-lived server parses sources straight out of wire buffers. Only
+  // what the program keeps (names) and diagnostics become strings.
   for (size_t Cursor = 0; Cursor < Text.size();) {
     size_t Nl = Text.find('\n', Cursor);
-    if (Nl == std::string_view::npos) {
-      Line.assign(Text.substr(Cursor));
-      Cursor = Text.size();
-    } else {
-      Line.assign(Text.substr(Cursor, Nl - Cursor));
-      Cursor = Nl + 1;
-    }
+    if (Nl == std::string_view::npos)
+      Nl = Text.size();
+    std::string_view Line = Text.substr(Cursor, Nl - Cursor);
+    Cursor = Nl + 1;
     ++LineNo;
-    std::vector<std::string> Toks = tokenize(Line);
+    tokenize(Line, Toks);
     if (Toks.empty())
       continue;
-    const std::string &Cmd = Toks[0];
+    std::string_view Cmd = Toks[0];
 
     if (Cmd == "name") {
       if (Toks.size() < 2)
@@ -186,7 +197,8 @@ ParseResult tmw::parseProgram(std::string_view Text) {
       LocId L = P.ensureLoc(Toks[1]);
       LocLines.resize(P.LocNames.size());
       if (LocLines[L])
-        return Fail("location '" + Toks[1] + "' already declared at line " +
+        return Fail("location '" + std::string(Toks[1]) +
+                    "' already declared at line " +
                     std::to_string(LocLines[L]));
       LocLines[L] = LineNo;
       if (V != 0)
@@ -201,7 +213,8 @@ ParseResult tmw::parseProgram(std::string_view Text) {
       // execution has at most kMaxEvents events, hence at most that many
       // non-empty threads.
       if (static_cast<unsigned>(T) >= kMaxEvents)
-        return Fail("thread index " + Toks[1] + " out of range (0.." +
+        return Fail("thread index " + std::string(Toks[1]) +
+                    " out of range (0.." +
                     std::to_string(kMaxEvents - 1) + ")");
       while (static_cast<int>(P.Threads.size()) <= T)
         P.Threads.emplace_back();
@@ -217,18 +230,20 @@ ParseResult tmw::parseProgram(std::string_view Text) {
         int T, V;
         if (Toks.size() < 5 || !parseInt(Toks[2], T))
           return Fail("post reg requires: thread, register, value");
-        std::string Reg = Toks[3];
+        std::string_view Reg = Toks[3];
         if (!Reg.empty() && Reg[0] == 'r')
-          Reg = Reg.substr(1);
+          Reg.remove_prefix(1);
         int RI;
         if (!parseInt(Reg, RI) || !parseInt(Toks[4], V))
           return Fail("bad post reg operands");
         // Thread and register are indices: a negative one must not wrap
         // to a huge unsigned one.
         if (T < 0)
-          return Fail("post reg thread " + Toks[2] + " is negative");
+          return Fail("post reg thread " + std::string(Toks[2]) +
+                      " is negative");
         if (RI < 0)
-          return Fail("post reg register " + Toks[3] + " is negative");
+          return Fail("post reg register " + std::string(Toks[3]) +
+                      " is negative");
         P.RegPost.push_back({static_cast<unsigned>(T),
                              static_cast<unsigned>(RI), V});
         P.RegPostLines.push_back(LineNo);
@@ -242,7 +257,7 @@ ParseResult tmw::parseProgram(std::string_view Text) {
         P.MemPostLines.push_back(LineNo);
         continue;
       }
-      return Fail("unknown postcondition kind: " + Toks[1]);
+      return Fail("unknown postcondition kind: " + std::string(Toks[1]));
     }
 
     // Everything else is an instruction inside the current thread.
@@ -289,7 +304,7 @@ ParseResult tmw::parseProgram(std::string_view Text) {
       I.K = Instruction::Kind::Fence;
       I.FK = parseFence(Toks[1], Ok);
       if (!Ok)
-        return Fail("unknown fence flavour: " + Toks[1]);
+        return Fail("unknown fence flavour: " + std::string(Toks[1]));
       AttrsFrom = 2;
       if (I.FK == FenceKind::CppFence && Toks.size() > 2) {
         MemOrder MO = parseOrder(Toks[2], Ok);
@@ -315,12 +330,12 @@ ParseResult tmw::parseProgram(std::string_view Text) {
     } else if (Cmd == "txunlock") {
       I.K = Instruction::Kind::TxUnlock;
     } else {
-      return Fail("unknown instruction: " + Cmd);
+      return Fail("unknown instruction: " + std::string(Cmd));
     }
 
     if (!parseAttrs(Toks, AttrsFrom, I, AttrErr))
       return Fail(AttrErr);
-    P.Threads[CurThread].push_back(I);
+    P.Threads[CurThread].push_back(std::move(I));
     P.SrcLines[CurThread].push_back(LineNo);
   }
 

@@ -17,12 +17,21 @@
 ///   post mem x 1
 /// \endcode
 ///
+/// Lines end at `\n`. Tokens are separated by runs of space, `\t`, `\n`,
+/// `\v`, `\f` and `\r` (what `operator>>` skips in the C locale), and
+/// a token that *starts* with `#` ends its line: `x#c` is a name, not a
+/// name and a comment. Tokens are views of the text; only what the
+/// program keeps (names) and diagnostics become strings.
+///
 /// Each location has at most one `loc` line (a second one for the same
 /// name is an error at its line; `printDsl` emits exactly one per
 /// location). Thread indices run from 0 to `kMaxEvents - 1`; a larger
 /// index is an error at its line, since threads are stored densely up to
-/// the highest index named. Every number is a decimal `int`: one outside
-/// `int`'s range is an error, never a wrapped value.
+/// the highest index named. Every number is a decimal `int` spelling its
+/// whole token: one optional sign (`+1`, `-0` and `007` parse; `+-1`
+/// does not), a value inside `int`'s range (one outside is an error,
+/// never a wrapped value), and nothing after the digits, a NUL byte
+/// included (`1\0junk` is malformed, not 1).
 ///
 /// Parsing never aborts the process: errors are reported through the
 /// result's `Error` field.

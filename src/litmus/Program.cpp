@@ -14,18 +14,18 @@ int Program::initialValue(LocId Loc) const {
   return 0;
 }
 
-LocId Program::locByName(const std::string &Name) const {
+LocId Program::locByName(std::string_view Name) const {
   for (unsigned I = 0; I < LocNames.size(); ++I)
     if (LocNames[I] == Name)
       return static_cast<LocId>(I);
   return -1;
 }
 
-LocId Program::ensureLoc(const std::string &Name) {
+LocId Program::ensureLoc(std::string_view Name) {
   LocId L = locByName(Name);
   if (L >= 0)
     return L;
-  LocNames.push_back(Name);
+  LocNames.emplace_back(Name);
   return static_cast<LocId>(LocNames.size() - 1);
 }
 

@@ -23,6 +23,7 @@
 #include <cstdint>
 #include <initializer_list>
 #include <string>
+#include <string_view>
 #include <type_traits>
 #include <utility>
 #include <vector>
@@ -101,10 +102,12 @@ struct Program {
 
   /// Initial value of \p Loc (0 unless overridden).
   int initialValue(LocId Loc) const;
-  /// Index of the location named \p Name, or -1.
-  LocId locByName(const std::string &Name) const;
-  /// Add (or find) a location named \p Name.
-  LocId ensureLoc(const std::string &Name);
+  /// Index of the location named \p Name, or -1. Takes a view, so the
+  /// parser looks a token up without building a string.
+  LocId locByName(std::string_view Name) const;
+  /// Add (or find) a location named \p Name; a string is built only when
+  /// the name is new.
+  LocId ensureLoc(std::string_view Name);
   /// True when any thread contains a transaction.
   bool hasTransactions() const;
 };

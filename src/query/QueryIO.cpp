@@ -149,7 +149,7 @@ bool parseVerdict(const JsonValue &V, ModelVerdict &Out,
 /// Shared batch-parsing shape: `{"schema": ..., Key: [...]}`, a bare
 /// array, or a single object.
 template <class T, class ParseFn>
-bool batchFromJson(const std::string &Text, const char *Key, ParseFn Parse,
+bool batchFromJson(std::string_view Text, const char *Key, ParseFn Parse,
                    std::vector<T> &Out, std::string *Error) {
   std::optional<JsonValue> V = parseJson(Text, Error);
   if (!V)
@@ -388,7 +388,7 @@ bool tmw::responseFromJson(const JsonValue &V, CheckResponse &Out,
   return true;
 }
 
-bool tmw::requestsFromJson(const std::string &Text,
+bool tmw::requestsFromJson(std::string_view Text,
                            std::vector<CheckRequest> &Out,
                            std::string *Error) {
   return batchFromJson<CheckRequest>(
@@ -399,7 +399,7 @@ bool tmw::requestsFromJson(const std::string &Text,
       Out, Error);
 }
 
-bool tmw::responsesFromJson(const std::string &Text,
+bool tmw::responsesFromJson(std::string_view Text,
                             std::vector<CheckResponse> &Out,
                             std::string *Error) {
   return batchFromJson<CheckResponse>(

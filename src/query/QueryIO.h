@@ -24,6 +24,7 @@
 
 #include <span>
 #include <string>
+#include <string_view>
 
 namespace tmw {
 
@@ -62,14 +63,15 @@ bool responseFromJson(const JsonValue &V, CheckResponse &Out,
                       std::string *Error = nullptr);
 
 /// Parse a request batch: the `requestsToJson` form, a bare JSON array of
-/// requests, or a single request object.
-bool requestsFromJson(const std::string &Text,
+/// requests, or a single request object. Takes a view, so the server
+/// parses a batch line where it was read, without a copy of it.
+bool requestsFromJson(std::string_view Text,
                       std::vector<CheckRequest> &Out,
                       std::string *Error = nullptr);
 
 /// Parse a response batch (the `responsesToJson` form, a bare array, or a
 /// single response object). Telemetry, when present, is ignored.
-bool responsesFromJson(const std::string &Text,
+bool responsesFromJson(std::string_view Text,
                        std::vector<CheckResponse> &Out,
                        std::string *Error = nullptr);
 

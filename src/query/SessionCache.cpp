@@ -22,10 +22,9 @@ std::shared_ptr<const ParseResult> SessionCache::program(
       *Facts = *Parsed ? computeFacts(Parsed->Prog) : ProgramFacts();
     return Parsed;
   }
-  std::string Key(Source);
   {
     std::lock_guard<std::mutex> Lock(Mu);
-    auto It = Programs.find(Key);
+    auto It = Programs.find(Source);
     if (It != Programs.end()) {
       ++S.ProgramHits;
       // Refresh the recency stamp: overflow evicts the least-recently-
@@ -73,7 +72,7 @@ std::shared_ptr<const ParseResult> SessionCache::program(
     S.ProgramsEvicted += Evict;
   }
   auto [It, Inserted] = Programs.emplace(
-      std::move(Key), ProgramEntry{Parsed, ParsedFacts, ++NextGen});
+      std::string(Source), ProgramEntry{Parsed, ParsedFacts, ++NextGen});
   S.ProgramsCached = Programs.size();
   return Inserted ? Parsed : It->second.Parse;
 }

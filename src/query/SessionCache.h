@@ -4,7 +4,8 @@
 /// The state a long-lived query session keeps resident across batches so
 /// repeated queries stop paying per-batch setup: parsed `Program`s keyed
 /// by their full DSL source (content-addressed through the map's string
-/// hash — identical source always hits, and an entry can never go stale),
+/// hash — identical source always hits, and an entry can never go stale;
+/// a lookup hashes the source as a view, so only a miss copies it),
 /// and resolved spec lists keyed by the list as written, each with its
 /// models, their canonical printed spellings and the cross-spec
 /// evaluation plan compiled over them (models and plans are immutable,
@@ -45,6 +46,7 @@
 #include "models/MemoryModel.h"
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -122,9 +124,18 @@ private:
     uint64_t Gen = 0;
   };
 
+  /// Hashes a source as a view, so a lookup needs no key string.
+  struct SourceHash {
+    using is_transparent = void;
+    size_t operator()(std::string_view S) const {
+      return std::hash<std::string_view>()(S);
+    }
+  };
+
   const size_t MaxPrograms;
   mutable std::mutex Mu;
-  std::unordered_map<std::string, ProgramEntry> Programs;
+  std::unordered_map<std::string, ProgramEntry, SourceHash, std::equal_to<>>
+      Programs;
   uint64_t NextGen = 0;
   std::map<std::vector<std::string>, std::shared_ptr<const SpecSet>> Sets;
   Stats S;

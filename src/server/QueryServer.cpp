@@ -191,7 +191,7 @@ bool QueryServer::parseBatch(std::string_view Line,
                              std::vector<CheckRequest> &Requests,
                              std::string &ErrorDoc) {
   std::string Error;
-  if (requestsFromJson(std::string(Line), Requests, &Error))
+  if (requestsFromJson(Line, Requests, &Error))
     return true;
   // Hardening contract: a malformed batch answers with an error
   // document; the session (caches, pool, later batches) lives on.

@@ -156,8 +156,9 @@ public:
   /// stays exact. Unknown/already-completed ids are ignored.
   void cancelBatch(uint64_t BatchId);
 
-  /// Parse one batch line (`requestsFromJson`). A malformed line returns
-  /// false with \p ErrorDoc set to its error document.
+  /// Parse one batch line (`requestsFromJson`) where it lies, without a
+  /// copy of it. A malformed line returns false with \p ErrorDoc set to
+  /// its error document.
   bool parseBatch(std::string_view Line, std::vector<CheckRequest> &Requests,
                   std::string &ErrorDoc);
 

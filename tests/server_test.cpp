@@ -303,6 +303,30 @@ TEST(QueryServer, RequestErrorsAreResponsesNotDeath) {
   }
 }
 
+TEST(QueryServer, NulInNumberIsAParseErrorAtItsLine) {
+  // A JSON `\u0000` puts a NUL byte in a source. The number around it is
+  // malformed, not read up to the NUL (`store x 1` and thread 0 once).
+  QueryServer S({2});
+  std::string Served = S.serveLine(
+      R"({"schema": "tmw-query-batch-v1", "requests": [)"
+      R"({"name": "nul-store", "source": )"
+      R"("thread 0\n  store x 1\u0000junk\npost mem x 1\n", "models": ["x86"]}, )"
+      R"({"name": "nul-thread", "source": "thread 0\u00007\n  store x 1\n", )"
+      R"("models": ["x86"]}]})");
+  std::vector<CheckResponse> Back;
+  std::string Error;
+  ASSERT_TRUE(responsesFromJson(Served, Back, &Error)) << Error;
+  ASSERT_EQ(Back.size(), 2u);
+  EXPECT_EQ(Back[0].Error,
+            "parse error: store requires a location and a value");
+  EXPECT_EQ(Back[0].ErrorLine, 2u);
+  EXPECT_EQ(Back[0].Candidates, 0u);
+  EXPECT_TRUE(Back[0].Verdicts.empty());
+  EXPECT_EQ(Back[1].Error, "parse error: bad thread index");
+  EXPECT_EQ(Back[1].ErrorLine, 1u);
+  EXPECT_TRUE(Back[1].Verdicts.empty());
+}
+
 TEST(QueryServer, PoolSurvivesManyBatches) {
   // The resident pool (persistent threads + WorkQueue + arenas) must
   // park and wake cleanly batch after batch, including empty and
