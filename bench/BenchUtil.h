@@ -18,6 +18,7 @@
 #include "synth/Conformance.h"
 
 #include <charconv>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -26,15 +27,48 @@
 
 namespace tmw::bench {
 
-inline double budgetSeconds(double Default) {
-  if (const char *S = std::getenv("TMW_BENCH_BUDGET_SECONDS"))
-    return std::atof(S);
-  return Default;
+/// Strictly parse an event bound: digits only, 1 to `kMaxEvents` (the
+/// enumerator's and the relation layer's cap). Anything else is a
+/// one-line diagnostic naming \p What and exit 2 — never a wrapped or
+/// zero bound, nor a search past the cap.
+inline unsigned parseEventsStrict(const char *Value, const char *What) {
+  const char *End = Value + std::strlen(Value);
+  unsigned Parsed = 0;
+  auto [P, Ec] = std::from_chars(Value, End, Parsed);
+  if (Ec != std::errc() || P != End || Parsed == 0 || Parsed > kMaxEvents) {
+    std::fprintf(stderr,
+                 "error: %s %s: expected an event count from 1 to %u\n",
+                 What, Value, kMaxEvents);
+    std::exit(2);
+  }
+  return Parsed;
 }
 
+/// The search budget: `TMW_BENCH_BUDGET_SECONDS` when set — a finite
+/// number of seconds, at least 0, else a diagnostic and exit 2 — or
+/// \p Default.
+inline double budgetSeconds(double Default) {
+  const char *S = std::getenv("TMW_BENCH_BUDGET_SECONDS");
+  if (!S)
+    return Default;
+  const char *End = S + std::strlen(S);
+  double Parsed = 0;
+  auto [P, Ec] = std::from_chars(S, End, Parsed);
+  if (Ec != std::errc() || P != End || !std::isfinite(Parsed) || Parsed < 0) {
+    std::fprintf(stderr,
+                 "error: TMW_BENCH_BUDGET_SECONDS %s: expected a finite "
+                 "number of seconds >= 0\n",
+                 S);
+    std::exit(2);
+  }
+  return Parsed;
+}
+
+/// The event bound: `TMW_BENCH_MAX_EVENTS` when set (see
+/// `parseEventsStrict`), else \p Default.
 inline unsigned maxEvents(unsigned Default) {
   if (const char *S = std::getenv("TMW_BENCH_MAX_EVENTS"))
-    return static_cast<unsigned>(std::atoi(S));
+    return parseEventsStrict(S, "TMW_BENCH_MAX_EVENTS");
   return Default;
 }
 

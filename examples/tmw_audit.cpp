@@ -125,12 +125,7 @@ int main(int Argc, char **Argv) {
     } else if (std::strcmp(A, "--json") == 0) {
       Json = true;
     } else if (std::strcmp(A, "--events") == 0 && I + 1 < Argc) {
-      uint64_t Events = bench::parseCountStrict(Argv[++I], "--events");
-      if (!Events) {
-        std::fprintf(stderr, "error: --events: expected a positive bound\n");
-        return 2;
-      }
-      O.Events = static_cast<unsigned>(Events);
+      O.Events = bench::parseEventsStrict(Argv[++I], "--events");
     } else if (std::strcmp(A, "--bases") == 0 && I + 1 < Argc) {
       O.VocabBaseCap = bench::parseCountStrict(Argv[++I], "--bases");
     } else if (std::strcmp(A, "--placements") == 0 && I + 1 < Argc) {

@@ -3,6 +3,8 @@
 #include "enumerate/Relaxation.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
 #include <numeric>
 #include <optional>
 
@@ -259,127 +261,191 @@ bool tmw::isMinimallyInconsistent(const ExecutionAnalysis &A,
 
 namespace {
 
-/// Serialise with explicit thread and location renamings applied.
-std::vector<uint8_t> encodeWith(const Execution &X,
-                                const std::vector<unsigned> &ThreadPerm,
-                                const std::vector<unsigned> &LocPerm) {
-  // New event order: threads in permuted order, po order within.
-  unsigned N = X.size();
-  std::vector<EventId> NewOrder;
-  for (unsigned NT = 0; NT < ThreadPerm.size(); ++NT) {
-    unsigned OldT = ThreadPerm[NT];
-    std::vector<EventId> Es;
-    for (unsigned E = 0; E < N; ++E)
-      if (X.event(E).Thread == OldT)
-        Es.push_back(E);
-    std::sort(Es.begin(), Es.end(), [&X](EventId A, EventId B) {
-      return X.Po.contains(A, B);
-    });
-    NewOrder.insert(NewOrder.end(), Es.begin(), Es.end());
-  }
-  std::vector<int> NewIdOf(N, -1);
-  for (unsigned I = 0; I < NewOrder.size(); ++I)
-    NewIdOf[NewOrder[I]] = static_cast<int>(I);
+/// Bytes of the longest encoding: the event count, then per event seven
+/// label bytes, one thread byte and one 8-byte row in each of the seven
+/// stored relations.
+constexpr unsigned kMaxEncoding = 1 + 64 * kMaxEvents;
 
-  std::vector<uint8_t> Enc;
-  Enc.push_back(static_cast<uint8_t>(N));
-  // Transaction classes renumbered by first occurrence in the new order.
-  std::vector<int> TxnMap(kMaxTxns, -1), CrMap(kMaxEvents, -1);
-  int NextTxn = 0, NextCr = 0;
-  for (EventId Old : NewOrder) {
-    const Event &Ev = X.event(Old);
-    Enc.push_back(static_cast<uint8_t>(Ev.Kind));
-    Enc.push_back(static_cast<uint8_t>(
-        Ev.Loc < 0 ? 255 : LocPerm[static_cast<unsigned>(Ev.Loc)]));
-    Enc.push_back(static_cast<uint8_t>(Ev.Order));
-    Enc.push_back(static_cast<uint8_t>(Ev.Fence));
-    int T = X.Txn[Old];
-    if (T != kNoClass && TxnMap[T] == -1)
-      TxnMap[T] = NextTxn++;
-    Enc.push_back(static_cast<uint8_t>(T == kNoClass ? 255 : TxnMap[T]));
-    Enc.push_back(static_cast<uint8_t>(
-        T != kNoClass && ((X.AtomicTxns >> T) & 1) ? 1 : 0));
-    int C = X.Cr[Old];
-    if (C != kNoClass && CrMap[C] == -1)
-      CrMap[C] = NextCr++;
-    Enc.push_back(static_cast<uint8_t>(C == kNoClass ? 255 : CrMap[C]));
-  }
-  // Thread boundaries.
-  for (EventId Old : NewOrder)
-    Enc.push_back(static_cast<uint8_t>(X.event(Old).Thread));
-
-  for (const Relation *Rel :
-       {&X.Po, &X.Rf, &X.Co, &X.Addr, &X.Data, &X.Ctrl, &X.Rmw})
-    for (unsigned NewA = 0; NewA < N; ++NewA) {
-      uint64_t Row = 0;
-      EventId OldA = NewOrder[NewA];
-      for (EventId OldB : Rel->successors(OldA))
-        Row |= uint64_t(1) << NewIdOf[OldB];
-      for (unsigned Byte = 0; Byte < 8; ++Byte)
-        Enc.push_back(static_cast<uint8_t>(Row >> (8 * Byte)));
+/// The encoding of one execution under a thread renaming, written into a
+/// fixed buffer. Events are laid out thread by thread in the renamed
+/// thread order, po order within a thread; then come, per event, its kind,
+/// location, order, fence, transaction class (renumbered by first
+/// occurrence), atomic{} flag and critical region (likewise); then each
+/// event's old thread id; then the rows of po, rf, co, addr, data, ctrl
+/// and rmw over the new ids, eight bytes each, low byte first. Each
+/// thread's po order is computed once, when the encoder is built.
+///
+/// Locations are kept (the concrete encoding) or renumbered by first
+/// occurrence (the canonical one). Under one thread renaming only the
+/// location bytes depend on the location renaming, and first-occurrence
+/// numbering gives each of them the least value any renaming could: the
+/// first location byte where another renaming differs names a location
+/// not seen before, which that renaming must number above every location
+/// seen before. So it is the least encoding over all location renamings,
+/// and the canonical search enumerates thread renamings only.
+class Encoder {
+public:
+  explicit Encoder(const Execution &X) : X(X), N(X.size()) {
+    // The non-empty threads in ascending id order. Empty threads add no
+    // event to any renaming, so they are left out of the permutations.
+    for (unsigned E = 0; E < N; ++E) {
+      unsigned T = X.event(E).Thread;
+      unsigned I = 0;
+      while (I < NumThreads && Tids[I] < T)
+        ++I;
+      if (I < NumThreads && Tids[I] == T)
+        continue;
+      for (unsigned J = NumThreads; J > I; --J)
+        Tids[J] = Tids[J - 1];
+      Tids[I] = T;
+      ++NumThreads;
     }
-  return Enc;
+    unsigned Next = 0;
+    for (unsigned I = 0; I < NumThreads; ++I) {
+      Begin[I] = Next;
+      for (unsigned E = 0; E < N; ++E)
+        if (X.event(E).Thread == Tids[I])
+          ThreadEvents[Next++] = E;
+      Sizes[I] = Next - Begin[I];
+      std::sort(ThreadEvents.begin() + Begin[I], ThreadEvents.begin() + Next,
+                [&X](EventId A, EventId B) { return X.Po.contains(A, B); });
+    }
+  }
+
+  unsigned size() const { return 1 + 64 * N; }
+  /// Non-empty threads; renamings permute `0 .. numThreads()-1`.
+  unsigned numThreads() const { return NumThreads; }
+  /// Events of the I-th non-empty thread.
+  unsigned threadSize(unsigned I) const { return Sizes[I]; }
+  /// The encoding written by the last `encode`, `size()` bytes.
+  const uint8_t *bytes() const { return Buf.data(); }
+
+  /// Encode with the threads in the order \p Perm (`numThreads()` indices
+  /// of non-empty threads), renumbering locations by first occurrence
+  /// when \p RenumberLocations.
+  void encode(const unsigned *Perm, bool RenumberLocations) {
+    std::array<EventId, kMaxEvents> NewOrder{};
+    unsigned Next = 0;
+    for (unsigned I = 0; I < NumThreads; ++I)
+      for (unsigned K = 0; K < Sizes[Perm[I]]; ++K)
+        NewOrder[Next++] = ThreadEvents[Begin[Perm[I]] + K];
+    std::array<unsigned, kMaxEvents> NewIdOf{};
+    for (unsigned I = 0; I < N; ++I)
+      NewIdOf[NewOrder[I]] = I;
+
+    uint8_t *Out = Buf.data();
+    *Out++ = static_cast<uint8_t>(N);
+    std::array<int, kMaxTxns> TxnMap;
+    std::array<int, kMaxEvents> CrMap;
+    TxnMap.fill(-1);
+    CrMap.fill(-1);
+    int NextTxn = 0, NextCr = 0;
+    // Locations in first-occurrence order: the old id of new id I.
+    std::array<int, kMaxEvents> SeenLocs{};
+    unsigned NumSeen = 0;
+    for (unsigned I = 0; I < N; ++I) {
+      EventId Old = NewOrder[I];
+      const Event &Ev = X.event(Old);
+      *Out++ = static_cast<uint8_t>(Ev.Kind);
+      unsigned Loc = static_cast<unsigned>(Ev.Loc);
+      if (Ev.Loc >= 0 && RenumberLocations) {
+        unsigned L = 0;
+        while (L < NumSeen && SeenLocs[L] != Ev.Loc)
+          ++L;
+        if (L == NumSeen)
+          SeenLocs[NumSeen++] = Ev.Loc;
+        Loc = L;
+      }
+      *Out++ = static_cast<uint8_t>(Ev.Loc < 0 ? 255 : Loc);
+      *Out++ = static_cast<uint8_t>(Ev.Order);
+      *Out++ = static_cast<uint8_t>(Ev.Fence);
+      int T = X.Txn[Old];
+      if (T != kNoClass && TxnMap[T] == -1)
+        TxnMap[T] = NextTxn++;
+      *Out++ = static_cast<uint8_t>(T == kNoClass ? 255 : TxnMap[T]);
+      *Out++ = static_cast<uint8_t>(
+          T != kNoClass && ((X.AtomicTxns >> T) & 1) ? 1 : 0);
+      int C = X.Cr[Old];
+      if (C != kNoClass && CrMap[C] == -1)
+        CrMap[C] = NextCr++;
+      *Out++ = static_cast<uint8_t>(C == kNoClass ? 255 : CrMap[C]);
+    }
+    for (unsigned I = 0; I < N; ++I)
+      *Out++ = static_cast<uint8_t>(X.event(NewOrder[I]).Thread);
+    for (const Relation *Rel :
+         {&X.Po, &X.Rf, &X.Co, &X.Addr, &X.Data, &X.Ctrl, &X.Rmw})
+      for (unsigned I = 0; I < N; ++I) {
+        uint64_t Row = 0;
+        for (EventId OldB : Rel->successors(NewOrder[I]))
+          Row |= uint64_t(1) << NewIdOf[OldB];
+        for (unsigned Byte = 0; Byte < 8; ++Byte)
+          *Out++ = static_cast<uint8_t>(Row >> (8 * Byte));
+      }
+  }
+
+private:
+  const Execution &X;
+  unsigned N;
+  unsigned NumThreads = 0;
+  std::array<unsigned, kMaxEvents> Tids{}, Sizes{}, Begin{};
+  /// Each thread's events in po order, thread by thread.
+  std::array<EventId, kMaxEvents> ThreadEvents{};
+  /// Only the first `size()` bytes are used, and `encode` writes each of
+  /// them before `bytes()` can read it.
+  std::array<uint8_t, kMaxEncoding> Buf;
+};
+
+/// Write the least encoding of \p X over all thread renamings (within
+/// equal-size threads) and location renamings into \p Best; returns its
+/// length. Every renaming of one execution has the same length, so the
+/// byte-wise least is the lexicographically least.
+unsigned leastEncoding(const Execution &X, uint8_t *Best) {
+  Encoder Enc(X);
+  unsigned Size = Enc.size();
+  unsigned NumThreads = Enc.numThreads();
+  std::array<unsigned, kMaxEvents> Perm{};
+  std::iota(Perm.begin(), Perm.begin() + NumThreads, 0u);
+  bool HaveBest = false;
+  do {
+    // Only permutations preserving non-increasing size order can produce
+    // the canonical skeleton.
+    bool SizeOrdered = true;
+    for (unsigned I = 1; I < NumThreads; ++I)
+      if (Enc.threadSize(Perm[I - 1]) < Enc.threadSize(Perm[I]))
+        SizeOrdered = false;
+    if (!SizeOrdered)
+      continue;
+    Enc.encode(Perm.data(), /*RenumberLocations=*/true);
+    if (!HaveBest || std::memcmp(Enc.bytes(), Best, Size) < 0) {
+      std::memcpy(Best, Enc.bytes(), Size);
+      HaveBest = true;
+    }
+  } while (std::next_permutation(Perm.begin(), Perm.begin() + NumThreads));
+  return Size;
 }
 
 } // namespace
 
 std::vector<uint8_t> tmw::canonicalEncoding(const Execution &X) {
-  unsigned NumThreads = X.numThreads();
-  unsigned NumLocs = X.numLocations();
-
-  // Candidate thread permutations: only permutations preserving
-  // non-increasing size order can produce the canonical skeleton.
-  std::vector<unsigned> ThreadIds(NumThreads);
-  std::iota(ThreadIds.begin(), ThreadIds.end(), 0);
-  std::vector<unsigned> Sizes(NumThreads, 0);
-  for (unsigned E = 0; E < X.size(); ++E)
-    ++Sizes[X.event(E).Thread];
-  std::sort(ThreadIds.begin(), ThreadIds.end(),
-            [&](unsigned A, unsigned B) {
-              if (Sizes[A] != Sizes[B])
-                return Sizes[A] > Sizes[B];
-              return A < B;
-            });
-
-  std::vector<uint8_t> Best;
-  std::vector<unsigned> ThreadPerm = ThreadIds;
-  // Permute within equal-size groups only.
-  std::sort(ThreadPerm.begin(), ThreadPerm.end());
-  do {
-    bool SizeOrdered = true;
-    for (unsigned I = 1; I < ThreadPerm.size(); ++I)
-      if (Sizes[ThreadPerm[I - 1]] < Sizes[ThreadPerm[I]])
-        SizeOrdered = false;
-    if (!SizeOrdered)
-      continue;
-    std::vector<unsigned> LocPerm(NumLocs);
-    std::iota(LocPerm.begin(), LocPerm.end(), 0);
-    std::vector<unsigned> Inverse(NumLocs);
-    do {
-      for (unsigned I = 0; I < NumLocs; ++I)
-        Inverse[LocPerm[I]] = I;
-      std::vector<uint8_t> Enc = encodeWith(X, ThreadPerm, Inverse);
-      if (Best.empty() || Enc < Best)
-        Best = Enc;
-    } while (std::next_permutation(LocPerm.begin(), LocPerm.end()));
-  } while (std::next_permutation(ThreadPerm.begin(), ThreadPerm.end()));
-
-  return Best;
+  std::array<uint8_t, kMaxEncoding> Best; // the first Size bytes written
+  unsigned Size = leastEncoding(X, Best.data());
+  return std::vector<uint8_t>(Best.begin(), Best.begin() + Size);
 }
 
 std::vector<uint8_t> tmw::concreteEncoding(const Execution &X) {
-  std::vector<unsigned> ThreadPerm(X.numThreads());
-  std::iota(ThreadPerm.begin(), ThreadPerm.end(), 0);
-  std::vector<unsigned> LocPerm(X.numLocations());
-  std::iota(LocPerm.begin(), LocPerm.end(), 0);
-  return encodeWith(X, ThreadPerm, LocPerm);
+  Encoder Enc(X);
+  std::array<unsigned, kMaxEvents> Identity{};
+  std::iota(Identity.begin(), Identity.begin() + Enc.numThreads(), 0u);
+  Enc.encode(Identity.data(), /*RenumberLocations=*/false);
+  return std::vector<uint8_t>(Enc.bytes(), Enc.bytes() + Enc.size());
 }
 
 uint64_t tmw::canonicalHash(const Execution &X) {
-  std::vector<uint8_t> Enc = canonicalEncoding(X);
+  std::array<uint8_t, kMaxEncoding> Best; // the first Size bytes written
+  unsigned Size = leastEncoding(X, Best.data());
   uint64_t H = 0xcbf29ce484222325ull;
-  for (uint8_t B : Enc) {
-    H ^= B;
+  for (unsigned I = 0; I < Size; ++I) {
+    H ^= Best[I];
     H *= 0x100000001b3ull;
   }
   return H;

@@ -48,12 +48,23 @@ std::vector<Execution> relaxOneStep(const Execution &X, const Vocabulary &V);
 /// later children are never built or checked. The verdict, and the
 /// sequence of model checks up to it, equal checking `relaxOneStep`'s
 /// vector in order.
+///
+/// The Forbid search (`synthesizeForbid`) calls this only after reading
+/// the transaction-only children — steps (v) and (iii') — of a placement
+/// from the verdicts it already computed over the same base; one recorded
+/// inconsistent child settles the answer without a call.
 bool isMinimallyInconsistent(const ExecutionAnalysis &A, const MemoryModel &M,
                              const Vocabulary &V);
 
 /// A serialisation of \p X that is invariant under renaming of threads (of
 /// equal size) and locations: the lexicographically least encoding over all
-/// such renamings.
+/// such renamings. The bytes are a contract — every suite digest and
+/// perfbench reference is a `canonicalHash` — and `relaxation_test` pins
+/// them against the original one-vector-per-renaming encoder. Each thread
+/// renaming is written into one fixed buffer (at most 1 + 64·`kMaxEvents`
+/// bytes) with its locations numbered by first occurrence, which is the
+/// least over the location renamings; only the returned vector is
+/// allocated.
 std::vector<uint8_t> canonicalEncoding(const Execution &X);
 
 /// The same serialisation with the identity renaming — a total key on
@@ -63,7 +74,8 @@ std::vector<uint8_t> canonicalEncoding(const Execution &X);
 /// byte-for-byte independent of enumeration order and shard count.
 std::vector<uint8_t> concreteEncoding(const Execution &X);
 
-/// FNV hash of `canonicalEncoding`.
+/// FNV hash of `canonicalEncoding`, computed over the encoder's buffer
+/// (no allocation).
 uint64_t canonicalHash(const Execution &X);
 
 } // namespace tmw

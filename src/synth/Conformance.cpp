@@ -5,11 +5,13 @@
 #include "enumerate/WorkQueue.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <optional>
 #include <thread>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 
 using namespace tmw;
 
@@ -60,6 +62,169 @@ struct SearchBuffer {
   }
 };
 
+/// The TM verdicts of the placements already checked over one base, so
+/// that minimality can read a placement's transaction-only relaxations
+/// instead of rebuilding and rechecking them.
+///
+/// A placement is keyed by its transaction *partition* and atomic{}
+/// flags, as three masks over the base's events: in a transaction, first
+/// of its transaction in po, first of an atomic{} transaction. Class ids
+/// are not part of the key: the placement DFS numbers classes in
+/// creation order, `relaxOneStep`'s children in event order. The models
+/// read transactions only through `stxn`, `stxnAtomic`, `transactional()`
+/// and `atomicTransactional()`, which depend on the partition alone, so a
+/// recorded verdict is the verdict of every execution over the same base
+/// with that partition.
+///
+/// Open addressing with generation-stamped slots: `reset` is O(1), and
+/// once the table has grown to the largest placement count of the run it
+/// allocates nothing.
+class PlacementVerdicts {
+public:
+  struct Key {
+    uint64_t InTxn = 0, Starts = 0, AtomicStarts = 0;
+    bool operator==(const Key &) const = default;
+  };
+
+  /// Start a new base: forget every verdict, record its po neighbours.
+  void reset(const Execution &Base) {
+    ++Gen;
+    Count = 0;
+    N = Base.size();
+    Prev.fill(-1);
+    Next.fill(-1);
+    Relation Imm = Base.poImm();
+    for (EventId A = 0; A < N; ++A)
+      for (EventId B : Imm.successors(A)) {
+        Next[A] = static_cast<int>(B);
+        Prev[B] = static_cast<int>(A);
+      }
+  }
+
+  Key keyOf(const Execution &X) const {
+    Key K;
+    for (unsigned E = 0; E < N; ++E) {
+      int C = X.Txn[E];
+      if (C == kNoClass)
+        continue;
+      uint64_t Bit = uint64_t(1) << E;
+      K.InTxn |= Bit;
+      if (Prev[E] >= 0 && X.Txn[Prev[E]] == C)
+        continue;
+      K.Starts |= Bit;
+      if ((X.AtomicTxns >> C) & 1)
+        K.AtomicStarts |= Bit;
+    }
+    return K;
+  }
+
+  void record(const Key &K, bool Consistent) {
+    if (2 * (Count + 1) > Slots.size())
+      grow();
+    Slot &S = find(K);
+    if (S.Gen != Gen) {
+      S = {K, Gen, Consistent};
+      ++Count;
+    }
+  }
+
+  /// True when one of the transaction-only relaxations of the placement
+  /// keyed \p K — each transaction shrunk at either end (a one-event
+  /// transaction removed) and, when \p AtomicDowngrades, each atomic{}
+  /// transaction downgraded — is recorded inconsistent. Such a placement
+  /// is not minimally inconsistent. A child not recorded says nothing.
+  bool someTxnChildInconsistent(const Key &K, bool AtomicDowngrades) const {
+    for (uint64_t Rest = K.Starts; Rest; Rest &= Rest - 1) {
+      unsigned First = static_cast<unsigned>(__builtin_ctzll(Rest));
+      unsigned Last = First;
+      while (Next[Last] >= 0 && inTxnNotStart(K, Next[Last]))
+        Last = static_cast<unsigned>(Next[Last]);
+      uint64_t FirstBit = uint64_t(1) << First;
+      bool Atomic = K.AtomicStarts & FirstBit;
+      if (First == Last) {
+        if (inconsistent({K.InTxn & ~FirstBit, K.Starts & ~FirstBit,
+                          K.AtomicStarts & ~FirstBit}))
+          return true;
+      } else {
+        uint64_t SecondBit = uint64_t(1) << Next[First];
+        Key Front{K.InTxn & ~FirstBit, (K.Starts & ~FirstBit) | SecondBit,
+                  Atomic ? (K.AtomicStarts & ~FirstBit) | SecondBit
+                         : K.AtomicStarts};
+        if (inconsistent(Front) ||
+            inconsistent({K.InTxn & ~(uint64_t(1) << Last), K.Starts,
+                          K.AtomicStarts}))
+          return true;
+      }
+      if (AtomicDowngrades && Atomic &&
+          inconsistent({K.InTxn, K.Starts, K.AtomicStarts & ~FirstBit}))
+        return true;
+    }
+    return false;
+  }
+
+private:
+  struct Slot {
+    Key K;
+    uint64_t Gen = 0;
+    bool Consistent = false;
+  };
+
+  bool inTxnNotStart(const Key &K, int E) const {
+    uint64_t Bit = uint64_t(1) << E;
+    return (K.InTxn & Bit) && !(K.Starts & Bit);
+  }
+
+  static size_t hashOf(const Key &K) {
+    uint64_t H = K.InTxn * 0x9e3779b97f4a7c15ull;
+    H ^= (K.Starts + (H << 6) + (H >> 2)) * 0xbf58476d1ce4e5b9ull;
+    H ^= (K.AtomicStarts + (H << 6) + (H >> 2)) * 0x94d049bb133111ebull;
+    return static_cast<size_t>(H ^ (H >> 31));
+  }
+
+  /// The slot holding \p K in this generation, else the free slot where
+  /// it would go (linear probing; the load stays at most one half).
+  const Slot &find(const Key &K) const {
+    size_t Mask = Slots.size() - 1;
+    for (size_t I = hashOf(K) & Mask;; I = (I + 1) & Mask) {
+      const Slot &S = Slots[I];
+      if (S.Gen != Gen || S.K == K)
+        return S;
+    }
+  }
+  Slot &find(const Key &K) {
+    return const_cast<Slot &>(std::as_const(*this).find(K));
+  }
+
+  bool inconsistent(const Key &K) const {
+    const Slot &S = find(K);
+    return S.Gen == Gen && !S.Consistent;
+  }
+
+  void grow() {
+    std::vector<Slot> Old(2 * Slots.size());
+    Old.swap(Slots);
+    for (const Slot &S : Old)
+      if (S.Gen == Gen)
+        find(S.K) = S;
+  }
+
+  /// A power of two in size, never empty.
+  std::vector<Slot> Slots = std::vector<Slot>(64);
+  size_t Count = 0;
+  /// Generation of the current base; slots stamped otherwise are free.
+  uint64_t Gen = 1;
+  unsigned N = 0;
+  /// Immediate po predecessor and successor of each event, -1 if none.
+  std::array<int, kMaxEvents> Prev{}, Next{};
+};
+
+/// The per-base state one worker reuses across bases: the analysis arena
+/// and the verdict table of the placements over the current base.
+struct WorkerArena {
+  std::optional<ExecutionAnalysis> Analysis;
+  PlacementVerdicts Verdicts;
+};
+
 /// Shared read-only context of one Forbid search plus the per-base check
 /// pipeline every worker runs.
 struct ForbidSearch {
@@ -80,8 +245,7 @@ struct ForbidSearch {
   /// Check every transaction placement over \p Base, recording minimal
   /// Forbid tests into \p Buf. Returns false to abort the enumeration
   /// (budget exhausted or pool cancelled).
-  bool processBase(Execution &Base, std::optional<ExecutionAnalysis> &Arena,
-                   SearchBuffer &Buf) const {
+  bool processBase(Execution &Base, WorkerArena &W, SearchBuffer &Buf) const {
     ++Buf.BasesVisited;
     if ((Buf.BasesVisited & 0x3ff) == 0 &&
         (secondsSince(Start) > BudgetSeconds ||
@@ -90,6 +254,7 @@ struct ForbidSearch {
     // The arena is retargeted per base and transaction-invalidated per
     // placement, so base-derived relations (fr, com, fences, ...) are
     // computed once per base and shared by every placement over it.
+    std::optional<ExecutionAnalysis> &Arena = W.Analysis;
     if (!Arena)
       Arena.emplace(Base);
     else
@@ -98,10 +263,21 @@ struct ForbidSearch {
     // transactions, so this prunes before any placement is tried.
     if (!Baseline.consistent(*Arena))
       return true;
+    W.Verdicts.reset(Base);
+    bool AtomicDowngrades = Enum.vocabulary().A == Arch::Cpp;
     return Enum.forEachTxnPlacement(Base, [&](Execution &X) {
       ++Buf.PlacementsVisited;
       Arena->invalidateTransactionalState();
-      if (Tm.consistent(*Arena))
+      PlacementVerdicts::Key K = W.Verdicts.keyOf(X);
+      bool Consistent = Tm.consistent(*Arena);
+      W.Verdicts.record(K, Consistent);
+      if (Consistent)
+        return true;
+      // The DFS places every shrink and atomic{} downgrade of a placement
+      // before the placement itself, so its transaction-only children are
+      // usually recorded already; one recorded inconsistent settles
+      // minimality without building a child.
+      if (W.Verdicts.someTxnChildInconsistent(K, AtomicDowngrades))
         return true;
       if (!isMinimallyInconsistent(*Arena, Tm, Enum.vocabulary()))
         return true;
@@ -116,7 +292,7 @@ struct ForbidSearch {
 void runPoolWorker(const ForbidSearch &Search, WorkQueue<BasePrefix> &Q,
                    unsigned W,
                    double SplitTarget, SearchBuffer &Buf) {
-  std::optional<ExecutionAnalysis> Arena;
+  WorkerArena Arena;
   unsigned Num = Search.Enum.numEvents();
   BasePrefix P;
   bool Stolen = false;

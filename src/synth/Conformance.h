@@ -24,6 +24,19 @@
 /// base, transaction-state-invalidated per placement) and a private result
 /// buffer; models are stateless and shared by const reference.
 ///
+/// Beside its arena each worker keeps a table of the TM verdicts of the
+/// placements it has checked over the current base, keyed by transaction
+/// partition and atomic{} flags. Minimality reads an inconsistent
+/// placement's transaction-only relaxations (each transaction shrunk at
+/// either end, and under C++ each atomic{} transaction downgraded) from
+/// it before calling `isMinimallyInconsistent`: the placement DFS visits
+/// each of them before their parent, and the models read transactions
+/// only through the partition, so a recorded verdict is the verdict the
+/// full check would compute. One recorded inconsistent child means not
+/// minimal; anything else falls back to the full check, so the suite is
+/// unchanged (`sharding_differential_test`'s references run the full
+/// check on every inconsistent placement).
+///
 /// The merged output is *deterministic*: the prefix tasks partition the
 /// base space exactly, duplicates are collapsed by canonical hash keeping
 /// the representative with the least `concreteEncoding` (and the earliest

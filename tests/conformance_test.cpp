@@ -122,6 +122,15 @@ TEST(ForbidTest, PowerAndArmv8SuiteSizesPinned) {
                   {3, 4, 17, 0x419a32e25ac3808a, 0xde2e72da9908b179}});
 }
 
+TEST(ForbidTest, CppSuiteSizesPinned) {
+  // The C++ search at |E| = 2 and 3: the only pinned suites whose
+  // placements carry atomic{} flags, so the only ones whose minimality
+  // checks read atomic{} downgrades.
+  expectPinned("cpp", Arch::Cpp,
+               {{2, 0, 0, 0x14650fb0739d0383, 0x14650fb0739d0383},
+                {3, 4, 21, 0x6fe55b52ff229bf2, 0xc86914b31dacd003}});
+}
+
 TEST(ForbidTest, FoundTimesMonotoneAndBounded) {
   ForbidSuite S = x86Suite(3);
   ASSERT_EQ(S.FoundAtSeconds.size(), S.Tests.size());

@@ -39,10 +39,14 @@ struct Workload {
 };
 
 // One vocabulary per paper target family: x86 (TSO), Power (deps +
-// fence flavours), C++ (consistency modes + atomic{} transactions).
+// fence flavours), ARMv8 (acquire/release orders + half barriers), C++
+// (consistency modes + atomic{} transactions). The reference checks
+// every inconsistent placement with `isMinimallyInconsistent`, so it is
+// also the unpruned search the per-base verdict table must reproduce.
 const Workload kWorkloads[] = {
     {"x86", Arch::X86, 4},
     {"power", Arch::Power, 3},
+    {"armv8", Arch::Armv8, 3},
     {"cpp", Arch::Cpp, 3},
 };
 
