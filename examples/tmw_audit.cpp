@@ -2,8 +2,9 @@
 ///
 /// CLI frontend of the contract auditor (audit/ContractAudit.h): verifies
 /// the `Axiom::Salt` term-identity contract, memoization coherence,
-/// `invalidateTransactionalState()` honesty, and `Axiom::Footprint`
-/// vocabulary soundness for every axiom of the audited model specs,
+/// `invalidateTransactionalState()` honesty, `Axiom::Footprint`
+/// vocabulary soundness, and the transaction blindness of every spec
+/// that enables no TM axiom, for every axiom of the audited model specs,
 /// differentially over probe executions from the litmus corpus and every
 /// architecture's enumerated vocabulary.
 ///
@@ -34,7 +35,8 @@
 ///                     every finding).
 ///   --no-corpus       skip the corpus probes.
 ///   --no-vocab        skip the vocabulary probes (and with them the
-///                     invalidation pass, which needs placements).
+///                     invalidation and baseline passes, which need
+///                     placements).
 ///   --no-precision    skip the advisory salt-precision report.
 ///
 /// Exit status: 0 when every contract held, 1 on any soundness finding,
@@ -73,7 +75,7 @@ void printText(const AuditReport &R) {
   std::printf(
       "  %llu probes (%llu corpus, %llu vocabulary), %llu bases x "
       "%llu placements, %llu units, %llu term evaluations, %llu "
-      "footprint checks\n",
+      "footprint checks, %llu baseline checks\n",
       static_cast<unsigned long long>(R.Counters.Probes),
       static_cast<unsigned long long>(R.Counters.CorpusProbes),
       static_cast<unsigned long long>(R.Counters.VocabProbes),
@@ -81,7 +83,8 @@ void printText(const AuditReport &R) {
       static_cast<unsigned long long>(R.Counters.Placements),
       static_cast<unsigned long long>(R.Counters.Units),
       static_cast<unsigned long long>(R.Counters.TermEvals),
-      static_cast<unsigned long long>(R.Counters.FootprintChecks));
+      static_cast<unsigned long long>(R.Counters.FootprintChecks),
+      static_cast<unsigned long long>(R.Counters.BaselineChecks));
 
   for (const AuditFinding &F : R.Findings) {
     std::printf("FINDING [%s] %s / %s", auditPassName(F.Pass),
@@ -103,7 +106,7 @@ void printText(const AuditReport &R) {
   }
 
   std::printf(R.sound() ? "SOUND: every salt, memoization, invalidation, "
-                          "and footprint contract held\n"
+                          "footprint and baseline contract held\n"
                         : "UNSOUND: %zu finding(s)\n",
               R.Findings.size());
 }

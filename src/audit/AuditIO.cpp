@@ -80,6 +80,8 @@ std::string tmw::auditReportToJson(const AuditReport &R) {
   jsonAppendUint(Out, R.Counters.TermEvals);
   Out += ", \"footprint_checks\": ";
   jsonAppendUint(Out, R.Counters.FootprintChecks);
+  Out += ", \"baseline_checks\": ";
+  jsonAppendUint(Out, R.Counters.BaselineChecks);
   Out += "}, \"truncated\": ";
   Out += R.Truncated ? "true" : "false";
   Out += ", \"findings\": [";

@@ -9,6 +9,7 @@
 #include "models/ModelRegistry.h"
 
 #include <algorithm>
+#include <map>
 #include <optional>
 #include <set>
 #include <tuple>
@@ -25,6 +26,8 @@ const char *tmw::auditPassName(AuditPass P) {
     return "invalidation";
   case AuditPass::Footprint:
     return "footprint";
+  case AuditPass::Baseline:
+    return "baseline";
   }
   return "?";
 }
@@ -59,6 +62,10 @@ struct Unit {
   uint32_t Salt;       ///< Declared salt, normalized to the table width.
   uint32_t Footprint;  ///< Declared vocabulary footprint (Axiom.h).
   uint32_t SaltSeen = 0; ///< Salt bits some probe's output depended on.
+  /// The first spec that checks this term while enabling no TM axiom, and
+  /// the entry's index in its table; -1 when none does (pass 5).
+  int BlindSpec = -1;
+  unsigned BlindAxIdx = 0;
 };
 
 class Auditor {
@@ -97,24 +104,42 @@ private:
     // different footprints are distinct pass-4 claims, so each gets its
     // own unit (the plan *unions* such footprints; the audit must check
     // each declaration as written).
-    std::set<std::tuple<const void *, uint32_t, uint32_t, unsigned,
-                        uint32_t>>
+    std::map<std::tuple<const void *, uint32_t, uint32_t, unsigned,
+                        uint32_t>,
+             size_t>
         Seen;
     for (size_t S = 0; S < Models.size(); ++S) {
       AxiomList Axioms = Models[S]->axioms();
       unsigned N = static_cast<unsigned>(Axioms.size());
       AxiomMask M = Models[S]->axiomMask();
+      bool Blind = true;
+      for (unsigned I = 0; I < N; ++I)
+        Blind = Blind && !(Axioms[I].Tm && M.test(I));
       for (unsigned I = 0; I < N; ++I) {
         const Axiom &Ax = Axioms[I];
         uint32_t Salt = Ax.Salt & tableBits(N);
-        if (Seen
-                .insert({reinterpret_cast<const void *>(Ax.Term),
-                         M.normalized(N).bits() & Salt, Salt, N,
-                         Ax.Footprint})
-                .second)
+        auto [It, New] = Seen.try_emplace(
+            {reinterpret_cast<const void *>(Ax.Term),
+             M.normalized(N).bits() & Salt, Salt, N, Ax.Footprint},
+            Units.size());
+        if (New)
           Units.push_back({S, I, &Ax, M, N, Salt, Ax.Footprint});
+        Unit &U = Units[It->second];
+        if (Blind && M.test(I) && !Ax.Modifier && U.BlindSpec < 0) {
+          U.BlindSpec = static_cast<int>(S);
+          U.BlindAxIdx = I;
+        }
       }
     }
+  }
+
+  /// \p U as the blind spec's table entry, for a pass-5 finding.
+  Unit blindOwner(const Unit &U) const {
+    Unit Owner = U;
+    Owner.Spec = static_cast<size_t>(U.BlindSpec);
+    Owner.AxIdx = U.BlindAxIdx;
+    Owner.Ax = &Models[Owner.Spec]->axioms()[U.BlindAxIdx];
+    return Owner;
   }
 
   void finding(AuditPass Pass, const Unit &U, int Bit,
@@ -233,13 +258,19 @@ private:
         retarget(TxnFresh, Base, AnalysisCaching::Recompute);
         for (Unit &U : Units)
           eval(U, *TxnArena, U.Mask);
+        // Pass 5 setup: the baseline terms on the base itself.
+        OnBase.resize(Units.size());
+        for (size_t I = 0; I < Units.size(); ++I)
+          if (Units[I].BlindSpec >= 0)
+            OnBase[I] = eval(Units[I], *TxnFresh, Units[I].Mask);
         ++R.Counters.Bases;
         uint64_t Placements = 0;
         Enum.forEachTxnPlacement(Base, [&](Execution &X) {
           std::string Tag = BaseTag + "+txn" + std::to_string(Placements);
           ++R.Counters.Placements;
           TxnArena->invalidateTransactionalState();
-          for (Unit &U : Units) {
+          for (size_t I = 0; I < Units.size(); ++I) {
+            const Unit &U = Units[I];
             Relation Memo = eval(U, *TxnArena, U.Mask);
             Relation FreshR = eval(U, *TxnFresh, U.Mask);
             if (!(Memo == FreshR))
@@ -247,6 +278,15 @@ private:
                       "cached term survived invalidateTransactionalState() "
                       "but its value depends on the transaction labelling "
                       "(stale relation served to the placement search)");
+            if (U.BlindSpec < 0)
+              continue;
+            ++R.Counters.BaselineChecks;
+            if (!(FreshR == OnBase[I]))
+              finding(AuditPass::Baseline, blindOwner(U), -1, Tag, X,
+                      "term of a spec that enables no TM axiom differs on "
+                      "a transaction placement from its base (a baseline "
+                      "that reads transactions: the Forbid search would "
+                      "prune or settle on the base wrongly)");
           }
           // The placements double as salt/memoization probes: they are
           // the executions where transactional mask bits (tfence, thb,
@@ -290,6 +330,8 @@ private:
   std::set<std::tuple<AuditPass, size_t, unsigned, int>> Reported;
   /// Arenas reused across probes (reset() is an O(1) generation bump).
   std::optional<ExecutionAnalysis> Fresh, Shared, TxnArena, TxnFresh;
+  /// Per unit, its term on the current base (blind units only).
+  std::vector<Relation> OnBase;
 };
 
 } // namespace

@@ -21,8 +21,14 @@
 ///    obligation to its vacuous verdict on every program whose vocabulary
 ///    is disjoint from the declared footprint; an under-declared
 ///    footprint silently skips a live constraint and corrupts verdicts.
+///  * The *transaction-blind baseline* — a spec that enables no TM axiom
+///    (`Axiom::Tm`) reads no transaction. The Forbid search
+///    (synth/Conformance.h) prunes a base whose baseline check fails
+///    before any placement is tried, and leaves the TM obligations the
+///    baseline shares on the base (`settledAxioms`); a baseline term
+///    that read the transaction labelling would drop Forbid tests.
 ///
-/// All three are audited *differentially*, in the Herding Cats spirit of
+/// All of them are audited *differentially*, in the Herding Cats spirit of
 /// cross-validating model artifacts rather than trusting them: probe
 /// executions are drawn from the litmus corpus and from the enumerated
 /// candidates (bases and transaction placements) of every architecture's
@@ -57,6 +63,10 @@
 ///     under-declared footprint — a soundness failure, caught at any
 ///     audited mask. Over-declaration (up to the always-safe `~0u`) only
 ///     forfeits specialization and is never reported.
+///  5. *Baseline blindness* — for every checked axiom of a spec that
+///     enables no TM axiom, the term on each transaction placement of an
+///     enumerated base (fresh recompute) must equal its term on the base
+///     itself. A mismatch is a baseline that reads transactions.
 ///
 /// The auditor walks `ModelRegistry` / `MemoryModel::axioms()`
 /// generically, so new models and axioms are covered with zero new audit
@@ -77,12 +87,12 @@
 
 namespace tmw {
 
-/// The four audit passes (see file comment).
+/// The five audit passes (see file comment).
 enum class AuditPass : uint8_t { Salt, Memoization, Invalidation,
-                                 Footprint };
+                                 Footprint, Baseline };
 
 /// Stable lowercase pass name ("salt", "memoization", "invalidation",
-/// "footprint").
+/// "footprint", "baseline").
 const char *auditPassName(AuditPass P);
 
 /// One contract violation. Every finding is a *soundness* failure: the
@@ -130,6 +140,8 @@ struct AuditCounters {
   uint64_t TermEvals = 0;     ///< Term evaluations performed in total.
   uint64_t FootprintChecks = 0; ///< Emptiness checks on footprint-disjoint
                                 ///< (unit, probe) pairs (pass 4).
+  uint64_t BaselineChecks = 0;  ///< Placement-against-base comparisons of
+                                ///< baseline terms (pass 5).
 };
 
 /// Result of one audit run. `sound()` is the CI gate: no resolution

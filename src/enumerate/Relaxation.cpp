@@ -141,10 +141,11 @@ bool offerDowngrades(const Execution &X, EventId E, Arch A,
 /// The one-step relaxation generator: hands every well-formed execution
 /// one ⊏-step below \p X to \p Visit, in a fixed order, and stops as soon
 /// as \p Visit returns false (the function then returns false too). A
-/// child is built only when the visit reaches it.
+/// child is built only when the visit reaches it. Under
+/// `RelaxSteps::Structural` it returns before the transaction-only steps.
 template <typename VisitFn>
-bool forEachRelaxation(const Execution &X, const Vocabulary &V,
-                       VisitFn &&Visit) {
+bool walkRelaxations(const Execution &X, const Vocabulary &V,
+                     RelaxSteps Steps, VisitFn &&Visit) {
   auto Offer = [&Visit](const Execution &Y) {
     return Y.checkWellFormed() != nullptr || Visit(Y);
   };
@@ -192,6 +193,9 @@ bool forEachRelaxation(const Execution &X, const Vocabulary &V,
     if (!offerDowngrades(X, E, V.A, Offer))
       return false;
 
+  if (Steps == RelaxSteps::Structural)
+    return true;
+
   // (v) Shrink a transaction at either end.
   for (unsigned C = 0; C < X.numTxns(); ++C) {
     std::vector<EventId> Members;
@@ -231,17 +235,21 @@ bool forEachRelaxation(const Execution &X, const Vocabulary &V,
 std::vector<Execution> tmw::relaxOneStep(const Execution &X,
                                          const Vocabulary &V) {
   std::vector<Execution> Out;
-  forEachRelaxation(X, V, [&Out](const Execution &Y) {
+  walkRelaxations(X, V, RelaxSteps::All, [&Out](const Execution &Y) {
     Out.push_back(Y);
     return true;
   });
   return Out;
 }
 
-bool tmw::isMinimallyInconsistent(const ExecutionAnalysis &A,
-                                  const MemoryModel &M, const Vocabulary &V) {
-  if (M.consistent(A))
-    return false;
+bool tmw::forEachRelaxation(
+    const Execution &X, const Vocabulary &V,
+    const std::function<bool(const Execution &)> &Visit, RelaxSteps Steps) {
+  return walkRelaxations(X, V, Steps, Visit);
+}
+
+bool tmw::relaxationsConsistent(const Execution &X, const MemoryModel &M,
+                                const Vocabulary &V, RelaxSteps Steps) {
   // Each relaxation child is checked through a per-thread analysis arena:
   // retargeting via reset() is a generation bump, where the implicit
   // `Execution -> ExecutionAnalysis` conversion would construct a fresh
@@ -250,13 +258,18 @@ bool tmw::isMinimallyInconsistent(const ExecutionAnalysis &A,
   // before the next reset(). The first inconsistent child ends the
   // search before any later child is built.
   static thread_local std::optional<ExecutionAnalysis> Arena;
-  return forEachRelaxation(A.execution(), V, [&M](const Execution &Y) {
+  return walkRelaxations(X, V, Steps, [&M](const Execution &Y) {
     if (!Arena)
       Arena.emplace(Y);
     else
       Arena->reset(Y);
     return M.consistent(*Arena);
   });
+}
+
+bool tmw::isMinimallyInconsistent(const ExecutionAnalysis &A,
+                                  const MemoryModel &M, const Vocabulary &V) {
+  return !M.consistent(A) && relaxationsConsistent(A.execution(), M, V);
 }
 
 namespace {

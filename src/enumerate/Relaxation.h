@@ -24,6 +24,7 @@
 
 #include "enumerate/Enumerator.h"
 
+#include <functional>
 #include <vector>
 
 namespace tmw {
@@ -35,6 +36,31 @@ Execution removeEvent(const Execution &X, EventId E);
 /// in a fixed order: event removals, dependency-edge removals (addr, data,
 /// ctrl, rmw), downgrades, transaction shrinks, atomic{} downgrades.
 std::vector<Execution> relaxOneStep(const Execution &X, const Vocabulary &V);
+
+/// Which one-step relaxations a walk offers.
+enum class RelaxSteps : uint8_t {
+  /// Every step, in `relaxOneStep`'s order.
+  All,
+  /// Steps (i)-(iii) only: event removals, dependency-edge removals and
+  /// downgrades. The transaction-only steps, (v) and (iii'), come last in
+  /// the order, so this is a prefix of `All`.
+  Structural,
+};
+
+/// The relaxation generator behind `relaxOneStep`: hands each child, in
+/// the same order, to \p Visit, building it only when the walk reaches
+/// it, and stops as soon as \p Visit returns false (returning false).
+bool forEachRelaxation(const Execution &X, const Vocabulary &V,
+                       const std::function<bool(const Execution &)> &Visit,
+                       RelaxSteps Steps = RelaxSteps::All);
+
+/// True when every child the walk over \p Steps offers is consistent
+/// under \p M: the second half of `isMinimallyInconsistent`, for a caller
+/// that already knows \p X is inconsistent. Same per-thread child arena
+/// and early exit.
+bool relaxationsConsistent(const Execution &X, const MemoryModel &M,
+                           const Vocabulary &V,
+                           RelaxSteps Steps = RelaxSteps::All);
 
 /// True when the analysed execution is inconsistent under \p M and every
 /// one-step relaxation is consistent. Takes the (possibly shared) analysis
@@ -49,10 +75,10 @@ std::vector<Execution> relaxOneStep(const Execution &X, const Vocabulary &V);
 /// sequence of model checks up to it, equal checking `relaxOneStep`'s
 /// vector in order.
 ///
-/// The Forbid search (`synthesizeForbid`) calls this only after reading
-/// the transaction-only children — steps (v) and (iii') — of a placement
-/// from the verdicts it already computed over the same base; one recorded
-/// inconsistent child settles the answer without a call.
+/// The Forbid search (`synthesizeForbid`) does not call this: it reads the
+/// transaction-only children of an inconsistent placement from the
+/// verdicts it already computed over the same base, and walks only what
+/// they leave open through `relaxationsConsistent`.
 bool isMinimallyInconsistent(const ExecutionAnalysis &A, const MemoryModel &M,
                              const Vocabulary &V);
 

@@ -21,7 +21,6 @@
 #include <algorithm>
 #include <cassert>
 #include <map>
-#include <tuple>
 
 using namespace tmw;
 
@@ -63,6 +62,14 @@ bool maskSubsetOf(AxiomMask A, AxiomMask B, size_t NumAxioms) {
 
 } // namespace
 
+ObligationKey tmw::obligationKey(Relation (*Term)(const ExecutionAnalysis &,
+                                                  AxiomMask),
+                                 AxiomKind Kind, AxiomMask Mask,
+                                 uint32_t Salt) {
+  return {reinterpret_cast<uintptr_t>(Term), static_cast<uint8_t>(Kind),
+          Mask.bits() & Salt};
+}
+
 EvalPlan EvalPlan::compile(std::span<const MemoryModel *const> Models) {
   EvalPlan P;
   size_t N = Models.size();
@@ -74,14 +81,12 @@ EvalPlan EvalPlan::compile(std::span<const MemoryModel *const> Models) {
   // union is disjoint from every contributor's declaration, so each
   // contributor's emptiness contract applies (intersection would not be
   // sound).
-  std::map<std::tuple<uintptr_t, uint8_t, uint32_t>, uint32_t> Pool;
+  std::map<ObligationKey, uint32_t> Pool;
   auto intern = [&](Relation (*Term)(const ExecutionAnalysis &, AxiomMask),
                     AxiomKind Kind, AxiomMask Mask, uint32_t Salt,
                     uint32_t Footprint) {
-    auto Key = std::make_tuple(reinterpret_cast<uintptr_t>(Term),
-                               static_cast<uint8_t>(Kind),
-                               Mask.bits() & Salt);
-    auto [It, New] = Pool.emplace(Key, static_cast<uint32_t>(P.Obls.size()));
+    auto [It, New] = Pool.emplace(obligationKey(Term, Kind, Mask, Salt),
+                                  static_cast<uint32_t>(P.Obls.size()));
     if (New)
       P.Obls.push_back({Term, Kind, Mask, Footprint});
     else

@@ -74,6 +74,28 @@ namespace tmw {
 
 struct ProgramFacts;
 
+/// The term-identity key of one obligation: its term function, its
+/// constraint kind and the mask bits under the term's declared `Salt`
+/// (Axiom.h). Two entries with equal keys denote the same judgement on
+/// every execution. `EvalPlan::compile` hash-conses its pool by this key,
+/// and the Forbid search (synth/Conformance.h) matches a TM model's
+/// obligations against its baseline's by it.
+struct ObligationKey {
+  uintptr_t Term = 0;
+  uint8_t Kind = 0;
+  uint32_t Bits = 0;
+  auto operator<=>(const ObligationKey &) const = default;
+};
+
+ObligationKey obligationKey(Relation (*Term)(const ExecutionAnalysis &,
+                                             AxiomMask),
+                            AxiomKind Kind, AxiomMask Mask, uint32_t Salt);
+
+/// The key of table entry \p Ax checked under the model mask \p Mask.
+inline ObligationKey obligationKey(const Axiom &Ax, AxiomMask Mask) {
+  return obligationKey(Ax.Term, Ax.Kind, Mask, Ax.Salt);
+}
+
 /// A compiled cross-spec evaluation plan (see file comment).
 class EvalPlan {
 public:

@@ -76,10 +76,18 @@ EventSet witnessOf(AxiomKind K, const Relation &Term) {
 } // namespace
 
 ConsistencyResult MemoryModel::check(const ExecutionAnalysis &A) const {
+  return check(A, AxiomMask::all());
+}
+
+ConsistencyResult MemoryModel::check(const ExecutionAnalysis &A,
+                                     AxiomMask Only) const {
   AxiomList Axs = axioms();
-  for (unsigned I = 0; I < Axs.size(); ++I) {
-    const Axiom &Ax = Axs[I];
-    if (Ax.Modifier || !Mask.test(I))
+  unsigned N = static_cast<unsigned>(Axs.size());
+  // The set bits in ascending order are the table order.
+  for (uint32_t Bits = Mask.normalized(N).bits() & Only.bits(); Bits;
+       Bits &= Bits - 1) {
+    const Axiom &Ax = Axs[__builtin_ctz(Bits)];
+    if (Ax.Modifier)
       continue;
     if (!axiomHolds(Ax.Kind, Ax.Term(A, Mask)))
       return ConsistencyResult::fail(Ax.Name);

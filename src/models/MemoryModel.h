@@ -109,6 +109,14 @@ public:
   /// first violation. Checks are const and do not mutate the model; all
   /// caching lives in the analysis.
   ConsistencyResult check(const ExecutionAnalysis &A) const;
+  /// The same check over the enabled axioms that are also in \p Only (an
+  /// index mask over `axioms()`). Terms still see the model's own mask,
+  /// so each evaluated axiom means what it means in `check(A)`; the
+  /// verdict equals `check(A)`'s whenever every enabled axiom left out
+  /// holds on \p A. The Forbid search (synth/Conformance.h) leaves out
+  /// the obligations the baseline has already proved on a placement's
+  /// base.
+  ConsistencyResult check(const ExecutionAnalysis &A, AxiomMask Only) const;
 
   /// Evaluate *every* enabled axiom (no early exit) and report per-axiom
   /// verdicts plus a witness for each violation — the diagnostics path

@@ -3,25 +3,18 @@
 /// \file
 /// Implementation of the bit-matrix relational algebra. Each operation
 /// with a layout-specific kernel tests `packed()` once; the word
-/// operations loop over the live words and serve both layouts.
+/// operations loop over the live words and serve both layouts. The
+/// packed paths of the hot kernels are inline in Relation.h; their rows
+/// paths are the `*Rows` members here.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "relation/Relation.h"
 
 using namespace tmw;
+using namespace tmw::packed;
 
 namespace {
-
-// Packed-layout masks: row A of the matrix is byte A of the word.
-
-/// Bit 0 of every byte (column 0 of every row).
-constexpr uint64_t kLowBits = 0x0101010101010101;
-/// Bit A of byte A (the diagonal).
-constexpr uint64_t kDiag = 0x8040201008040201;
-
-/// The 8-bit row \p Bits copied into every byte.
-uint64_t broadcast(uint64_t Bits) { return (Bits & 0xFF) * kLowBits; }
 
 /// 0xFF in byte A for each A in \p Bits (events below 8), else 0.
 uint64_t rowBytes(uint64_t Bits) {
@@ -32,28 +25,10 @@ uint64_t rowBytes(uint64_t Bits) {
   return (High >> 7) * 0xFF;
 }
 
-/// The rows of packed \p W whose column \p B is set, as whole bytes.
-uint64_t rowsWithColumn(uint64_t W, unsigned B) {
-  return ((W >> B) & kLowBits) * 0xFF;
-}
-
-/// Row \p A of packed \p W copied into every byte.
-uint64_t broadcastRow(uint64_t W, unsigned A) {
-  return broadcast(W >> 8 * A);
-}
-
 /// Every pair over \p N <= 8 events, packed.
 uint64_t packedAll(unsigned N) {
   return rowBytes(EventSet::universe(N).bits()) &
          broadcast(EventSet::universe(N).bits());
-}
-
-/// Warshall over packed \p W, a relation over \p N events: when row A
-/// holds column Mid, row A gains row Mid.
-uint64_t packedClosure(uint64_t W, unsigned N) {
-  for (unsigned Mid = 0; Mid < N; ++Mid)
-    W |= rowsWithColumn(W, Mid) & broadcastRow(W, Mid);
-  return W;
 }
 
 } // namespace
@@ -84,9 +59,9 @@ Relation Relation::cross(EventSet A, EventSet B, unsigned N) {
   return R;
 }
 
-bool Relation::isEmpty() const {
-  for (unsigned W = 0; W < liveWords(); ++W)
-    if (Rows[W] != 0)
+bool Relation::isEmptyRows() const {
+  for (unsigned A = 0; A < Size; ++A)
+    if (Rows[A] != 0)
       return false;
   return true;
 }
@@ -98,13 +73,6 @@ bool Relation::isIrreflexive() const {
     if ((Rows[A] >> A) & 1)
       return false;
   return true;
-}
-
-bool Relation::isAcyclic() const {
-  // A relation is acyclic iff its transitive closure is irreflexive.
-  if (packed())
-    return (packedClosure(Rows[0], Size) & kDiag) == 0;
-  return transitiveClosure().isIrreflexive();
 }
 
 unsigned Relation::numPairs() const {
@@ -178,57 +146,26 @@ bool Relation::subsetOf(const Relation &O) const {
   return true;
 }
 
-Relation Relation::operator|(const Relation &O) const {
-  Relation R = *this;
-  R |= O;
-  return R;
-}
-
-Relation Relation::operator&(const Relation &O) const {
-  Relation R = *this;
-  R &= O;
-  return R;
-}
-
-Relation Relation::operator-(const Relation &O) const {
-  Relation R = *this;
-  R -= O;
-  return R;
-}
-
-Relation &Relation::operator|=(const Relation &O) {
-  assert(Size == O.Size && "size mismatch");
-  for (unsigned W = 0; W < liveWords(); ++W)
-    Rows[W] |= O.Rows[W];
+Relation &Relation::unionRows(const Relation &O) {
+  for (unsigned A = 0; A < Size; ++A)
+    Rows[A] |= O.Rows[A];
   return *this;
 }
 
-Relation &Relation::operator&=(const Relation &O) {
-  assert(Size == O.Size && "size mismatch");
-  for (unsigned W = 0; W < liveWords(); ++W)
-    Rows[W] &= O.Rows[W];
+Relation &Relation::intersectRows(const Relation &O) {
+  for (unsigned A = 0; A < Size; ++A)
+    Rows[A] &= O.Rows[A];
   return *this;
 }
 
-Relation &Relation::operator-=(const Relation &O) {
-  assert(Size == O.Size && "size mismatch");
-  for (unsigned W = 0; W < liveWords(); ++W)
-    Rows[W] &= ~O.Rows[W];
+Relation &Relation::subtractRows(const Relation &O) {
+  for (unsigned A = 0; A < Size; ++A)
+    Rows[A] &= ~O.Rows[A];
   return *this;
 }
 
-Relation Relation::compose(const Relation &O) const {
-  assert(Size == O.Size && "size mismatch");
+Relation Relation::composeRows(const Relation &O) const {
   Relation R(Size);
-  if (packed()) {
-    // Row A gains row Mid of O for each Mid in row A: per column Mid,
-    // the rows holding it take O's row Mid broadcast to every byte.
-    uint64_t Out = 0;
-    for (unsigned Mid = 0; Mid < Size; ++Mid)
-      Out |= rowsWithColumn(Rows[0], Mid) & broadcastRow(O.Rows[0], Mid);
-    R.Rows[0] = Out;
-    return R;
-  }
   for (unsigned A = 0; A < Size; ++A) {
     uint64_t Out = 0;
     for (EventId Mid : EventSet(Rows[A]))
@@ -271,23 +208,15 @@ Relation Relation::complement() const {
   return R;
 }
 
-Relation Relation::optional() const {
+Relation Relation::optionalRows() const {
   Relation R = *this;
-  if (packed()) {
-    R.Rows[0] |= packedAll(Size) & kDiag;
-    return R;
-  }
   for (unsigned A = 0; A < Size; ++A)
     R.Rows[A] |= uint64_t(1) << A;
   return R;
 }
 
-Relation Relation::transitiveClosure() const {
+Relation Relation::closureRows() const {
   Relation R = *this;
-  if (packed()) {
-    R.Rows[0] = packedClosure(Rows[0], Size);
-    return R;
-  }
   // Column-sweep variant of Warshall's algorithm: when Mid is reachable
   // from A, everything reachable from Mid becomes reachable from A.
   for (unsigned Mid = 0; Mid < Size; ++Mid) {

@@ -27,6 +27,12 @@
 /// those words alone, so the work scales with the events an execution
 /// really has (a handful in the synthesis search), not with the cap.
 ///
+/// The packed paths of the hot kernels — `|`, `&`, `-` and their compound
+/// forms, `isEmpty`, `compose`, `transitiveClosure`, `isAcyclic` and
+/// `optional` — are inline below, so a consistency check over a small
+/// execution runs as straight-line word arithmetic in its caller; their
+/// rows paths, and every other kernel, live in Relation.cpp.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef TMW_RELATION_RELATION_H
@@ -41,6 +47,36 @@
 #include <utility>
 
 namespace tmw {
+
+/// Word kernels of the packed layout: row A of the matrix is byte A of the
+/// word.
+namespace packed {
+/// Bit 0 of every byte (column 0 of every row).
+inline constexpr uint64_t kLowBits = 0x0101010101010101;
+/// Bit A of byte A (the diagonal).
+inline constexpr uint64_t kDiag = 0x8040201008040201;
+
+/// The 8-bit row \p Bits copied into every byte.
+inline uint64_t broadcast(uint64_t Bits) { return (Bits & 0xFF) * kLowBits; }
+
+/// The rows of packed \p W whose column \p B is set, as whole bytes.
+inline uint64_t rowsWithColumn(uint64_t W, unsigned B) {
+  return ((W >> B) & kLowBits) * 0xFF;
+}
+
+/// Row \p A of packed \p W copied into every byte.
+inline uint64_t broadcastRow(uint64_t W, unsigned A) {
+  return broadcast(W >> 8 * A);
+}
+
+/// Warshall over packed \p W, a relation over \p N events: when row A
+/// holds column Mid, row A gains row Mid.
+inline uint64_t closure(uint64_t W, unsigned N) {
+  for (unsigned Mid = 0; Mid < N; ++Mid)
+    W |= rowsWithColumn(W, Mid) & broadcastRow(W, Mid);
+  return W;
+}
+} // namespace packed
 
 /// A binary relation over events {0, ..., Size-1}.
 ///
@@ -97,10 +133,15 @@ public:
     return EventSet(packed() ? (Rows[0] >> 8 * A) & 0xFF : Rows[A]);
   }
 
-  bool isEmpty() const;
+  bool isEmpty() const { return packed() ? Rows[0] == 0 : isEmptyRows(); }
   bool isIrreflexive() const;
   /// True when the relation has no cycle (of length >= 1).
-  bool isAcyclic() const;
+  bool isAcyclic() const {
+    // A relation is acyclic iff its transitive closure is irreflexive.
+    if (packed())
+      return (packed::closure(Rows[0], Size) & packed::kDiag) == 0;
+    return closureRows().isIrreflexive();
+  }
   /// Number of pairs in the relation.
   unsigned numPairs() const;
 
@@ -118,24 +159,84 @@ public:
   /// True when this is a subset of \p O.
   bool subsetOf(const Relation &O) const;
 
-  Relation operator|(const Relation &O) const;
-  Relation operator&(const Relation &O) const;
+  Relation operator|(const Relation &O) const {
+    assert(Size == O.Size && "size mismatch");
+    if (packed())
+      return packedWord(Size, Rows[0] | O.Rows[0]);
+    Relation R = *this;
+    R.unionRows(O);
+    return R;
+  }
+  Relation operator&(const Relation &O) const {
+    assert(Size == O.Size && "size mismatch");
+    if (packed())
+      return packedWord(Size, Rows[0] & O.Rows[0]);
+    Relation R = *this;
+    R.intersectRows(O);
+    return R;
+  }
   /// Set difference, written r1 \ r2.
-  Relation operator-(const Relation &O) const;
-  Relation &operator|=(const Relation &O);
-  Relation &operator&=(const Relation &O);
-  Relation &operator-=(const Relation &O);
+  Relation operator-(const Relation &O) const {
+    assert(Size == O.Size && "size mismatch");
+    if (packed())
+      return packedWord(Size, Rows[0] & ~O.Rows[0]);
+    Relation R = *this;
+    R.subtractRows(O);
+    return R;
+  }
+  Relation &operator|=(const Relation &O) {
+    assert(Size == O.Size && "size mismatch");
+    if (!packed())
+      return unionRows(O);
+    Rows[0] |= O.Rows[0];
+    return *this;
+  }
+  Relation &operator&=(const Relation &O) {
+    assert(Size == O.Size && "size mismatch");
+    if (!packed())
+      return intersectRows(O);
+    Rows[0] &= O.Rows[0];
+    return *this;
+  }
+  Relation &operator-=(const Relation &O) {
+    assert(Size == O.Size && "size mismatch");
+    if (!packed())
+      return subtractRows(O);
+    Rows[0] &= ~O.Rows[0];
+    return *this;
+  }
 
   /// Relational composition r1 ; r2.
-  Relation compose(const Relation &O) const;
+  Relation compose(const Relation &O) const {
+    assert(Size == O.Size && "size mismatch");
+    if (!packed())
+      return composeRows(O);
+    // Row A gains row Mid of O for each Mid in row A: per column Mid,
+    // the rows holding it take O's row Mid broadcast to every byte.
+    uint64_t Out = 0;
+    for (unsigned Mid = 0; Mid < Size; ++Mid)
+      Out |= packed::rowsWithColumn(Rows[0], Mid) &
+             packed::broadcastRow(O.Rows[0], Mid);
+    return packedWord(Size, Out);
+  }
   /// The inverse relation r^-1.
   Relation inverse() const;
   /// Complement with respect to all event pairs, written ¬r.
   Relation complement() const;
   /// Reflexive closure r? (identity over *all* events of the execution).
-  Relation optional() const;
+  Relation optional() const {
+    if (!packed())
+      return optionalRows();
+    return packedWord(Size, Rows[0] | (packed::broadcast(
+                                           EventSet::universe(Size).bits()) &
+                                       packed::kDiag));
+  }
   /// Transitive closure r+.
-  Relation transitiveClosure() const;
+  Relation transitiveClosure() const {
+    if (!packed())
+      return closureRows();
+    return packedWord(Size, packed::closure(Rows[0], Size));
+  }
   /// Reflexive transitive closure r*.
   Relation reflexiveTransitiveClosure() const;
 
@@ -170,6 +271,23 @@ private:
   unsigned bitOf(EventId A, EventId B) const {
     return packed() ? 8 * A + B : B;
   }
+
+  /// The packed relation over \p N events whose word is \p W.
+  static Relation packedWord(unsigned N, uint64_t W) {
+    Relation R;
+    R.Size = N;
+    R.Rows[0] = W;
+    return R;
+  }
+
+  // The rows-layout bodies of the inline kernels (Relation.cpp).
+  bool isEmptyRows() const;
+  Relation &unionRows(const Relation &O);
+  Relation &intersectRows(const Relation &O);
+  Relation &subtractRows(const Relation &O);
+  Relation composeRows(const Relation &O) const;
+  Relation optionalRows() const;
+  Relation closureRows() const;
 
   unsigned Size;
   std::array<uint64_t, kMaxEvents> Rows;

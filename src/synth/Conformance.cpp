@@ -3,10 +3,12 @@
 #include "synth/Conformance.h"
 
 #include "enumerate/WorkQueue.h"
+#include "models/EvalPlan.h"
 
 #include <algorithm>
 #include <array>
 #include <chrono>
+#include <deque>
 #include <optional>
 #include <thread>
 #include <unordered_map>
@@ -37,11 +39,12 @@ struct FoundTest {
 /// Result buffer of one worker. Dedup keeps the
 /// least-keyed representative and the earliest discovery time per
 /// canonical hash, so the merged output cannot depend on the order in
-/// which workers happened to visit the space.
+/// which workers happened to visit the space. A deque, so that a growing
+/// buffer never relocates the executions it already holds.
 struct SearchBuffer {
   bool Finished = true;
   uint64_t BasesVisited = 0, PlacementsVisited = 0;
-  std::vector<FoundTest> Tests;
+  std::deque<FoundTest> Tests;
   std::unordered_map<uint64_t, size_t> Index;
   WorkerLoad Load;
 
@@ -128,12 +131,32 @@ public:
     }
   }
 
-  /// True when one of the transaction-only relaxations of the placement
-  /// keyed \p K — each transaction shrunk at either end (a one-event
-  /// transaction removed) and, when \p AtomicDowngrades, each atomic{}
-  /// transaction downgraded — is recorded inconsistent. Such a placement
-  /// is not minimally inconsistent. A child not recorded says nothing.
-  bool someTxnChildInconsistent(const Key &K, bool AtomicDowngrades) const {
+  /// What the table says of the transaction-only relaxations of a
+  /// placement: each transaction shrunk at either end (a one-event
+  /// transaction removed) and, under C++, each atomic{} transaction
+  /// downgraded.
+  enum class TxnChildren : uint8_t {
+    /// One is recorded inconsistent: the placement is not minimal.
+    SomeInconsistent,
+    /// Every one is recorded, and consistent.
+    AllConsistent,
+    /// None is recorded inconsistent, but some are not recorded.
+    Unrecorded,
+  };
+
+  /// The transaction-only children of the placement keyed \p K, with the
+  /// atomic{} downgrades when \p AtomicDowngrades.
+  TxnChildren txnChildren(const Key &K, bool AtomicDowngrades) const {
+    bool AllRecorded = true;
+    // False when the child keyed C is recorded inconsistent.
+    auto Holds = [&](const Key &C) {
+      const Slot &S = find(C);
+      if (S.Gen != Gen) {
+        AllRecorded = false;
+        return true;
+      }
+      return S.Consistent;
+    };
     for (uint64_t Rest = K.Starts; Rest; Rest &= Rest - 1) {
       unsigned First = static_cast<unsigned>(__builtin_ctzll(Rest));
       unsigned Last = First;
@@ -142,24 +165,24 @@ public:
       uint64_t FirstBit = uint64_t(1) << First;
       bool Atomic = K.AtomicStarts & FirstBit;
       if (First == Last) {
-        if (inconsistent({K.InTxn & ~FirstBit, K.Starts & ~FirstBit,
-                          K.AtomicStarts & ~FirstBit}))
-          return true;
+        if (!Holds({K.InTxn & ~FirstBit, K.Starts & ~FirstBit,
+                    K.AtomicStarts & ~FirstBit}))
+          return TxnChildren::SomeInconsistent;
       } else {
         uint64_t SecondBit = uint64_t(1) << Next[First];
         Key Front{K.InTxn & ~FirstBit, (K.Starts & ~FirstBit) | SecondBit,
                   Atomic ? (K.AtomicStarts & ~FirstBit) | SecondBit
                          : K.AtomicStarts};
-        if (inconsistent(Front) ||
-            inconsistent({K.InTxn & ~(uint64_t(1) << Last), K.Starts,
-                          K.AtomicStarts}))
-          return true;
+        if (!Holds(Front) || !Holds({K.InTxn & ~(uint64_t(1) << Last),
+                                     K.Starts, K.AtomicStarts}))
+          return TxnChildren::SomeInconsistent;
       }
       if (AtomicDowngrades && Atomic &&
-          inconsistent({K.InTxn, K.Starts, K.AtomicStarts & ~FirstBit}))
-        return true;
+          !Holds({K.InTxn, K.Starts, K.AtomicStarts & ~FirstBit}))
+        return TxnChildren::SomeInconsistent;
     }
-    return false;
+    return AllRecorded ? TxnChildren::AllConsistent
+                       : TxnChildren::Unrecorded;
   }
 
 private:
@@ -193,11 +216,6 @@ private:
   }
   Slot &find(const Key &K) {
     return const_cast<Slot &>(std::as_const(*this).find(K));
-  }
-
-  bool inconsistent(const Key &K) const {
-    const Slot &S = find(K);
-    return S.Gen == Gen && !S.Consistent;
   }
 
   void grow() {
@@ -235,21 +253,34 @@ struct ForbidSearch {
   TimePoint Start;
   /// Extra abort signal polled with the budget (pool cancel).
   const WorkQueue<BasePrefix> *Pool = nullptr;
+  /// The TM axioms a placement's check evaluates: all but those the
+  /// baseline settles on the base (`settledAxioms`).
+  AxiomMask PlacementAxioms = AxiomMask::all();
 
   ForbidSearch(const MemoryModel &Tm, const MemoryModel &Baseline,
                const Vocabulary &V, unsigned NumEvents,
                double BudgetSeconds, TimePoint Start)
       : Tm(Tm), Baseline(Baseline), Enum(V, NumEvents),
-        BudgetSeconds(BudgetSeconds), Start(Start) {}
+        BudgetSeconds(BudgetSeconds), Start(Start) {
+    AxiomMask Settled = settledAxioms(Tm, Baseline);
+    for (unsigned I = 0; I < Tm.axioms().size(); ++I)
+      if (Settled.test(I))
+        PlacementAxioms.set(I, false);
+  }
+
+  /// True once the budget is spent or the pool is cancelled.
+  bool stopped() const {
+    return secondsSince(Start) > BudgetSeconds || (Pool && Pool->cancelled());
+  }
 
   /// Check every transaction placement over \p Base, recording minimal
   /// Forbid tests into \p Buf. Returns false to abort the enumeration
-  /// (budget exhausted or pool cancelled).
+  /// (budget exhausted or pool cancelled), which is polled once per 1,024
+  /// bases and once per 1,024 placements: one base of a large search can
+  /// have millions of placements.
   bool processBase(Execution &Base, WorkerArena &W, SearchBuffer &Buf) const {
     ++Buf.BasesVisited;
-    if ((Buf.BasesVisited & 0x3ff) == 0 &&
-        (secondsSince(Start) > BudgetSeconds ||
-         (Pool && Pool->cancelled())))
+    if ((Buf.BasesVisited & 0x3ff) == 0 && stopped())
       return false;
     // The arena is retargeted per base and transaction-invalidated per
     // placement, so base-derived relations (fr, com, fences, ...) are
@@ -266,22 +297,33 @@ struct ForbidSearch {
     W.Verdicts.reset(Base);
     bool AtomicDowngrades = Enum.vocabulary().A == Arch::Cpp;
     return Enum.forEachTxnPlacement(Base, [&](Execution &X) {
-      ++Buf.PlacementsVisited;
+      if ((++Buf.PlacementsVisited & 0x3ff) == 0 && stopped())
+        return false;
       Arena->invalidateTransactionalState();
       PlacementVerdicts::Key K = W.Verdicts.keyOf(X);
-      bool Consistent = Tm.consistent(*Arena);
+      // The settled axioms hold here: the baseline proved them on the
+      // base above and reads no transaction.
+      bool Consistent = Tm.check(*Arena, PlacementAxioms).Consistent;
       W.Verdicts.record(K, Consistent);
       if (Consistent)
         return true;
       // The DFS places every shrink and atomic{} downgrade of a placement
       // before the placement itself, so its transaction-only children are
-      // usually recorded already; one recorded inconsistent settles
-      // minimality without building a child.
-      if (W.Verdicts.someTxnChildInconsistent(K, AtomicDowngrades))
+      // usually recorded already: one recorded inconsistent settles
+      // minimality without building a child, and when all are recorded
+      // consistent only the structural children are left to check.
+      RelaxSteps Open = RelaxSteps::All;
+      switch (W.Verdicts.txnChildren(K, AtomicDowngrades)) {
+      case PlacementVerdicts::TxnChildren::SomeInconsistent:
         return true;
-      if (!isMinimallyInconsistent(*Arena, Tm, Enum.vocabulary()))
-        return true;
-      Buf.record(X, secondsSince(Start));
+      case PlacementVerdicts::TxnChildren::AllConsistent:
+        Open = RelaxSteps::Structural;
+        break;
+      case PlacementVerdicts::TxnChildren::Unrecorded:
+        break;
+      }
+      if (relaxationsConsistent(X, Tm, Enum.vocabulary(), Open))
+        Buf.record(X, secondsSince(Start));
       return true;
     });
   }
@@ -347,6 +389,8 @@ void mergeBuffers(ForbidSuite &Suite, std::vector<SearchBuffer> &Bufs) {
             [](const FoundTest *A, const FoundTest *B) {
               return A->Hash < B->Hash;
             });
+  Suite.Tests.reserve(Sorted.size());
+  Suite.FoundAtSeconds.reserve(Sorted.size());
   for (FoundTest *T : Sorted) {
     Suite.Tests.push_back(std::move(T->X));
     Suite.FoundAtSeconds.push_back(T->FoundAt);
@@ -354,6 +398,32 @@ void mergeBuffers(ForbidSuite &Suite, std::vector<SearchBuffer> &Bufs) {
 }
 
 } // namespace
+
+AxiomMask tmw::settledAxioms(const MemoryModel &Tm,
+                             const MemoryModel &Baseline) {
+  AxiomList BaseAxs = Baseline.axioms();
+  AxiomMask BaseMask = Baseline.axiomMask();
+  std::vector<ObligationKey> Proved;
+  for (unsigned I = 0; I < BaseAxs.size(); ++I) {
+    if (!BaseMask.test(I))
+      continue;
+    // A baseline that may read transactions proves nothing about a
+    // placement from its base.
+    if (BaseAxs[I].Tm)
+      return AxiomMask::none();
+    if (!BaseAxs[I].Modifier)
+      Proved.push_back(obligationKey(BaseAxs[I], BaseMask));
+  }
+  AxiomList Axs = Tm.axioms();
+  AxiomMask Mask = Tm.axiomMask();
+  AxiomMask Settled = AxiomMask::none();
+  for (unsigned I = 0; I < Axs.size(); ++I)
+    if (Mask.test(I) && !Axs[I].Modifier &&
+        std::find(Proved.begin(), Proved.end(),
+                  obligationKey(Axs[I], Mask)) != Proved.end())
+      Settled.set(I);
+  return Settled;
+}
 
 ForbidSuite tmw::synthesizeForbid(const MemoryModel &TmModel,
                                   const MemoryModel &Baseline,
@@ -401,9 +471,11 @@ tmw::relaxationsOf(const std::vector<Execution> &Forbid,
   std::vector<Execution> Out;
   std::unordered_set<uint64_t> Seen;
   for (const Execution &X : Forbid)
-    for (const Execution &Child : relaxOneStep(X, V))
+    forEachRelaxation(X, V, [&](const Execution &Child) {
       if (Seen.insert(canonicalHash(Child)).second)
         Out.push_back(Child);
+      return true;
+    });
   return Out;
 }
 

@@ -24,18 +24,36 @@
 /// base, transaction-state-invalidated per placement) and a private result
 /// buffer; models are stateless and shared by const reference.
 ///
+/// A placement pays only for what a transaction placement can change.
+/// A base reaches its placements only when the baseline accepts it, so
+/// every baseline obligation holds on the base; a baseline that enables
+/// no TM axiom reads no transaction (`tmw_audit`'s baseline pass checks
+/// it), so those obligations hold on every placement of the base too.
+/// `settledAxioms` names the TM model's checked axioms whose obligation
+/// (`ObligationKey`, models/EvalPlan.h: term, kind, mask bits under the
+/// salt) is one of the baseline's, once per search, and each placement
+/// is checked with `MemoryModel::check(A, Only)` over the rest: Coherence
+/// and RMWIsol stay on the base for x86, Power and ARMv8, RMWIsol and
+/// NoThinAir for C++. A baseline with a TM axiom enabled settles nothing.
+///
 /// Beside its arena each worker keeps a table of the TM verdicts of the
 /// placements it has checked over the current base, keyed by transaction
 /// partition and atomic{} flags. Minimality reads an inconsistent
 /// placement's transaction-only relaxations (each transaction shrunk at
 /// either end, and under C++ each atomic{} transaction downgraded) from
-/// it before calling `isMinimallyInconsistent`: the placement DFS visits
-/// each of them before their parent, and the models read transactions
-/// only through the partition, so a recorded verdict is the verdict the
-/// full check would compute. One recorded inconsistent child means not
-/// minimal; anything else falls back to the full check, so the suite is
-/// unchanged (`sharding_differential_test`'s references run the full
-/// check on every inconsistent placement).
+/// it: the placement DFS visits each of them before their parent, and the
+/// models read transactions only through the partition, so a recorded
+/// verdict is the verdict the full check would compute. One recorded
+/// inconsistent child means not minimal. When all are recorded
+/// consistent, `relaxationsConsistent` walks only the structural children
+/// (`RelaxSteps::Structural`); when some are not recorded, it walks them
+/// all. The placement is never re-checked, so the suite is unchanged
+/// (`sharding_differential_test`'s references run the full check and
+/// `isMinimallyInconsistent` on every placement).
+///
+/// The budget and the pool's cancel flag are polled once per 1,024 bases
+/// and once per 1,024 placements, so a 1 s budget stops a search within
+/// about a second at any event bound.
 ///
 /// The merged output is *deterministic*: the prefix tasks partition the
 /// base space exactly, duplicates are collapsed by canonical hash keeping
@@ -91,8 +109,17 @@ ForbidSuite synthesizeForbid(const MemoryModel &TmModel,
                              const Vocabulary &V, unsigned NumEvents,
                              double BudgetSeconds = 1e18, unsigned Jobs = 1);
 
+/// The checked axioms of \p TmModel (an index mask over its `axioms()`)
+/// whose obligation is also one of \p Baseline's, when the baseline
+/// enables no TM axiom; none otherwise. A Forbid search checks a
+/// placement without them, because the baseline proved them on its base.
+AxiomMask settledAxioms(const MemoryModel &TmModel,
+                        const MemoryModel &Baseline);
+
 /// The Allow suite: deduplicated one-step relaxations of \p Forbid
-/// (all consistent under the TM model by minimality).
+/// (all consistent under the TM model by minimality), in the order the
+/// relaxation generator offers them, each kept the first time its
+/// canonical hash is seen.
 std::vector<Execution>
 relaxationsOf(const std::vector<Execution> &Forbid, const Vocabulary &V);
 

@@ -13,8 +13,11 @@
 ///    `Footprint` of `vocab::Txn` only, which the footprint pass must
 ///    catch producing edges on txn-free probes (an under-declared
 ///    footprint would let `EvalPlan::specialize` discharge a live
-///    constraint). Honest table entries sitting next to the broken ones
-///    must stay clean — the auditor finds lies, not neighbours.
+///    constraint); and a non-TM axiom whose term reads `stxn`, which the
+///    baseline pass must catch differing between a base and its
+///    placements (a baseline that reads transactions would mislead the
+///    Forbid search). Honest table entries sitting next to the broken
+///    ones must stay clean — the auditor finds lies, not neighbours.
 ///
 ///  * *positive* — the full default registry matrix audits clean (the CI
 ///    gate `tmw_audit` enforces), and the JSON report round-trips through
@@ -89,10 +92,25 @@ constexpr Axiom kMemoLieTable[] = {
      /*Salt=*/uint32_t(1) << 0},
 };
 
+// StaleTxn reads transactions, so it is a TM axiom: a spec enabling it is
+// no baseline, and the baseline pass leaves it to the invalidation pass.
 constexpr Axiom kStaleTxnTable[] = {
     {"Toggle", AxiomKind::Acyclic, emptyTerm, false, /*Modifier=*/true, 0},
     {"Honest", AxiomKind::Acyclic, honestPo, false, false, 0},
-    {"StaleTxn", AxiomKind::Acyclic, staleTxnTerm, false, false, 0},
+    {"StaleTxn", AxiomKind::Acyclic, staleTxnTerm, /*Tm=*/true, false, 0},
+};
+
+/// Reads the transaction labelling, unmemoized, in a table with no TM
+/// axiom: a baseline that is not transaction-blind. Mask-independent with
+/// the default footprint, so only the baseline pass may flag it.
+Relation txnReadingTerm(const ExecutionAnalysis &A, AxiomMask) {
+  return A.po() | A.stxn();
+}
+
+constexpr Axiom kTxnReadingTable[] = {
+    {"Toggle", AxiomKind::Acyclic, emptyTerm, false, /*Modifier=*/true, 0},
+    {"Honest", AxiomKind::Acyclic, honestPo, false, false, 0},
+    {"ReadsTxn", AxiomKind::Acyclic, txnReadingTerm, false, false, 0},
 };
 
 /// A deliberately *under-declared* footprint: the term reads plain
@@ -216,6 +234,22 @@ TEST(ContractAudit_, UnderDeclaredFootprintIsFlaggedByFootprintPass) {
   EXPECT_GT(R.Counters.FootprintChecks, 0u);
 }
 
+TEST(ContractAudit_, TxnReadingBaselineIsFlaggedByBaselinePass) {
+  FixtureModel M("txn-reading-fixture", kTxnReadingTable);
+  AuditReport R = auditFixture(M, /*Corpus=*/true, /*Vocab=*/true);
+  ASSERT_FALSE(R.sound());
+  ASSERT_FALSE(R.Findings.empty());
+  for (const AuditFinding &F : R.Findings) {
+    EXPECT_EQ(F.Pass, AuditPass::Baseline) << auditPassName(F.Pass);
+    EXPECT_EQ(F.Model, "txn-reading-fixture");
+    EXPECT_EQ(F.Axiom, "ReadsTxn");
+    EXPECT_EQ(F.Bit, -1);
+    EXPECT_NE(F.Probe.find("+txn"), std::string::npos) << F.Probe;
+  }
+  EXPECT_FALSE(anyFindingFor(R, "Honest"));
+  EXPECT_GT(R.Counters.BaselineChecks, 0u);
+}
+
 TEST(ContractAudit_, HonestFixtureAuditsClean) {
   // The control table alone (toggle + honest po) must produce zero
   // findings through every pass and probe source.
@@ -263,6 +297,9 @@ TEST(ContractAudit_, DefaultRegistryMatrixIsSound) {
   // The footprint pass ran — narrow declared footprints met disjoint
   // probes and every one of them held (zero findings above).
   EXPECT_GT(R.Counters.FootprintChecks, 0u);
+  // So did the baseline pass: every +baseline spec's terms held still
+  // across the placements of each base.
+  EXPECT_GT(R.Counters.BaselineChecks, 0u);
 }
 
 TEST(ContractAudit_, UnknownSpecReportsErrorNotCrash) {

@@ -15,7 +15,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -147,6 +150,170 @@ TEST(ForbidTest, BudgetAbortsCleanly) {
   Vocabulary V = Vocabulary::forArch(Arch::X86);
   ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, 5, 0.0);
   EXPECT_FALSE(S.Complete);
+}
+
+TEST(ForbidTest, BudgetStopsLargeSearches) {
+  // The budget is polled inside a base's placements too, so a search at
+  // a large event bound stops soon after it, not after its first bases.
+  X86Model Tm;
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
+  Vocabulary V = Vocabulary::forArch(Arch::X86);
+  for (unsigned N : {16u, 64u}) {
+    SCOPED_TRACE("|E| = " + std::to_string(N));
+    auto T0 = std::chrono::steady_clock::now();
+    ForbidSuite S = synthesizeForbid(Tm, *Baseline, V, N, 0.2);
+    double Seconds = std::chrono::duration<double>(
+                         std::chrono::steady_clock::now() - T0)
+                         .count();
+    EXPECT_FALSE(S.Complete);
+    EXPECT_LT(Seconds, 10.0);
+  }
+}
+
+/// The axiom names of \p Tm that \p Baseline settles, in table order.
+std::vector<std::string> settledNames(const MemoryModel &Tm,
+                                      const MemoryModel &Baseline) {
+  AxiomMask Settled = settledAxioms(Tm, Baseline);
+  std::vector<std::string> Names;
+  AxiomList Axs = Tm.axioms();
+  for (unsigned I = 0; I < Axs.size(); ++I)
+    if (Settled.test(I))
+      Names.emplace_back(Axs[I].Name);
+  return Names;
+}
+
+/// Over every placement of every base of at most \p MaxEvents events that
+/// \p Baseline accepts, the search's check — \p Tm without the settled
+/// axioms, on the arena the search uses — agrees with a fresh full check.
+void expectPlacementCheckExact(const MemoryModel &Tm,
+                               const MemoryModel &Baseline, Arch A,
+                               unsigned MaxEvents) {
+  AxiomMask Only = AxiomMask::all();
+  AxiomMask Settled = settledAxioms(Tm, Baseline);
+  for (unsigned I = 0; I < Tm.axioms().size(); ++I)
+    if (Settled.test(I))
+      Only.set(I, false);
+  Vocabulary V = Vocabulary::forArch(A);
+  uint64_t Placements = 0, Inconsistent = 0;
+  for (unsigned N = 1; N <= MaxEvents; ++N) {
+    ExecutionEnumerator Enum(V, N);
+    std::optional<ExecutionAnalysis> Arena;
+    Enum.forEachBase([&](Execution &Base) {
+      if (!Arena)
+        Arena.emplace(Base);
+      else
+        Arena->reset(Base);
+      if (!Baseline.consistent(*Arena))
+        return true;
+      return Enum.forEachTxnPlacement(Base, [&](Execution &X) {
+        Arena->invalidateTransactionalState();
+        bool Full = Tm.consistent(X);
+        ++Placements;
+        Inconsistent += !Full;
+        EXPECT_EQ(Tm.check(*Arena, Only).Consistent, Full) << X.dump();
+        return !testing::Test::HasFailure();
+      });
+    });
+  }
+  EXPECT_GT(Placements, 0u);
+  EXPECT_GT(Inconsistent, 0u);
+}
+
+TEST(PlacementCheckTest, SettledAxiomsPinned) {
+  // What a transaction-blind baseline settles on the base: the TM
+  // model's checked axioms whose obligation (term, kind, salted mask
+  // bits) is one of the baseline's. Order reads tfence, thb or tprop
+  // through its salt, so it stays per placement.
+  using Names = std::vector<std::string>;
+  for (auto [Spec, Want] :
+       {std::pair{"x86", Names{"Coherence", "RMWIsol"}},
+        std::pair{"power", Names{"Coherence", "RMWIsol"}},
+        std::pair{"armv8", Names{"Coherence", "RMWIsol"}},
+        std::pair{"cpp", Names{"RMWIsol", "NoThinAir"}}}) {
+    std::unique_ptr<MemoryModel> Tm = ModelRegistry::parse(Spec);
+    std::unique_ptr<MemoryModel> Baseline =
+        ModelRegistry::parse(std::string(Spec) + "/+baseline");
+    EXPECT_EQ(settledNames(*Tm, *Baseline), Want) << Spec;
+  }
+}
+
+TEST(PlacementCheckTest, RestrictedCheckMatchesFullCheck) {
+  for (auto [Spec, A, MaxEvents] :
+       {std::tuple{"x86", Arch::X86, 4u},
+        std::tuple{"power", Arch::Power, 3u},
+        std::tuple{"armv8", Arch::Armv8, 3u},
+        std::tuple{"cpp", Arch::Cpp, 3u}}) {
+    SCOPED_TRACE(Spec);
+    std::unique_ptr<MemoryModel> Tm = ModelRegistry::parse(Spec);
+    std::unique_ptr<MemoryModel> Baseline =
+        ModelRegistry::parse(std::string(Spec) + "/+baseline");
+    expectPlacementCheckExact(*Tm, *Baseline, A, MaxEvents);
+  }
+}
+
+TEST(PlacementCheckTest, TfenceAblationSharesOrder) {
+  // Without tfence, x86's Order is the baseline's Order: its salt bit is
+  // off in both masks, so the baseline settles it too.
+  std::unique_ptr<MemoryModel> Tm = ModelRegistry::parse("x86/-tfence");
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
+  EXPECT_EQ(settledNames(*Tm, *Baseline),
+            (std::vector<std::string>{"Coherence", "RMWIsol", "Order"}));
+  expectPlacementCheckExact(*Tm, *Baseline, Arch::X86, 3);
+}
+
+TEST(PlacementCheckTest, BaselineWithTmAxiomSettlesNothing) {
+  // A baseline that enables a TM axiom may read transactions, so what it
+  // proves on a base says nothing about the placements.
+  X86Model Tm;
+  std::unique_ptr<MemoryModel> Baseline =
+      ModelRegistry::parse("x86/+baseline");
+  ASSERT_TRUE(Baseline->setAxiomEnabled("StrongIsol", true));
+  EXPECT_TRUE(settledNames(Tm, *Baseline).empty());
+  EXPECT_TRUE(settledNames(Tm, Tm).empty());
+  expectPlacementCheckExact(Tm, *Baseline, Arch::X86, 3);
+}
+
+TEST(RelaxationWalkTest, StructuralStepsArePrefixOfRelaxOneStep) {
+  // The walk offers relaxOneStep's children in its order; the structural
+  // walk stops before the transaction-only steps, which come last.
+  for (auto [Spec, A] : {std::pair{"x86", Arch::X86},
+                         std::pair{"cpp", Arch::Cpp}}) {
+    std::unique_ptr<MemoryModel> Tm = ModelRegistry::parse(Spec);
+    std::unique_ptr<MemoryModel> Baseline =
+        ModelRegistry::parse(std::string(Spec) + "/+baseline");
+    Vocabulary V = Vocabulary::forArch(A);
+    ForbidSuite S = synthesizeForbid(*Tm, *Baseline, V, 3, 300.0);
+    ASSERT_FALSE(S.Tests.empty());
+    for (const Execution &X : S.Tests) {
+      std::vector<Execution> All = relaxOneStep(X, V);
+      std::vector<uint64_t> Walked, Structural;
+      forEachRelaxation(X, V, [&](const Execution &Y) {
+        Walked.push_back(canonicalHash(Y));
+        return true;
+      });
+      forEachRelaxation(
+          X, V,
+          [&](const Execution &Y) {
+            Structural.push_back(canonicalHash(Y));
+            return true;
+          },
+          RelaxSteps::Structural);
+      ASSERT_EQ(Walked.size(), All.size());
+      for (size_t I = 0; I < All.size(); ++I)
+        EXPECT_EQ(Walked[I], canonicalHash(All[I]));
+      ASSERT_LT(Structural.size(), Walked.size()) << X.dump();
+      EXPECT_TRUE(std::equal(Structural.begin(), Structural.end(),
+                             Walked.begin()));
+      // Every child past the prefix keeps every event: only its
+      // transactions changed.
+      for (size_t I = Structural.size(); I < All.size(); ++I)
+        EXPECT_EQ(All[I].size(), X.size());
+      EXPECT_TRUE(relaxationsConsistent(X, *Tm, V));
+      EXPECT_TRUE(relaxationsConsistent(X, *Tm, V, RelaxSteps::Structural));
+    }
+  }
 }
 
 TEST(AllowTest, RelaxationsAreConsistent) {
